@@ -26,7 +26,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,18 +45,6 @@ from .privwrite import (
     key_size_bytes,
 )
 
-_MECHANISM_FIELDS = {
-    "rr": ("pi1", "pi2"),
-    "two_round_binary": ("pi_s", "pi_yes", "pi_no"),
-    "two_round_multi": ("pi_s", "pi_v"),
-    "calibrated": ("pi_s_yes_1", "pi_s_yes_2", "pi_s_no_1", "pi_s_no_2"),
-}
-_MECHANISM_TYPES = {
-    "rr": mech.RrParams,
-    "two_round_binary": mech.TwoRoundBinaryParams,
-    "two_round_multi": mech.TwoRoundMultiParams,
-    "calibrated": mech.CalibratedParams,
-}
 _MODES = ("statistical", "cryptofree", "crypto")
 
 TRIALS_HEADER = ("trial", "value", "true_count", "estimate", "abs_error")
@@ -97,7 +85,7 @@ class Experiment:
     seed derived from ``seed``.
     """
 
-    mechanism: object
+    mechanism: mech.Mechanism
     population: dict | None
     dataset: str | None
     epoch: h.EpochConfig
@@ -106,14 +94,8 @@ class Experiment:
     seed: int
 
     def normalized(self) -> dict:
-        kind = next(
-            k for k, t in _MECHANISM_TYPES.items() if type(self.mechanism) is t
-        )
         out = {
-            "mechanism": {
-                "kind": kind,
-                **{f: getattr(self.mechanism, f) for f in _MECHANISM_FIELDS[kind]},
-            },
+            "mechanism": {"kind": self.mechanism.kind, **asdict(self.mechanism)},
             "epoch": {
                 "parties": self.epoch.parties,
                 "k_threshold": self.epoch.k_threshold,
@@ -180,24 +162,22 @@ def parse_experiment(raw: dict) -> Experiment:
     if ("population" in raw) == ("dataset" in raw):
         raise ConfigError("specify exactly one of 'population' or 'dataset'")
 
-    _check_keys(
-        raw["mechanism"],
-        {"kind", *{f for fs in _MECHANISM_FIELDS.values() for f in fs}},
-        "mechanism",
-    )
+    if not isinstance(raw["mechanism"], dict):
+        raise ConfigError("mechanism must be a JSON object")
     mblock = dict(raw["mechanism"])
     kind = mblock.pop("kind", None)
-    if kind not in _MECHANISM_FIELDS:
+    if kind not in mech.MECHANISMS:
         raise ConfigError(f"unknown mechanism kind {kind!r}")
-    fields = _MECHANISM_FIELDS[kind]
-    missing = [f for f in fields if f not in mblock]
-    extra = set(mblock) - set(fields)
+    params_type = mech.MECHANISMS[kind]
+    names = [f.name for f in fields(params_type)]
+    missing = [name for name in names if name not in mblock]
+    extra = set(mblock) - set(names)
     if missing or extra:
         raise ConfigError(
-            f"mechanism {kind!r} takes exactly {list(fields)}; "
+            f"mechanism {kind!r} takes exactly {names}; "
             f"missing {missing}, unexpected {sorted(extra)}"
         )
-    mechanism = _MECHANISM_TYPES[kind](**{f: float(mblock[f]) for f in fields})
+    mechanism = params_type(**{name: float(mblock[name]) for name in names})
 
     eblock = raw["epoch"]
     _check_keys(
@@ -315,7 +295,7 @@ def load_dataset(path: str, experiment: Experiment) -> np.ndarray:
     config = experiment.epoch
     if (truths < 0).any() or (truths >= (1 << config.id_bits)).any():
         raise ConfigError(f"dataset values must fit {config.id_bits} id bits")
-    if isinstance(experiment.mechanism, mech.TwoRoundMultiParams):
+    if not config.mech.binary:
         truths = np.where(np.isin(truths, config.value_ids), truths, -1)
     elif not np.isin(truths, (0, 1)).all():
         raise ConfigError("binary mechanisms need 0/1 dataset values")
@@ -330,34 +310,15 @@ def load_dataset(path: str, experiment: Experiment) -> np.ndarray:
 def _statistical_trial(
     population: np.ndarray, experiment: Experiment, rng: np.random.Generator
 ) -> dict[int, float]:
-    """One trial of the mechanism alone: responses summed without the
+    """One trial of the mechanism alone: the claim matrix summed without the
     database plumbing, for large-population error sweeps."""
     params = experiment.mechanism
-    if isinstance(params, mech.RrParams):
-        answers = mech.rr_privatize_population(population, params, rng)
-        return {1: mech.rr_estimate(int(answers.sum()), len(population), params)}
-    if isinstance(params, mech.TwoRoundBinaryParams):
-        rounds = mech.two_round_binary_population(population, params, rng)
-        return {
-            1: mech.two_round_estimate(
-                int(rounds.round1.sum()), int(rounds.round2.sum()), params.pi_s
-            )
-        }
-    if isinstance(params, mech.CalibratedParams):
-        rounds = mech.calibrated_population(population, params, rng)
-        return {
-            1: mech.calibrated_estimate(
-                int(rounds.round1.sum()), int(rounds.round2.sum()), params
-            )
-        }
-    domain = experiment.epoch.value_ids
-    rounds = mech.two_round_multi_population(population, list(domain), params, rng)
-    return {
-        v: mech.two_round_estimate(
-            int(rounds.round1[:, j].sum()), int(rounds.round2[:, j].sum()), params.pi_s
-        )
-        for j, v in enumerate(domain)
-    }
+    value_ids = experiment.epoch.value_ids
+    claims = params.claims(population, value_ids, rng)
+    # one owner column at a time: numpy's bool reduction over the owner axis
+    # of a whole (owners, values) matrix is about three times slower
+    counts = [[int(column.sum()) for column in rounds.T] for rounds in claims]
+    return dict(zip(value_ids, params.estimate(counts, len(population))))
 
 
 def _run_trial(task: tuple) -> tuple[int, dict[int, float] | None, dict | None]:

@@ -265,8 +265,3 @@ class BitString:
         if self.length <= 64:
             return f"BitString({self.to01()!r})"
         return f"BitString(<{self.length} bits>)"
-
-
-def xor(x: BitString, y: BitString) -> BitString:
-    """XOR of two equal-length bitstrings."""
-    return x ^ y

@@ -1,10 +1,16 @@
 """Epoch simulation tying the layers together.
 
-One epoch runs the full collection round: owners privatize their values,
-encode every claimed value of every round as a non-attributable database
-write, aggregators verify the write shape, accumulate, exchange and
-reconstruct the round databases, filter slots by checksum, count IDs, and
-feed the counts to the mechanism's estimator.
+One epoch runs the full collection round: owners privatize their values
+into the mechanism's claim matrix (round x owner x value), every claim
+becomes a non-attributable database write, aggregators verify the write
+shape, accumulate, exchange and reconstruct the round databases, filter
+slots by checksum, count IDs, and feed the counts to the mechanism's
+estimator.
+
+The write plan is columnar (:class:`WritePlan`): one array each for owner,
+round, value index and slot, ordered by owner, then round, then value in
+domain order. ``PlannedWrite`` records are built only for the 256-owner
+chunk being submitted.
 
 Databases are anonymous mailboxes: a write XORs ``ID || checksum`` into a
 uniformly chosen slot. Counting scans the reconstructed slots; two writes
@@ -30,7 +36,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,13 +49,6 @@ from .errors import (
 )
 from .field import BitString
 from .privwrite import FssKey, FssParams, PointFunction, fss_evaluate_share, fss_gen
-
-MechanismParams = Union[
-    mech.RrParams,
-    mech.TwoRoundBinaryParams,
-    mech.TwoRoundMultiParams,
-    mech.CalibratedParams,
-]
 
 _CHUNK_OWNERS = 256
 _ABSENT = -1
@@ -68,7 +67,7 @@ class EpochConfig:
     parties: int
     k_threshold: int
     fss: FssParams
-    mech: MechanismParams
+    mech: mech.Mechanism
     id_bits: int
     checksum_bits: int = 16
     domain: tuple[int, ...] | None = None
@@ -96,7 +95,7 @@ class EpochConfig:
             raise ConfigError(f"unknown blinding kind {self.blinding_kind!r}")
         if not 0 <= self.epoch_id < (1 << 64):
             raise ConfigError("epoch_id must fit in 64 bits")
-        if isinstance(self.mech, mech.TwoRoundMultiParams):
+        if not self.mech.binary:
             if not self.domain:
                 raise ConfigError("the multi-value mechanism needs a domain")
             if len(set(self.domain)) != len(self.domain):
@@ -116,13 +115,11 @@ class EpochConfig:
 
     @property
     def rounds(self) -> int:
-        return 1 if isinstance(self.mech, mech.RrParams) else 2
+        return self.mech.rounds
 
     @property
     def value_ids(self) -> tuple[int, ...]:
-        if isinstance(self.mech, mech.TwoRoundMultiParams):
-            return tuple(self.domain)
-        return (1,)
+        return (1,) if self.mech.binary else tuple(self.domain)
 
 
 def checksum(value_id: int, epoch_id: int, checksum_bits: int) -> int:
@@ -163,10 +160,8 @@ def count_values(
     return counts, drops
 
 
-def reconstruct(
-    party_accumulators: Sequence[BitString], message_bits: int
-) -> list[int]:
-    """XOR the parties' accumulated bitstrings and split into slot values."""
+def reconstruct(party_accumulators: Sequence[BitString]) -> BitString:
+    """XOR the parties' accumulated bitstrings into the round database."""
     if not party_accumulators:
         raise ProtocolAbortError("no party accumulators to combine")
     combined = party_accumulators[0]
@@ -174,7 +169,7 @@ def reconstruct(
         if len(acc) != len(combined):
             raise ProtocolAbortError("party accumulators differ in length")
         combined = combined ^ acc
-    return combined.split_fields(message_bits)
+    return combined
 
 
 def generate_population(spec: dict, rng: np.random.Generator) -> np.ndarray:
@@ -239,58 +234,40 @@ def _streams(master_seed: int) -> dict[str, np.random.Generator]:
     return {name: np.random.default_rng(seq) for name, seq in zip(names, children)}
 
 
-def _claims(
-    truths: np.ndarray, config: EpochConfig, rng: np.random.Generator
-) -> list[tuple[tuple[int, ...], ...]]:
-    """Per owner, per round, the ordered value IDs the owner claims."""
-    params = config.mech
-    if isinstance(params, mech.RrParams):
-        if not np.isin(truths, (0, 1)).all():
-            raise PopulationSpecError("binary mechanisms need 0/1 truths")
-        answers = mech.rr_privatize_population(truths, params, rng)
-        return [((1,) if a else (),) for a in answers]
-    if isinstance(params, mech.TwoRoundBinaryParams):
-        if not np.isin(truths, (0, 1)).all():
-            raise PopulationSpecError("binary mechanisms need 0/1 truths")
-        rounds = mech.two_round_binary_population(truths, params, rng)
+@dataclass(frozen=True)
+class WritePlan:
+    """Every write of an epoch as columns, ordered by owner, round, then
+    value in domain order. ``value`` indexes ``value_ids``; the index
+    ``len(value_ids)`` marks the null write of an empty round."""
+
+    owner: np.ndarray
+    round_index: np.ndarray
+    value: np.ndarray
+    slot: np.ndarray
+    value_ids: tuple[int, ...]
+
+    def writes(self, start: int = 0, stop: int | None = None) -> list[PlannedWrite]:
+        """The planned writes ``start:stop`` as records."""
+        ids = (*self.value_ids, None)
+        columns = (self.owner, self.round_index, self.value, self.slot)
         return [
-            ((1,) if r1 else (), (1,) if r2 else ())
-            for r1, r2 in zip(rounds.round1, rounds.round2)
+            PlannedWrite(owner, round_index, slot, ids[value])
+            for owner, round_index, value, slot in zip(
+                *(column[start:stop].tolist() for column in columns)
+            )
         ]
-    if isinstance(params, mech.CalibratedParams):
-        if not np.isin(truths, (0, 1)).all():
-            raise PopulationSpecError("binary mechanisms need 0/1 truths")
-        rounds = mech.calibrated_population(truths, params, rng)
-        return [
-            ((1,) if r1 else (), (1,) if r2 else ())
-            for r1, r2 in zip(rounds.round1, rounds.round2)
-        ]
-    domain = config.value_ids
-    ok = np.isin(truths, domain) | (truths == _ABSENT)
-    if not ok.all():
-        raise PopulationSpecError("truths must be domain values or absent")
-    rounds = mech.two_round_multi_population(truths, list(domain), params, rng)
-    out = []
-    for i in range(len(truths)):
-        r1 = tuple(v for j, v in enumerate(domain) if rounds.round1[i, j])
-        r2 = tuple(v for j, v in enumerate(domain) if rounds.round2[i, j])
-        out.append((r1, r2))
-    return out
 
 
-def _plan_writes(
-    claims: list[tuple[tuple[int, ...], ...]],
-    config: EpochConfig,
-    rng: np.random.Generator,
-) -> list[PlannedWrite]:
-    writes = []
-    n_slots = config.db_slots
-    for owner_id, per_round in enumerate(claims):
-        for round_index, values in enumerate(per_round):
-            for value_id in values or (None,):
-                slot = int(rng.integers(0, n_slots))
-                writes.append(PlannedWrite(owner_id, round_index, slot, value_id))
-    return writes
+def plan_writes(
+    claims: np.ndarray, config: EpochConfig, rng: np.random.Generator
+) -> WritePlan:
+    """One write per claim of the (rounds, owners, values) claim matrix, or
+    one null write for an empty round, each at a slot drawn from ``rng``."""
+    by_owner = claims.transpose(1, 0, 2)
+    empty = ~by_owner.any(axis=2, keepdims=True)
+    owner, round_index, value = np.nonzero(np.concatenate((by_owner, empty), axis=2))
+    slot = rng.integers(0, config.db_slots, size=owner.size)
+    return WritePlan(owner, round_index, value, slot, config.value_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -471,16 +448,9 @@ class EpochCollector:
                 estimates={},
                 diagnostics=diagnostics,
             )
-        if self.crypto:
-            databases = tuple(
-                BitString(
-                    reduce_xor(self._acc[i][r] for i in range(config.parties)),
-                    len(self._acc[0][0]),
-                )
-                for r in range(config.rounds)
-            )
-        else:
-            databases = tuple(self._acc[0])
+        databases = tuple(
+            reconstruct([acc[r] for acc in self._acc]) for r in range(config.rounds)
+        )
         counts = []
         drops = []
         for db in databases:
@@ -491,7 +461,9 @@ class EpochCollector:
             counts.append(c)
             drops.append(d)
         diagnostics.collision_drops = tuple(drops)
-        estimates = _estimate(counts, accepted, config)
+        value_ids = config.value_ids
+        table = [[c.get(v, 0) for v in value_ids] for c in counts]
+        estimates = dict(zip(value_ids, config.mech.estimate(table, accepted)))
         return EpochResult(
             halted=False,
             epoch_id=config.epoch_id,
@@ -501,39 +473,6 @@ class EpochCollector:
             estimates=estimates,
             diagnostics=diagnostics,
         )
-
-
-def reduce_xor(accumulators: Iterable[BitString]) -> int:
-    value = 0
-    for acc in accumulators:
-        value ^= acc.value
-    return value
-
-
-def _estimate(
-    counts: list[dict[int, int]], accepted: int, config: EpochConfig
-) -> dict[int, float]:
-    params = config.mech
-    if isinstance(params, mech.RrParams):
-        return {1: mech.rr_estimate(counts[0].get(1, 0), accepted, params)}
-    if isinstance(params, mech.TwoRoundBinaryParams):
-        return {
-            1: mech.two_round_estimate(
-                counts[0].get(1, 0), counts[1].get(1, 0), params.pi_s
-            )
-        }
-    if isinstance(params, mech.CalibratedParams):
-        return {
-            1: mech.calibrated_estimate(
-                counts[0].get(1, 0), counts[1].get(1, 0), params
-            )
-        }
-    return {
-        v: mech.two_round_estimate(
-            counts[0].get(v, 0), counts[1].get(v, 0), params.pi_s
-        )
-        for v in config.value_ids
-    }
 
 
 def build_chunk(
@@ -606,17 +545,16 @@ def run_epoch(
     if out_of_range:
         raise ValueError(f"attacker indices out of range: {sorted(out_of_range)}")
     rngs = _streams(config.master_seed)
-    claims = _claims(population, config, rngs["privatize"])
-    writes = _plan_writes(claims, config, rngs["slots"])
+    claims = config.mech.claims(population, config.value_ids, rngs["privatize"])
+    plan = plan_writes(claims, config, rngs["slots"])
+    # every owner makes at least one write per round, so each chunk of
+    # _CHUNK_OWNERS consecutive owners is nonempty
+    owner_starts = np.arange(0, population.size + _CHUNK_OWNERS, _CHUNK_OWNERS)
+    bounds = np.searchsorted(plan.owner, owner_starts).tolist()
     collector = EpochCollector(config, crypto=crypto)
-    start = 0
-    while start < len(writes):
-        end = start
-        boundary = writes[start].owner_id + _CHUNK_OWNERS
-        while end < len(writes) and writes[end].owner_id < boundary:
-            end += 1
+    for start, stop in zip(bounds, bounds[1:]):
         chunk = build_chunk(
-            writes[start:end],
+            plan.writes(start, stop),
             config,
             rngs["keys"],
             rngs["verify"],
@@ -624,5 +562,4 @@ def run_epoch(
             two_row,
         )
         collector.submit(chunk)
-        start = end
     return collector.finalize()

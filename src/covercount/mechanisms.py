@@ -17,13 +17,21 @@ Scalar functions consume one ``rng.random(...)`` block per owner in a
 documented order; the ``*_population`` variants draw the same uniforms in the
 same order, so a vectorized simulation is draw-for-draw identical to the
 scalar loop under the same generator state.
+
+Each params class is also the mechanism's interface to the rest of the
+pipeline (:class:`Mechanism`): ``claims`` turns a population's truths into a
+claim matrix of shape (rounds, owners, values), true where an owner claims a
+value in a round, and ``estimate`` turns per-round, per-value counts of those
+claims into per-value estimates. Statistical mode sums the matrix directly;
+an epoch writes one database entry per claim and counts what survives.
+:data:`MECHANISMS` maps each config ``kind`` to its class.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -36,6 +44,8 @@ from .errors import (
 )
 
 __all__ = [
+    "Mechanism",
+    "MECHANISMS",
     "RrParams",
     "TwoRoundBinaryParams",
     "TwoRoundMultiParams",
@@ -69,6 +79,40 @@ def _check_prob(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
+class Mechanism(Protocol):
+    """What the epoch pipeline and statistical mode need from a mechanism.
+
+    ``binary`` mechanisms answer a yes/no query about value 1 and take 0/1
+    truths; the others claim values from a queried domain.
+    """
+
+    kind: ClassVar[str]
+    rounds: ClassVar[int]
+    binary: ClassVar[bool]
+
+    def claims(
+        self, truths: np.ndarray, value_ids: Sequence[int], rng: np.random.Generator
+    ) -> np.ndarray:
+        """Validate ``truths`` and draw the (rounds, owners, values) bool
+        claim matrix, values in ``value_ids`` order."""
+
+    def estimate(self, counts: Sequence[Sequence[int]], total: int) -> list[float]:
+        """Per-value estimates, in ``value_ids`` order, from the
+        (rounds, values) claim counts of ``total`` owners."""
+
+
+def _binary_truths(truths: np.ndarray) -> np.ndarray:
+    truths = np.asarray(truths)
+    if not np.isin(truths, (0, 1)).all():
+        raise InvalidTruthError("binary mechanisms need 0/1 truths")
+    return truths
+
+
+def _binary_claims(*rounds: np.ndarray) -> np.ndarray:
+    """Per-round 0/1 answers as a (rounds, owners, 1) claim matrix."""
+    return np.stack(rounds)[:, :, None] == 1
+
+
 @dataclass(frozen=True)
 class RrParams:
     """Randomized response coins.
@@ -82,9 +126,19 @@ class RrParams:
     pi1: float
     pi2: float
 
+    kind: ClassVar[str] = "rr"
+    rounds: ClassVar[int] = 1
+    binary: ClassVar[bool] = True
+
     def __post_init__(self):
         _check_prob("pi1", self.pi1)
         _check_prob("pi2", self.pi2)
+
+    def claims(self, truths, value_ids, rng) -> np.ndarray:
+        return _binary_claims(rr_privatize_population(_binary_truths(truths), self, rng))
+
+    def estimate(self, counts, total) -> list[float]:
+        return [rr_estimate(counts[0][0], total, self)]
 
     @property
     def chaff_yes_rate(self) -> float:
@@ -107,12 +161,23 @@ class TwoRoundBinaryParams:
     pi_yes: float
     pi_no: float
 
+    kind: ClassVar[str] = "two_round_binary"
+    rounds: ClassVar[int] = 2
+    binary: ClassVar[bool] = True
+
     def __post_init__(self):
         _check_prob("pi_s", self.pi_s)
         _check_prob("pi_yes", self.pi_yes)
         _check_prob("pi_no", self.pi_no)
         if abs(self.pi_s + self.pi_yes + self.pi_no - 1.0) > _PROB_TOL:
             raise ValueError("die probabilities must sum to 1")
+
+    def claims(self, truths, value_ids, rng) -> np.ndarray:
+        rounds = two_round_binary_population(_binary_truths(truths), self, rng)
+        return _binary_claims(rounds.round1, rounds.round2)
+
+    def estimate(self, counts, total) -> list[float]:
+        return [two_round_estimate(counts[0][0], counts[1][0], self.pi_s)]
 
 
 @dataclass(frozen=True)
@@ -124,6 +189,10 @@ class TwoRoundMultiParams:
     pi_s: float
     pi_v: float
 
+    kind: ClassVar[str] = "two_round_multi"
+    rounds: ClassVar[int] = 2
+    binary: ClassVar[bool] = False
+
     def __post_init__(self):
         # The sampling draw and the per-value chaff draws are independent,
         # so the two rates are not constrained to sum below one.
@@ -134,6 +203,12 @@ class TwoRoundMultiParams:
         if self.pi_v <= 0.0:
             raise ValueError("pi_v must be positive")
 
+    def claims(self, truths, value_ids, rng) -> np.ndarray:
+        return two_round_multi_population(truths, value_ids, self, rng).claims
+
+    def estimate(self, counts, total) -> list[float]:
+        return [two_round_estimate(c1, c2, self.pi_s) for c1, c2 in zip(*counts)]
+
 
 @dataclass(frozen=True)
 class CalibratedParams:
@@ -142,23 +217,37 @@ class CalibratedParams:
     Truthful-Yes owners answer 1 with rate ``pi_s_yes_1`` in round one and
     the strictly smaller ``pi_s_yes_2`` in round two; truthful-No owners use
     the same rate in both rounds so they cancel in the round difference.
-    ``pi_no`` records the non-response weight from the round definitions; it
-    is implied by the rates above and not drawn from.
     """
 
     pi_s_yes_1: float
     pi_s_yes_2: float
     pi_s_no_1: float
     pi_s_no_2: float
-    pi_no: float = 0.0
+
+    kind: ClassVar[str] = "calibrated"
+    rounds: ClassVar[int] = 2
+    binary: ClassVar[bool] = True
 
     def __post_init__(self):
-        for name in ("pi_s_yes_1", "pi_s_yes_2", "pi_s_no_1", "pi_s_no_2", "pi_no"):
+        for name in ("pi_s_yes_1", "pi_s_yes_2", "pi_s_no_1", "pi_s_no_2"):
             _check_prob(name, getattr(self, name))
         if not self.pi_s_yes_1 > self.pi_s_yes_2:
             raise ValueError("pi_s_yes_1 must exceed pi_s_yes_2")
         if abs(self.pi_s_no_1 - self.pi_s_no_2) > _PROB_TOL:
             raise ValueError("truthful-No rates must match across rounds")
+
+    def claims(self, truths, value_ids, rng) -> np.ndarray:
+        rounds = calibrated_population(_binary_truths(truths), self, rng)
+        return _binary_claims(rounds.round1, rounds.round2)
+
+    def estimate(self, counts, total) -> list[float]:
+        return [calibrated_estimate(counts[0][0], counts[1][0], self)]
+
+
+MECHANISMS: dict[str, type] = {
+    cls.kind: cls
+    for cls in (RrParams, TwoRoundBinaryParams, TwoRoundMultiParams, CalibratedParams)
+}
 
 
 @dataclass(frozen=True)
@@ -340,11 +429,19 @@ def two_round_multi(
 
 
 class MultiRounds(NamedTuple):
-    """Vectorized multi-value responses as owner x domain claim matrices."""
+    """Vectorized multi-value responses: ``claims`` holds both rounds'
+    owner x domain claim matrices as one (round, owner, value) array."""
 
-    round1: np.ndarray
-    round2: np.ndarray
+    claims: np.ndarray
     sampled: np.ndarray
+
+    @property
+    def round1(self) -> np.ndarray:
+        return self.claims[0]
+
+    @property
+    def round2(self) -> np.ndarray:
+        return self.claims[1]
 
 
 def two_round_multi_population(
@@ -366,13 +463,15 @@ def two_round_multi_population(
     n = len(truths)
     u = rng.random((n, 1 + len(domain)))
     sampled = (u[:, 0] < params.pi_s) & (truths != -1)
-    claims = u[:, 1:] < params.pi_v
-    truth_onehot = np.zeros((n, len(domain)), dtype=bool)
+    withdrawn = np.empty((n, len(domain)), dtype=bool)
     for j, v in enumerate(domain):
-        truth_onehot[:, j] = truths == v
-    round1 = claims | (truth_onehot & sampled[:, None])
-    round2 = round1 & ~(truth_onehot & sampled[:, None])
-    return MultiRounds(round1, round2, sampled)
+        withdrawn[:, j] = (truths == v) & sampled
+    claims = np.empty((2, n, len(domain)), dtype=bool)
+    np.less(u[:, 1:], params.pi_v, out=claims[0])
+    claims[0] |= withdrawn
+    # round one claims every withdrawn truth, so XOR drops exactly those
+    np.logical_xor(claims[0], withdrawn, out=claims[1])
+    return MultiRounds(claims, sampled)
 
 
 def two_round_epsilon_multi(params: TwoRoundMultiParams) -> float:

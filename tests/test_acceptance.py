@@ -288,8 +288,9 @@ def test_08_end_to_end_pipeline_integrity(epoch_pair):
     assert attacked.diagnostics.accepted == 299
     # excluded: the databases differ from the honest run by exactly the
     # rejected owner's write images
-    claims = h._claims(crowd, small, h._streams(small.master_seed)["privatize"])
-    writes = h._plan_writes(claims, small, h._streams(small.master_seed)["slots"])
+    streams = h._streams(small.master_seed)
+    claims = small.mech.claims(crowd, small.value_ids, streams["privatize"])
+    writes = h.plan_writes(claims, small, streams["slots"]).writes()
     expected = [0, 0]
     for w in writes:
         if w.owner_id == 17 and w.value_id is not None:

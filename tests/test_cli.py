@@ -236,6 +236,16 @@ def test_simulate_halted_trials_are_summarized_not_rowed(tmp_path):
     assert summary["mean_abs_error"] is None
 
 
+def test_simulate_rejects_non_binary_truths_in_every_mode(tmp_path, capsys):
+    raw = base_config()
+    raw["population"] = {"total": 40, "groups": {"1": 10}}
+    for mode in ("statistical", "cryptofree"):
+        raw["mode"] = mode
+        config = write_config(tmp_path, raw, f"{mode}.json")
+        assert cli.main(["simulate", "--config", config, "--out-dir", str(tmp_path)]) == 2
+        assert "0/1 truths" in capsys.readouterr().err
+
+
 def test_simulate_bad_config_exit_code(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "bad.json"

@@ -119,18 +119,17 @@ def test_reconstruct_xors_party_accumulators():
     rng = np.random.default_rng(3)
     db = BitString.random(6 * 17, rng)
     share = BitString.random(6 * 17, rng)
-    slots = h.reconstruct([share, share ^ db], 17)
-    assert slots == db.split_fields(17)
+    assert h.reconstruct([share, share ^ db]) == db
 
 
 def test_reconstruct_rejects_mismatched_lengths():
     with pytest.raises(ProtocolAbortError):
-        h.reconstruct([BitString.zeros(34), BitString.zeros(17)], 17)
+        h.reconstruct([BitString.zeros(34), BitString.zeros(17)])
 
 
 def test_reconstruct_rejects_no_parties():
     with pytest.raises(ProtocolAbortError):
-        h.reconstruct([], 17)
+        h.reconstruct([])
 
 
 # -- Populations ---------------------------------------------------------------
@@ -381,10 +380,34 @@ def test_crypto_and_crypto_free_agree_exactly():
 
 def test_slot_choices_are_uniform():
     config = binary_config(fss=FssParams(n=6, parties=3, m=17), master_seed=41)
-    claims = [((1,), (1,))] * 5000
-    writes = h._plan_writes(claims, config, derived_stream(41, 1))
+    claims = np.ones((2, 5000, 1), dtype=bool)
+    writes = h.plan_writes(claims, config, derived_stream(41, 1)).writes()
     observed = np.bincount([w.slot for w in writes], minlength=64)
     assert stats.chisquare(observed).pvalue > 0.01
+
+
+def test_write_plan_matches_the_per_write_loop():
+    config = binary_config(
+        mech=mech.TwoRoundMultiParams(pi_s=0.2, pi_v=0.5),
+        id_bits=3,
+        fss=FssParams(n=8, parties=3, m=19),
+        domain=(4, 1, 6),
+    )
+    claims = np.random.default_rng(3).random((2, 50, 3)) < 0.3
+    # reference: owners, then rounds, then claimed values in domain order or
+    # one null write, each with its own scalar slot draw
+    rng = derived_stream(8, 1)
+    expected = []
+    for owner in range(50):
+        for r in range(2):
+            values = [v for j, v in enumerate(config.domain) if claims[r, owner, j]]
+            for value in values or [None]:
+                slot = int(rng.integers(0, config.db_slots))
+                expected.append(h.PlannedWrite(owner, r, slot, value))
+    assert any(w.value_id is None for w in expected)
+    plan = h.plan_writes(claims, config, derived_stream(8, 1))
+    assert plan.writes() == expected
+    assert plan.writes(10, 40) == expected[10:40]
 
 
 # -- Submission handling -------------------------------------------------------
@@ -392,12 +415,12 @@ def test_slot_choices_are_uniform():
 
 def test_duplicate_submissions_are_ignored():
     config = binary_config()
-    claims = h._claims(
+    claims = config.mech.claims(
         h.generate_population({"total": 30, "yes": 6}, np.random.default_rng(0)),
-        config,
+        config.value_ids,
         derived_stream(config.master_seed, 0),
     )
-    writes = h._plan_writes(claims, config, derived_stream(config.master_seed, 1))
+    writes = h.plan_writes(claims, config, derived_stream(config.master_seed, 1)).writes()
     chunk = h.build_chunk(writes, config, None, None, crypto=False)
 
     once = h.EpochCollector(config, crypto=False)
@@ -458,8 +481,8 @@ def test_two_row_writer_is_excluded_and_flagged():
     assert attacked.diagnostics.accepted == 59
 
     # the only difference is owner 7's write images vanishing from the dbs
-    claims = h._claims(pop, config, derived_stream(config.master_seed, 0))
-    writes = h._plan_writes(claims, config, derived_stream(config.master_seed, 1))
+    claims = config.mech.claims(pop, config.value_ids, derived_stream(config.master_seed, 0))
+    writes = h.plan_writes(claims, config, derived_stream(config.master_seed, 1)).writes()
     expected = [0] * config.rounds
     for w in writes:
         if w.owner_id == 7 and w.value_id is not None:
