@@ -101,7 +101,7 @@ class Experiment:
                 "k_threshold": self.epoch.k_threshold,
                 "id_bits": self.epoch.id_bits,
                 "checksum_bits": self.epoch.checksum_bits,
-                "blinding_kind": self.epoch.blinding_kind,
+                "blinding_kind": "square",
                 "epoch_id": self.epoch.epoch_id,
                 "fss": {
                     "n": self.epoch.fss.n,
@@ -188,6 +188,8 @@ def parse_experiment(raw: dict) -> Experiment:
     for key in ("parties", "k_threshold", "id_bits", "fss"):
         if key not in eblock:
             raise ConfigError(f"epoch config needs {key!r}")
+    if eblock.get("blinding_kind", "square") != "square":
+        raise ConfigError("epochs verify with square blinding only")
     fblock = eblock["fss"]
     _check_keys(fblock, {"n", "lam", "mu", "nu"}, "fss")
     if "n" not in fblock:
@@ -211,7 +213,6 @@ def parse_experiment(raw: dict) -> Experiment:
         id_bits=id_bits,
         checksum_bits=checksum_bits,
         domain=None if domain is None else tuple(int(v) for v in domain),
-        blinding_kind=eblock.get("blinding_kind", "square"),
         epoch_id=int(eblock.get("epoch_id", 0)),
         master_seed=0,
     )

@@ -9,8 +9,12 @@ estimator.
 
 The write plan is columnar (:class:`WritePlan`): one array each for owner,
 round, value index and slot, ordered by owner, then round, then value in
-domain order. ``PlannedWrite`` records are built only for the 256-owner
-chunk being submitted.
+domain order. A submission chunk is a slice of the plan covering 256
+owners, and chunk building, verification and accumulation read its columns;
+``PlannedWrite`` records exist only for readers that iterate a plan.
+Verification uses square blinding, the one kind that accepts the all-zero
+indicator of a null write and rejects a two-slot indicator for any number
+of parties.
 
 Databases are anonymous mailboxes: a write XORs ``ID || checksum`` into a
 uniformly chosen slot. Counting scans the reconstructed slots; two writes
@@ -36,7 +40,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,7 +52,7 @@ from .errors import (
     ProtocolAbortError,
 )
 from .field import BitString
-from .privwrite import FssKey, FssParams, PointFunction, fss_evaluate_share, fss_gen
+from .privwrite import FssKey, FssParams, PointFunction, fss_evaluate_share, fss_gen, unit_write
 
 _CHUNK_OWNERS = 256
 _ABSENT = -1
@@ -71,7 +75,6 @@ class EpochConfig:
     id_bits: int
     checksum_bits: int = 16
     domain: tuple[int, ...] | None = None
-    blinding_kind: str = "square"
     epoch_id: int = 0
     master_seed: int = 0
 
@@ -91,8 +94,6 @@ class EpochConfig:
                 f"slot width {self.fss.m} != id_bits {self.id_bits} "
                 f"+ checksum_bits {self.checksum_bits}"
             )
-        if self.blinding_kind not in verify.KINDS:
-            raise ConfigError(f"unknown blinding kind {self.blinding_kind!r}")
         if not 0 <= self.epoch_id < (1 << 64):
             raise ConfigError("epoch_id must fit in 64 bits")
         if not self.mech.binary:
@@ -120,6 +121,11 @@ class EpochConfig:
     @property
     def value_ids(self) -> tuple[int, ...]:
         return (1,) if self.mech.binary else tuple(self.domain)
+
+    @property
+    def messages(self) -> list[int]:
+        """The encoded message of each plan value index; a null write's is 0."""
+        return [encode_message(v, self) for v in self.value_ids] + [0]
 
 
 def checksum(value_id: int, epoch_id: int, checksum_bits: int) -> int:
@@ -234,11 +240,14 @@ def _streams(master_seed: int) -> dict[str, np.random.Generator]:
     return {name: np.random.default_rng(seq) for name, seq in zip(names, children)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WritePlan:
     """Every write of an epoch as columns, ordered by owner, round, then
     value in domain order. ``value`` indexes ``value_ids``; the index
-    ``len(value_ids)`` marks the null write of an empty round."""
+    ``len(value_ids)`` marks the null write of an empty round.
+
+    A plan is a sequence of writes: slicing gives a plan of column views,
+    and iterating yields one :class:`PlannedWrite` record per write."""
 
     owner: np.ndarray
     round_index: np.ndarray
@@ -246,16 +255,20 @@ class WritePlan:
     slot: np.ndarray
     value_ids: tuple[int, ...]
 
-    def writes(self, start: int = 0, stop: int | None = None) -> list[PlannedWrite]:
-        """The planned writes ``start:stop`` as records."""
+    def __len__(self) -> int:
+        return self.owner.size
+
+    def __getitem__(self, index: slice) -> WritePlan:
+        if not isinstance(index, slice):
+            raise TypeError("a write plan is indexed by slices only")
+        columns = (self.owner, self.round_index, self.value, self.slot)
+        return WritePlan(*(c[index] for c in columns), self.value_ids)
+
+    def __iter__(self) -> Iterator[PlannedWrite]:
         ids = (*self.value_ids, None)
         columns = (self.owner, self.round_index, self.value, self.slot)
-        return [
-            PlannedWrite(owner, round_index, slot, ids[value])
-            for owner, round_index, value, slot in zip(
-                *(column[start:stop].tolist() for column in columns)
-            )
-        ]
+        for owner, round_index, value, slot in zip(*(c.tolist() for c in columns)):
+            yield PlannedWrite(owner, round_index, slot, ids[value])
 
 
 def plan_writes(
@@ -279,15 +292,16 @@ def plan_writes(
 class SubmissionChunk:
     """A batch of owners' submissions as they arrive at the aggregators.
 
-    ``indicator_shares`` holds the additive shares of every write's slot
-    indicator, ``(parties, writes, db_slots)``; ``blinding`` is either the
-    square-kind base rows ``(writes, db_slots)`` or full matrices
-    ``(writes, parties, db_slots)``. ``keys`` is one FSS key per party per
-    write. A crypto-free chunk carries the planned writes only.
+    ``writes`` is the slice of the epoch's write plan that the owners
+    submit. ``indicator_shares`` holds the additive shares of every write's
+    slot indicator, ``(parties, writes, db_slots)``; ``blinding`` holds the
+    base rows ``(writes, db_slots)`` of the square blinding matrices, whose
+    row j is the base row's j-th power. ``keys`` is one FSS key per party
+    per write. A crypto-free chunk carries the planned writes only.
     """
 
     owner_ids: tuple[int, ...]
-    writes: tuple[PlannedWrite, ...]
+    writes: WritePlan
     keys: tuple[tuple[FssKey, ...], ...] | None
     indicator_shares: np.ndarray | None
     blinding: np.ndarray | None
@@ -373,7 +387,7 @@ class EpochCollector:
         self._seen: set[int] = set()
         self._rejected: list[int] = []
         self._duplicates = 0
-        self._writes_per_round = [0] * rounds
+        self._writes_per_round = np.zeros(rounds, np.int64)
 
     def submit(self, chunk: SubmissionChunk) -> None:
         fresh = [oid for oid in chunk.owner_ids if oid not in self._seen]
@@ -382,49 +396,39 @@ class EpochCollector:
         self._seen.update(fresh)
         if not keep:
             return
-        rejected = self._verify(chunk) if self.crypto else set()
-        self._rejected.extend(sorted(rejected & keep))
-        good = keep - rejected
-        for idx, write in enumerate(chunk.writes):
-            if write.owner_id not in good:
-                continue
-            self._writes_per_round[write.round_index] += 1
-            if self.crypto:
-                for i, key in enumerate(chunk.keys[idx]):
-                    self._acc[i][write.round_index] ^= fss_evaluate_share(key)
-            elif write.value_id is not None:
-                image = BitString(
-                    encode_message(write.value_id, self.config)
-                    << (
-                        (self.config.db_slots - 1 - write.slot)
-                        * self.config.message_bits
-                    ),
-                    len(self._acc[0][0]),
-                )
-                self._acc[0][write.round_index] ^= image
-
-    def _verify(self, chunk: SubmissionChunk) -> set[int]:
-        config = self.config
-        if config.blinding_kind == "square":
-            blinded = [
-                verify.blind_square_batch(
-                    chunk.blinding, chunk.indicator_shares[i], config.parties
-                )
-                for i in range(config.parties)
-            ]
-        else:
-            blinded = [
-                verify.blind_batch(chunk.blinding, chunk.indicator_shares[i])
-                for i in range(config.parties)
-            ]
-        verdicts = verify.check_batch(
-            verify.aggregate_batch(blinded), config.blinding_kind
+        writes = chunk.writes
+        if self.crypto:
+            rejected = set(writes.owner[~self._verify(chunk)].tolist())
+            self._rejected.extend(sorted(rejected & keep))
+            keep -= rejected
+        accepted = np.isin(writes.owner, list(keep))
+        self._writes_per_round += np.bincount(
+            writes.round_index[accepted], minlength=self.config.rounds
         )
-        return {
-            write.owner_id
-            for write, ok in zip(chunk.writes, verdicts)
-            if not ok
-        }
+        if self.crypto:
+            rounds = writes.round_index[accepted].tolist()
+            for idx, r in zip(np.flatnonzero(accepted).tolist(), rounds):
+                for acc, key in zip(self._acc, chunk.keys[idx]):
+                    acc[r] ^= fss_evaluate_share(key)
+            return
+        # crypto-free: each accepted non-null write lands as its database image
+        config = self.config
+        messages = config.messages
+        landed = accepted & (writes.value < len(config.value_ids))
+        columns = (writes.round_index, writes.slot, writes.value)
+        for r, slot, value in zip(*(c[landed].tolist() for c in columns)):
+            self._acc[0][r] ^= unit_write(
+                slot, messages[value], config.db_slots, config.message_bits
+            )
+
+    def _verify(self, chunk: SubmissionChunk) -> np.ndarray:
+        """Per-write verdicts of the square-blinded unit-vector check."""
+        parties = self.config.parties
+        blinded = [
+            verify.blind_square_batch(chunk.blinding, chunk.indicator_shares[i], parties)
+            for i in range(parties)
+        ]
+        return verify.check_batch(verify.aggregate_batch(blinded), "square")
 
     def finalize(self) -> EpochResult:
         config = self.config
@@ -436,7 +440,7 @@ class EpochCollector:
             rejected_submissions=len(self._rejected),
             rejected_owner_ids=tuple(self._rejected),
             duplicate_submissions=self._duplicates,
-            writes_per_round=tuple(self._writes_per_round),
+            writes_per_round=tuple(self._writes_per_round.tolist()),
         )
         if accepted < config.k_threshold:
             return EpochResult(
@@ -476,52 +480,47 @@ class EpochCollector:
 
 
 def build_chunk(
-    writes: Sequence[PlannedWrite],
+    writes: WritePlan,
     config: EpochConfig,
     keys_rng: np.random.Generator | None,
     verify_rng: np.random.Generator | None,
     crypto: bool,
     two_row_owners: frozenset[int] = frozenset(),
 ) -> SubmissionChunk:
-    """Craft the submissions for a batch of owners.
+    """Craft the submissions for a batch of owners from their slice of the
+    write plan.
 
     Owners listed in ``two_row_owners`` claim two slots in their first
     write's indicator vector, the shape verification exists to catch. Their
     key material is left untouched; a rejected submission never reaches the
     accumulators anyway.
     """
-    owner_ids = tuple(sorted({w.owner_id for w in writes}))
+    owners, first = np.unique(writes.owner, return_index=True)
+    owner_ids = tuple(owners.tolist())
     if not crypto:
         if two_row_owners:
             raise ValueError("two-row writers need the verification layer")
-        return SubmissionChunk(owner_ids, tuple(writes), None, None, None)
-    keys = []
-    for write in writes:
-        message = (
-            0 if write.value_id is None else encode_message(write.value_id, config)
-        )
-        pf = PointFunction(a=write.slot, b=message)
-        keys.append(tuple(fss_gen(pf, config.fss, keys_rng)))
-    count = len(writes)
-    indicators = np.zeros((count, config.db_slots), np.uint64)
-    flagged_first: set[int] = set()
-    for idx, write in enumerate(writes):
-        if write.owner_id in two_row_owners and write.owner_id not in flagged_first:
-            flagged_first.add(write.owner_id)
-            indicators[idx, write.slot] = 1
-            indicators[idx, (write.slot + 1) % config.db_slots] = 1
-        elif write.value_id is not None:
-            indicators[idx, write.slot] = 1
+        return SubmissionChunk(owner_ids, writes, None, None, None)
+    messages = config.messages
+    keys = tuple(
+        tuple(fss_gen(PointFunction(a=slot, b=messages[value]), config.fss, keys_rng))
+        for slot, value in zip(writes.slot.tolist(), writes.value.tolist())
+    )
+    # a real write marks its slot; a two-row attacker's first write marks its
+    # slot and the next one
+    real = np.flatnonzero(writes.value < len(config.value_ids))
+    attack = first[np.isin(owners, list(two_row_owners))]
+    rows = np.concatenate((real, attack, attack))
+    columns = np.concatenate(
+        (writes.slot[real], writes.slot[attack], (writes.slot[attack] + 1) % config.db_slots)
+    )
+    indicators = np.zeros((len(writes), config.db_slots), np.uint64)
+    indicators[rows, columns] = 1
     shares = verify.additive_share_batch(indicators, config.parties, verify_rng)
-    if config.blinding_kind == "square":
-        blinding = verify_rng.integers(
-            1, verify.MODULUS, size=(count, config.db_slots), dtype=np.uint64
-        )
-    else:
-        blinding = verify.make_blinding_batch(
-            config.blinding_kind, config.db_slots, config.parties, count, verify_rng
-        )
-    return SubmissionChunk(owner_ids, tuple(writes), tuple(keys), shares, blinding)
+    blinding = verify_rng.integers(
+        1, verify.MODULUS, size=indicators.shape, dtype=np.uint64
+    )
+    return SubmissionChunk(owner_ids, writes, keys, shares, blinding)
 
 
 def run_epoch(
@@ -554,7 +553,7 @@ def run_epoch(
     collector = EpochCollector(config, crypto=crypto)
     for start, stop in zip(bounds, bounds[1:]):
         chunk = build_chunk(
-            plan.writes(start, stop),
+            plan[start:stop],
             config,
             rngs["keys"],
             rngs["verify"],

@@ -44,7 +44,6 @@ __all__ = [
     "prg_expand",
     "unit_write",
     "it_gen",
-    "it_accumulate",
     "fss_gen",
     "fss_eval_row",
     "fss_evaluate_share",
@@ -191,11 +190,6 @@ def it_gen(pf: PointFunction, n: int, m: int, parties: int, rng: np.random.Gener
         acc ^= share
     shares.append(acc)
     return shares
-
-
-def it_accumulate(db: BitString, share: BitString) -> BitString:
-    """Fold one share into a server's accumulator."""
-    return db ^ share
 
 
 def _selection_matrices(

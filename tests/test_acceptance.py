@@ -290,7 +290,7 @@ def test_08_end_to_end_pipeline_integrity(epoch_pair):
     # rejected owner's write images
     streams = h._streams(small.master_seed)
     claims = small.mech.claims(crowd, small.value_ids, streams["privatize"])
-    writes = h.plan_writes(claims, small, streams["slots"]).writes()
+    writes = h.plan_writes(claims, small, streams["slots"])
     expected = [0, 0]
     for w in writes:
         if w.owner_id == 17 and w.value_id is not None:

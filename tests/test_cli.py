@@ -9,6 +9,7 @@ fixed point under dump/reload.
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +245,15 @@ def test_simulate_rejects_non_binary_truths_in_every_mode(tmp_path, capsys):
         config = write_config(tmp_path, raw, f"{mode}.json")
         assert cli.main(["simulate", "--config", config, "--out-dir", str(tmp_path)]) == 2
         assert "0/1 truths" in capsys.readouterr().err
+
+
+def test_simulate_rejects_blinding_other_than_square(tmp_path, capsys):
+    config = str(Path(__file__).parent.parent / "configs" / "epoch_crypto_small.json")
+    for kind in ("inverse", "product"):
+        args = ["simulate", "--config", config, "--out-dir", str(tmp_path)]
+        args += ["--override", f"epoch.blinding_kind={kind}"]
+        assert cli.main(args) == 2
+        assert "square blinding" in capsys.readouterr().err
 
 
 def test_simulate_bad_config_exit_code(tmp_path, capsys):

@@ -11,17 +11,23 @@ the run share a slot.
 """
 
 import json
+import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from covercount import cli
 from covercount import harness as h
 from covercount import mechanisms as mech
 from covercount.errors import ConfigError, PopulationSpecError, ProtocolAbortError
-from covercount.field import BitString
-from covercount.privwrite import FssParams
+from covercount.field import BitString, m61_add
+from covercount.privwrite import FssParams, unit_write
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def binary_config(**overrides):
@@ -195,11 +201,6 @@ def test_config_rejects_low_threshold():
 def test_config_rejects_width_mismatch():
     with pytest.raises(ConfigError):
         binary_config(id_bits=2)  # 2 + 16 != 17
-
-
-def test_config_rejects_unknown_blinding():
-    with pytest.raises(ConfigError):
-        binary_config(blinding_kind="cube")
 
 
 def test_config_domain_rules():
@@ -381,7 +382,7 @@ def test_crypto_and_crypto_free_agree_exactly():
 def test_slot_choices_are_uniform():
     config = binary_config(fss=FssParams(n=6, parties=3, m=17), master_seed=41)
     claims = np.ones((2, 5000, 1), dtype=bool)
-    writes = h.plan_writes(claims, config, derived_stream(41, 1)).writes()
+    writes = list(h.plan_writes(claims, config, derived_stream(41, 1)))
     observed = np.bincount([w.slot for w in writes], minlength=64)
     assert stats.chisquare(observed).pvalue > 0.01
 
@@ -406,8 +407,9 @@ def test_write_plan_matches_the_per_write_loop():
                 expected.append(h.PlannedWrite(owner, r, slot, value))
     assert any(w.value_id is None for w in expected)
     plan = h.plan_writes(claims, config, derived_stream(8, 1))
-    assert plan.writes() == expected
-    assert plan.writes(10, 40) == expected[10:40]
+    assert len(plan) == len(expected)
+    assert list(plan) == expected
+    assert list(plan[10:40]) == expected[10:40]
 
 
 # -- Submission handling -------------------------------------------------------
@@ -420,8 +422,8 @@ def test_duplicate_submissions_are_ignored():
         config.value_ids,
         derived_stream(config.master_seed, 0),
     )
-    writes = h.plan_writes(claims, config, derived_stream(config.master_seed, 1)).writes()
-    chunk = h.build_chunk(writes, config, None, None, crypto=False)
+    plan = h.plan_writes(claims, config, derived_stream(config.master_seed, 1))
+    chunk = h.build_chunk(plan, config, None, None, crypto=False)
 
     once = h.EpochCollector(config, crypto=False)
     once.submit(chunk)
@@ -482,7 +484,7 @@ def test_two_row_writer_is_excluded_and_flagged():
 
     # the only difference is owner 7's write images vanishing from the dbs
     claims = config.mech.claims(pop, config.value_ids, derived_stream(config.master_seed, 0))
-    writes = h.plan_writes(claims, config, derived_stream(config.master_seed, 1)).writes()
+    writes = h.plan_writes(claims, config, derived_stream(config.master_seed, 1))
     expected = [0] * config.rounds
     for w in writes:
         if w.owner_id == 7 and w.value_id is not None:
@@ -492,6 +494,55 @@ def test_two_row_writer_is_excluded_and_flagged():
         assert honest.databases[r].value ^ attacked.databases[r].value == expected[r]
 
 
+def test_two_row_writer_with_several_writes_per_round_is_the_only_rejection():
+    config = binary_config(
+        mech=mech.TwoRoundMultiParams(pi_s=0.5, pi_v=0.4),
+        id_bits=2,
+        fss=FssParams(n=8, parties=3, m=18),
+        domain=(3, 1, 2),
+        master_seed=5,
+    )
+    pop = h.generate_population(
+        {"total": 40, "groups": {"1": 10, "2": 10, "3": 10}}, np.random.default_rng(1)
+    )
+    claims = config.mech.claims(pop, config.value_ids, derived_stream(5, 0))
+    plan = h.plan_writes(claims, config, derived_stream(5, 1))
+    mine = [w for w in plan if w.owner_id == 1]
+    assert max(Counter(w.round_index for w in mine).values()) >= 2
+
+    honest = h.run_epoch(pop, config, crypto=True)
+    attacked = h.run_epoch(pop, config, crypto=True, attackers=[1])
+    assert honest.diagnostics.rejected_owner_ids == ()
+    assert attacked.diagnostics.rejected_owner_ids == (1,)
+    assert attacked.diagnostics.accepted == 39
+    expected = [0] * config.rounds
+    for w in mine:
+        if w.value_id is not None:
+            message = h.encode_message(w.value_id, config)
+            image = unit_write(w.slot, message, config.db_slots, config.message_bits)
+            expected[w.round_index] ^= image.value
+    for r in range(config.rounds):
+        assert honest.databases[r].value ^ attacked.databases[r].value == expected[r]
+
+    # the shares add up to one indicator per write: the attacker's first
+    # write marks two adjacent slots, every other real write its own slot
+    chunk = h.build_chunk(
+        plan, config, derived_stream(5, 2), derived_stream(5, 3), True, frozenset({1})
+    )
+    indicators = chunk.indicator_shares[0]
+    for share in chunk.indicator_shares[1:]:
+        indicators = m61_add(indicators, share)
+    reference = np.zeros((len(plan), config.db_slots), np.uint64)
+    attacker_first = True
+    for idx, w in enumerate(plan):
+        if w.owner_id == 1 and attacker_first:
+            attacker_first = False
+            reference[idx, [w.slot, (w.slot + 1) % config.db_slots]] = 1
+        elif w.value_id is not None:
+            reference[idx, w.slot] = 1
+    assert np.array_equal(indicators, reference)
+
+
 def test_attackers_require_the_verification_layer():
     config = binary_config()
     pop = h.generate_population({"total": 10, "yes": 2}, np.random.default_rng(0))
@@ -499,3 +550,23 @@ def test_attackers_require_the_verification_layer():
         h.run_epoch(pop, config, crypto=False, attackers=[1])
     with pytest.raises(ValueError):
         h.run_epoch(pop, config, crypto=True, attackers=[99])
+
+
+# -- Released estimates --------------------------------------------------------
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: identical binary Yes writes that share a slot XOR "
+    "to zero, so round one loses more writes and the estimate is biased low",
+)
+def test_shipped_cryptofree_config_is_unbiased():
+    experiment = cli.load_config(str(CONFIGS / "epoch_cryptofree.json"), ["trials=100"])
+    assert experiment.seed == 11
+    _, summary = cli.run_experiment(experiment)
+    truth, pi_s = 100, experiment.mechanism.pi_s
+    # one trial's estimate has variance g (1 - pi_s) / pi_s
+    standard_error = math.sqrt(truth * (1 - pi_s) / pi_s / experiment.trials)
+    mean = summary["per_value"]["1"]["mean_estimate"]
+    assert abs(mean - truth) <= 3 * standard_error, f"mean estimate {mean}"

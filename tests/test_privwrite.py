@@ -97,20 +97,6 @@ def test_it_gen_null_write_reconstructs_zero():
     assert xor_all(shares) == BitString.zeros(16 * 8)
 
 
-def test_it_accumulate_order_independent():
-    rng = np.random.default_rng(5)
-    writes = [BitString.random(64, rng) for _ in range(6)]
-    acc1 = BitString.zeros(64)
-    for w in writes:
-        acc1 = pw.it_accumulate(acc1, w)
-    acc2 = BitString.zeros(64)
-    for w in reversed(writes):
-        acc2 = pw.it_accumulate(acc2, w)
-    assert acc1 == acc2
-    # identical writes cancel
-    assert pw.it_accumulate(acc1, acc1) == BitString.zeros(64)
-
-
 # -- parameter geometry --------------------------------------------------------
 
 
@@ -279,9 +265,9 @@ def test_it_and_fss_reconstruct_identical_databases():
     db_fss = BitString.zeros((1 << n) * m)
     for a, b in writes:
         for share in pw.it_gen(pw.PointFunction(a, b), n, m, parties, rng):
-            db_it = pw.it_accumulate(db_it, share)
+            db_it ^= share
         for key in pw.fss_gen(pw.PointFunction(a, b), params, rng):
-            db_fss = pw.it_accumulate(db_fss, pw.fss_evaluate_share(key))
+            db_fss ^= pw.fss_evaluate_share(key)
     assert db_it == db_fss
 
 
