@@ -73,10 +73,15 @@ def rand_nonzero(rng: np.random.Generator, modulus: int = MODULUS) -> int:
 _M61 = np.uint64(MODULUS)
 _MASK31 = np.uint64((1 << 31) - 1)
 _MASK30 = np.uint64((1 << 30) - 1)
+_MASK29 = np.uint64((1 << 29) - 1)
+_MASK32 = np.uint64((1 << 32) - 1)
 _S1 = np.uint64(1)
 _S30 = np.uint64(30)
 _S31 = np.uint64(31)
+_S29 = np.uint64(29)
+_S32 = np.uint64(32)
 _S61 = np.uint64(61)
+_S63 = np.uint64(63)
 
 
 def m61_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -87,7 +92,9 @@ def m61_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def m61_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, np.uint64)
     b = np.asarray(b, np.uint64)
-    return np.where(a >= b, a - b, a + (_M61 - b))
+    t = np.asarray(a - b)          # an array even for 0-d operands
+    t += _M61 * (t >> _S63)        # a < b wrapped t past 2^63; + p wraps back
+    return t
 
 
 def m61_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,33 +123,27 @@ def m61_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     hi += b1                       # + folded lo; total < 2^63
     np.right_shift(hi, _S61, out=a0)
     hi &= _M61
-    hi += a0
-    np.right_shift(hi, _S61, out=a0)
-    hi &= _M61
-    hi += a0
+    hi += a0                       # <= p + 3
     np.subtract(hi, _M61, out=hi, where=hi >= _M61)
     return hi
 
 
 def m61_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Reduce-sum along an axis in radix-8 groups.
+    """Reduce-sum along an axis of canonical elements.
 
-    Eight canonical elements (each below 2^61) sum to under 2^64, so every
-    level is one plain uint64 sum over contiguous groups followed by a single
-    fold and conditional subtract back into canonical range.
+    Each element splits into 32-bit halves. Below 2^32 terms the plain
+    uint64 sums of the halves cannot overflow (the high sum stays under
+    2^61), and high * 2^32 + low folds back with 2^61 = 1 (mod 2^61 - 1).
     """
-    a = np.moveaxis(np.asarray(a, np.uint64), axis, -1)
-    while a.shape[-1] > 1:
-        k = a.shape[-1]
-        pad = (-k) % 8
-        if pad:
-            zeros = np.zeros(a.shape[:-1] + (pad,), np.uint64)
-            a = np.concatenate([a, zeros], axis=-1)
-            k += pad
-        a = a.reshape(a.shape[:-1] + (k // 8, 8)).sum(axis=-1, dtype=np.uint64)
-        a = (a >> np.uint64(61)) + (a & _M61)
-        a = np.where(a >= _M61, a - _M61, a)
-    return a[..., 0]
+    a = np.asarray(a, np.uint64)
+    if a.ndim and a.shape[axis] >= 1 << 32:
+        raise ValueError("m61_sum takes fewer than 2**32 terms")
+    high = (a >> _S32).sum(axis=axis, dtype=np.uint64)
+    low = (a & _MASK32).sum(axis=axis, dtype=np.uint64)
+    # high * 2^32 = (high >> 29) * 2^61 + (high & mask29) * 2^32; total < 2^63
+    t = (high >> _S29) + ((high & _MASK29) << _S32) + (low >> _S61) + (low & _M61)
+    t = (t & _M61) + (t >> _S61)
+    return t - _M61 * (t >= _M61)
 
 
 def m61_pow(a: np.ndarray, e: int) -> np.ndarray:

@@ -166,6 +166,16 @@ def count_values(
     return counts, drops
 
 
+def _occupied_slots(database: BitString, width: int) -> list[int]:
+    """The values of a database's nonzero ``width``-bit slots, in slot order."""
+    bits = np.unpackbits(np.frombuffer(database.to_bytes(), np.uint8), count=len(database))
+    rows = bits.reshape(-1, width)
+    rows = rows[rows.any(axis=1)]
+    # left-pad each row to whole bytes so packing keeps its value
+    packed = np.packbits(np.pad(rows, ((0, 0), ((-width) % 8, 0))), axis=1)
+    return [int.from_bytes(row.tobytes(), "big") for row in packed]
+
+
 def reconstruct(party_accumulators: Sequence[BitString]) -> BitString:
     """XOR the parties' accumulated bitstrings into the round database."""
     if not party_accumulators:
@@ -458,9 +468,11 @@ class EpochCollector:
         counts = []
         drops = []
         for db in databases:
-            slot_values = db.split_fields(config.message_bits)
             c, d = count_values(
-                slot_values, config.id_bits, config.checksum_bits, config.epoch_id
+                _occupied_slots(db, config.message_bits),
+                config.id_bits,
+                config.checksum_bits,
+                config.epoch_id,
             )
             counts.append(c)
             drops.append(d)

@@ -43,7 +43,7 @@ fixed to the production modulus and operate on uint64 arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -219,22 +219,46 @@ def verify_owner(
 # Batched variants for the epoch pipeline. Layouts: indicator vectors are
 # (owners, columns); additive shares are (parties, owners, columns); one
 # party's blinded output is (owners, parties).
+#
+# Sharing and blinding walk the owners in row blocks of about
+# _BLOCK_ELEMENTS entries per operand (4 rows at 4,096 columns), so a block
+# of the running power, its base rows and the multiply's temporaries stay in
+# L2 while every party's row is multiplied and summed. A whole chunk at once
+# streams each (owners, columns) temporary through memory once per multiply.
 # ---------------------------------------------------------------------------
+
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def _row_blocks(rows: int, columns: int) -> Iterator[slice]:
+    step = max(1, _BLOCK_ELEMENTS // max(columns, 1))
+    return (slice(start, start + step) for start in range(0, rows, step))
 
 
 def additive_share_batch(
     u_hats: np.ndarray, parties: int, rng: np.random.Generator
 ) -> np.ndarray:
+    """Additive shares of each row, (parties, owners, columns).
+
+    Shares 0..parties-2 are drawn from ``rng`` one (owners, columns) array
+    after another, which consumes the stream exactly as one
+    (parties - 1, owners, columns) draw; the last share is u minus their sum.
+    """
     if parties < 1:
         raise ValueError("parties must be at least 1")
     u = np.asarray(u_hats, np.uint64)
     if u.ndim != 2:
         raise DimensionError("expected an (owners, columns) array")
-    shares = rng.integers(0, MODULUS, size=(parties - 1, *u.shape), dtype=np.uint64)
-    last = u
+    out = np.empty((parties, *u.shape), np.uint64)
     for j in range(parties - 1):
-        last = m61_sub(last, shares[j])
-    return np.concatenate([shares, last[None]], axis=0)
+        out[j] = rng.integers(0, MODULUS, size=u.shape, dtype=np.uint64)
+    last = out[-1]
+    for rows in _row_blocks(*u.shape):
+        block = last[rows]
+        block[...] = u[rows]
+        for share in out[:-1, rows]:
+            block[...] = m61_sub(block, share)
+    return out
 
 
 def make_blinding_batch(
@@ -269,8 +293,9 @@ def blind_batch(matrices: np.ndarray, shares: np.ndarray) -> np.ndarray:
         raise DimensionError("matrix and share batches disagree on shape")
     count, parties, _ = matrices.shape
     out = np.empty((count, parties), np.uint64)
-    for j in range(parties):
-        out[:, j] = m61_sum(m61_mul(matrices[:, j, :], shares), axis=-1)
+    for rows in _row_blocks(*shares.shape):
+        for j in range(parties):
+            out[rows, j] = m61_sum(m61_mul(matrices[rows, j], shares[rows]), axis=-1)
     return out
 
 
@@ -285,10 +310,11 @@ def blind_square_batch(base: np.ndarray, shares: np.ndarray, parties: int) -> np
     if base.shape != shares.shape:
         raise DimensionError("base rows and shares disagree on shape")
     out = np.empty((base.shape[0], parties), np.uint64)
-    acc = shares
-    for j in range(parties):
-        acc = m61_mul(acc, base)
-        out[:, j] = m61_sum(acc, axis=-1)
+    for rows in _row_blocks(*shares.shape):
+        acc = shares[rows]
+        for j in range(parties):
+            acc = m61_mul(acc, base[rows])
+            out[rows, j] = m61_sum(acc, axis=-1)
     return out
 
 

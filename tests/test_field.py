@@ -106,6 +106,9 @@ def test_m61_mul_matches_scalar_on_edges():
     got = field.m61_mul(a, b)
     for ai, bi, gi in zip(a.tolist(), b.tolist(), got.tolist()):
         assert gi == (ai * bi) % M61
+    got = field.m61_sub(a, b)
+    for ai, bi, gi in zip(a.tolist(), b.tolist(), got.tolist()):
+        assert gi == (ai - bi) % M61
 
 
 def test_m61_ops_match_scalar_random():
@@ -123,6 +126,10 @@ def test_m61_sum_matches_python_sum():
     got = field.m61_sum(a, axis=1)
     want = [sum(row) % M61 for row in a.tolist()]
     assert got.tolist() == want
+    # the largest canonical terms, where the half sums are biggest
+    top = np.full((2, 5000), M61 - 1, dtype=np.uint64)
+    assert field.m61_sum(top, axis=1).tolist() == [5000 * (M61 - 1) % M61] * 2
+    assert field.m61_sum(top, axis=0).tolist() == [2 * (M61 - 1) % M61] * 5000
 
 
 def test_m61_pow_matches_scalar():

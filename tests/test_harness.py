@@ -10,6 +10,7 @@ else. Seeds marked collision-free were picked so that no two real writes of
 the run share a slot.
 """
 
+import hashlib
 import json
 import math
 from collections import Counter
@@ -366,6 +367,21 @@ def test_result_json_is_canonical():
         "diagnostics",
     }
     assert payload["released"]["participation"] == ">=2"
+
+
+def test_wide_row_crypto_epoch_digest():
+    # a crypto-wide-shaped epoch (one 4,096-slot row) whose last 256-owner
+    # chunk holds 90 writes, not a multiple of the verifier's row block
+    config = binary_config(
+        fss=FssParams(n=12, parties=3, m=17, mu=4096, nu=1),
+        mech=mech.TwoRoundBinaryParams(0.45, 0.05, 0.5),
+        master_seed=29,
+    )
+    pop = h.generate_population({"total": 301, "yes": 24}, np.random.default_rng(17))
+    result = h.run_epoch(pop, config, crypto=True, attackers=[5, 140, 300])
+    assert result.diagnostics.rejected_owner_ids == (5, 140, 300)
+    digest = hashlib.sha256(result.to_json_bytes()).hexdigest()
+    assert digest == "3c5da2661a0de5594921b34ec0cf504b996d30380b5c20c6f145e6192d59260f"
 
 
 def test_crypto_and_crypto_free_agree_exactly():

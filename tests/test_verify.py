@@ -366,6 +366,72 @@ def test_blind_square_fast_path_matches_batch():
         verify.blind_square_batch(np.zeros((10, 5), np.uint64), shares, 4)
 
 
+EDGE_VALUES = np.array([0, 1, MODULUS - 1], np.uint64)
+
+
+def block_rows(columns):
+    return max(1, verify._BLOCK_ELEMENTS // columns)
+
+
+def straddling_shapes():
+    """Row counts straddling the kernels' row blocks: one row, one short of
+    a block, one past it, and two blocks and a partial third."""
+    for columns in (8, 4096):
+        block = block_rows(columns)
+        for rows in (1, block - 1, block + 1, 2 * block + 3):
+            yield rows, columns
+
+
+def with_edges(rng, shape):
+    """Uniform field elements with about a quarter of the entries replaced
+    by 0, 1 or p - 1."""
+    out = rng.integers(0, MODULUS, size=shape, dtype=np.uint64)
+    edges = rng.random(shape) < 0.25
+    out[edges] = rng.choice(EDGE_VALUES, size=int(edges.sum()))
+    return out
+
+
+@pytest.mark.parametrize("parties", [2, 3, 5])
+@pytest.mark.parametrize("rows,columns", list(straddling_shapes()))
+def test_blinding_kernels_match_python_ints(rows, columns, parties):
+    rng = np.random.default_rng(rows * columns + parties)
+    base = with_edges(rng, (rows, columns))
+    shares = with_edges(rng, (rows, columns))
+    expected = []
+    matrices = np.empty((rows, parties, columns), np.uint64)
+    for k, (base_row, share) in enumerate(zip(base.tolist(), shares.tolist())):
+        entries = tuple(
+            tuple(pow(b, j + 1, MODULUS) for b in base_row) for j in range(parties)
+        )
+        matrices[k] = entries
+        expected.append(verify.blind(verify.BlindingMatrix("square", entries), share))
+    square = verify.blind_square_batch(base, shares, parties)
+    assert [tuple(row) for row in square.tolist()] == expected
+    general = verify.blind_batch(matrices, shares)
+    assert [tuple(row) for row in general.tolist()] == expected
+
+
+@pytest.mark.parametrize("parties", [1, 2, 3, 5])
+@pytest.mark.parametrize("rows,columns", list(straddling_shapes()))
+def test_additive_share_batch_keeps_the_verify_stream(rows, columns, parties):
+    # the stream contract: one (parties - 1, rows, columns) draw, the last
+    # share u minus their sum, and the generator left where that draw leaves it
+    u = with_edges(np.random.default_rng(rows + columns), (rows, columns))
+    rng = np.random.default_rng(97)
+    shares = verify.additive_share_batch(u, parties, rng)
+    reference_rng = np.random.default_rng(97)
+    drawn = reference_rng.integers(
+        0, MODULUS, size=(parties - 1, rows, columns), dtype=np.uint64
+    )
+    last = u.tolist()
+    for share in drawn.tolist():
+        last = [[(x - y) % MODULUS for x, y in zip(a, b)] for a, b in zip(last, share)]
+    assert shares.shape == (parties, rows, columns)
+    assert np.array_equal(shares[:-1], drawn)
+    assert shares[-1].tolist() == last
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 def test_blind_batch_shape_mismatch():
     rng = np.random.default_rng(20)
     mats = verify.make_blinding_batch("square", 4, 3, 2, rng)
