@@ -85,13 +85,16 @@ class Experiment:
     seed derived from ``seed``.
     """
 
-    mechanism: mech.Mechanism
     population: dict | None
     dataset: str | None
     epoch: h.EpochConfig
     mode: str
     trials: int
     seed: int
+
+    @property
+    def mechanism(self) -> mech.Mechanism:
+        return self.epoch.mech
 
     def normalized(self) -> dict:
         out = {
@@ -104,8 +107,8 @@ class Experiment:
                 "blinding_kind": "square",
                 "epoch_id": self.epoch.epoch_id,
                 "fss": {
-                    "n": self.epoch.fss.n,
-                    "lam": self.epoch.fss.lam,
+                    "n": self.epoch.n,
+                    "lam": 128,
                     "mu": self.epoch.fss.mu,
                     "nu": self.epoch.fss.nu,
                 },
@@ -131,20 +134,35 @@ def _check_keys(block: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
+def _int(value, key: str) -> int:
+    """A JSON integer. Fractions, booleans and strings are errors rather
+    than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _normalize_population(block: dict) -> dict:
     _check_keys(block, {"total", "yes", "groups"}, "population")
     if "total" not in block:
         raise ConfigError("population needs a total")
     if ("yes" in block) == ("groups" in block):
         raise ConfigError("population needs exactly one of 'yes' or 'groups'")
-    out = {"total": int(block["total"])}
+    out = {"total": _int(block["total"], "population.total")}
     if "yes" in block:
-        out["yes"] = int(block["yes"])
+        out["yes"] = _int(block["yes"], "population.yes")
+    elif not isinstance(block["groups"], dict):
+        raise ConfigError("population.groups must be a JSON object")
     else:
         out["groups"] = {
-            str(int(v)): int(c) for v, c in sorted(
-                ((int(v), c) for v, c in block["groups"].items())
-            )
+            str(v): _int(c, f"population.groups.{v}")
+            for v, c in sorted((int(v), c) for v, c in block["groups"].items())
         }
     return out
 
@@ -177,7 +195,9 @@ def parse_experiment(raw: dict) -> Experiment:
             f"mechanism {kind!r} takes exactly {names}; "
             f"missing {missing}, unexpected {sorted(extra)}"
         )
-    mechanism = params_type(**{name: float(mblock[name]) for name in names})
+    mechanism = params_type(
+        **{name: _number(mblock[name], f"mechanism.{name}") for name in names}
+    )
 
     eblock = raw["epoch"]
     _check_keys(
@@ -194,36 +214,36 @@ def parse_experiment(raw: dict) -> Experiment:
     _check_keys(fblock, {"n", "lam", "mu", "nu"}, "fss")
     if "n" not in fblock:
         raise ConfigError("fss config needs 'n'")
-    id_bits = int(eblock["id_bits"])
-    checksum_bits = int(eblock.get("checksum_bits", 16))
-    fss = FssParams(
-        n=int(fblock["n"]),
-        parties=int(eblock["parties"]),
-        m=id_bits + checksum_bits,
-        lam=int(fblock.get("lam", 128)),
-        mu=None if fblock.get("mu") is None else int(fblock["mu"]),
-        nu=None if fblock.get("nu") is None else int(fblock["nu"]),
-    )
+    if _int(fblock.get("lam", 128), "epoch.fss.lam") != 128:
+        raise ConfigError("epoch.fss.lam must be 128: keys use 128-bit seeds")
     domain = raw.get("domain")
+    if domain is not None and not isinstance(domain, list):
+        raise ConfigError("domain must be a JSON list")
     epoch = h.EpochConfig(
-        parties=int(eblock["parties"]),
-        k_threshold=int(eblock["k_threshold"]),
-        fss=fss,
+        parties=_int(eblock["parties"], "epoch.parties"),
+        k_threshold=_int(eblock["k_threshold"], "epoch.k_threshold"),
+        n=_int(fblock["n"], "epoch.fss.n"),
+        mu=None if fblock.get("mu") is None else _int(fblock["mu"], "epoch.fss.mu"),
         mech=mechanism,
-        id_bits=id_bits,
-        checksum_bits=checksum_bits,
-        domain=None if domain is None else tuple(int(v) for v in domain),
-        epoch_id=int(eblock.get("epoch_id", 0)),
-        master_seed=0,
+        id_bits=_int(eblock["id_bits"], "epoch.id_bits"),
+        checksum_bits=_int(eblock.get("checksum_bits", 16), "epoch.checksum_bits"),
+        domain=None if domain is None else tuple(_int(v, "domain") for v in domain),
+        epoch_id=_int(eblock.get("epoch_id", 0), "epoch.epoch_id"),
     )
+    nu = fblock.get("nu")
+    if nu is not None and _int(nu, "epoch.fss.nu") != epoch.fss.nu:
+        raise ConfigError(
+            f"epoch.fss.nu must be null or {epoch.fss.nu}, the rows of "
+            f"{epoch.fss.mu} slots that cover 2^{epoch.n} slots"
+        )
 
     mode = raw.get("mode", "cryptofree")
     if mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
-    trials = int(raw.get("trials", 1))
+    trials = _int(raw.get("trials", 1), "trials")
     if trials < 1:
         raise ConfigError("trials must be at least 1")
-    seed = int(raw.get("seed", 0))
+    seed = _int(raw.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError("seed must be non-negative")
 
@@ -233,7 +253,7 @@ def parse_experiment(raw: dict) -> Experiment:
         population = _normalize_population(raw["population"])
     else:
         dataset = str(raw["dataset"])
-    return Experiment(mechanism, population, dataset, epoch, mode, trials, seed)
+    return Experiment(population, dataset, epoch, mode, trials, seed)
 
 
 def load_config(path: str, overrides: list[str]) -> Experiment:
@@ -417,13 +437,13 @@ def run_experiment(
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    experiment = load_config(args.config, args.override)
+    # the flags apply after the user's overrides, so they win
+    overrides = list(args.override)
     if args.trials is not None:
-        experiment = replace(experiment, trials=args.trials)
+        overrides.append(f"trials={args.trials}")
     if args.seed is not None:
-        experiment = replace(experiment, seed=args.seed)
-    if experiment.trials < 1 or experiment.seed < 0:
-        raise ConfigError("trials must be >= 1 and seed >= 0")
+        overrides.append(f"seed={args.seed}")
+    experiment = load_config(args.config, overrides)
     rows, summary = run_experiment(experiment, workers=args.workers)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

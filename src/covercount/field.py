@@ -1,9 +1,10 @@
-"""Prime-field scalars and packed bitstrings.
+"""Arithmetic mod 2^61 - 1 on uint64 arrays, and packed bitstrings.
 
-Field elements are plain ints in ``[0, modulus)`` and the operations are pure
-functions, so callers can swap in a small test modulus without touching any
-state. The default modulus is the Mersenne prime 2^61 - 1: elements fit in a
-machine word, products fit in two, and reduction is cheap.
+Field elements are canonical ints in ``[0, modulus)``. Scalar arithmetic is
+Python's own ``%`` and ``pow`` on ints, which take any modulus, so the scalar
+verification path can run at a small test modulus; this module holds only
+the vectorized kernels, fixed to the Mersenne prime 2^61 - 1: elements fit
+in a machine word, products fit in two, and reduction is cheap.
 
 ``BitString`` is the XOR-group carrier used by the private-write layer. Bits
 are packed most-significant-bit first within each byte and the bit length is
@@ -19,45 +20,6 @@ import numpy as np
 from .errors import LengthError
 
 MODULUS = (1 << 61) - 1
-
-# Alias for readability in signatures; field elements are canonical ints.
-FieldElement = int
-
-
-def fe_add(x: int, y: int, modulus: int = MODULUS) -> int:
-    return (x + y) % modulus
-
-
-def fe_sub(x: int, y: int, modulus: int = MODULUS) -> int:
-    return (x - y) % modulus
-
-
-def fe_mul(x: int, y: int, modulus: int = MODULUS) -> int:
-    return (x * y) % modulus
-
-
-def fe_inv(x: int, modulus: int = MODULUS) -> int:
-    """Multiplicative inverse; raises ZeroDivisionError on zero input."""
-    if x % modulus == 0:
-        raise ZeroDivisionError("zero has no multiplicative inverse")
-    return pow(x, -1, modulus)
-
-
-def fe_pow(x: int, e: int, modulus: int = MODULUS) -> int:
-    """Exponentiation with a non-negative integer exponent."""
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    return pow(x, e, modulus)
-
-
-def rand_element(rng: np.random.Generator, modulus: int = MODULUS) -> int:
-    """Uniform element of [0, modulus)."""
-    return int(rng.integers(0, modulus, dtype=np.uint64))
-
-
-def rand_nonzero(rng: np.random.Generator, modulus: int = MODULUS) -> int:
-    """Uniform element of [1, modulus)."""
-    return int(rng.integers(1, modulus, dtype=np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ import hashlib
 import json
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -62,38 +62,35 @@ _ABSENT = -1
 class EpochConfig:
     """Static parameters of one collection round.
 
-    The database geometry comes from ``fss`` (``2**fss.n`` slots whose width
-    is ``fss.m`` bits) and must leave room for ``id_bits`` plus the checksum.
-    ``domain`` lists the claimable value IDs for the multi-value mechanism;
-    the binary mechanisms write ID 1 for a Yes.
+    The database has ``2**n`` slots of ``id_bits + checksum_bits`` bits,
+    cut into rows of ``mu`` slots (default: ``privwrite.default_mu``). The
+    key geometry ``fss`` is built from these fields and ``parties``, so each
+    is stated once and ``dataclasses.replace`` rebuilds it. ``domain`` lists
+    the claimable value IDs for the multi-value mechanism; the binary
+    mechanisms write ID 1 for a Yes.
     """
 
     parties: int
     k_threshold: int
-    fss: FssParams
+    n: int
     mech: mech.Mechanism
     id_bits: int
     checksum_bits: int = 16
+    mu: int | None = None
     domain: tuple[int, ...] | None = None
     epoch_id: int = 0
     master_seed: int = 0
+    fss: FssParams = field(init=False)
 
     def __post_init__(self):
         if self.parties < 2:
             raise ConfigError("at least two aggregation parties are required")
-        if self.parties != self.fss.parties:
-            raise ConfigError("config parties and key parties disagree")
         if self.k_threshold < 2:
             raise ConfigError("release threshold must be at least 2")
         if self.id_bits < 1:
             raise ConfigError("id_bits must be positive")
         if not 1 <= self.checksum_bits <= 32:
             raise ConfigError("checksum_bits must be in [1, 32]")
-        if self.fss.m != self.id_bits + self.checksum_bits:
-            raise ConfigError(
-                f"slot width {self.fss.m} != id_bits {self.id_bits} "
-                f"+ checksum_bits {self.checksum_bits}"
-            )
         if not 0 <= self.epoch_id < (1 << 64):
             raise ConfigError("epoch_id must fit in 64 bits")
         if not self.mech.binary:
@@ -105,6 +102,8 @@ class EpochConfig:
                 raise ConfigError("domain values must fit id_bits")
         elif self.domain is not None:
             raise ConfigError("domain is only meaningful for the multi mechanism")
+        fss = FssParams(n=self.n, parties=self.parties, m=self.message_bits, mu=self.mu)
+        object.__setattr__(self, "fss", fss)
 
     @property
     def db_slots(self) -> int:

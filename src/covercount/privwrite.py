@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 SEED_BYTES = 16
+SEED_BITS = 8 * SEED_BYTES
 _ZERO_SEED = b"\x00" * SEED_BYTES
 _CTR_ZERO = modes.CTR(b"\x00" * 16)
 _zero_buffers: dict[int, bytes] = {}
@@ -122,17 +123,16 @@ def default_nu(n: int, mu: int) -> int:
 @dataclass(frozen=True)
 class FssParams:
     """Geometry of a compressed write: ``2**n`` slots of ``m``-bit messages
-    split into ``nu`` rows of ``mu`` slots, shared among ``parties`` servers
-    with ``lam``-bit seeds. ``mu``/``nu`` may be overridden to trade seed
-    count against expansion length, as long as the rows still cover the
+    split into rows of ``mu`` slots, shared among ``parties`` servers with
+    128-bit seeds. ``mu`` may be overridden to trade seed count against
+    expansion length; ``nu`` is always the fewest rows that cover the
     database."""
 
     n: int
     parties: int
     m: int
-    lam: int = 128
     mu: int | None = None
-    nu: int | None = None
+    nu: int = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -141,18 +141,11 @@ class FssParams:
             raise ValueError("at least two parties are required")
         if self.m < 1:
             raise ValueError("message width must be at least 1 bit")
-        if self.lam != 128:
-            raise ValueError("only 128-bit seeds are supported")
         mu = self.mu if self.mu is not None else default_mu(self.n, self.parties)
         if mu < 1:
             raise ValueError("mu must be positive")
-        nu = self.nu if self.nu is not None else default_nu(self.n, mu)
-        if nu < 1:
-            raise ValueError("nu must be positive")
-        if mu * nu < (1 << self.n):
-            raise ValueError("mu * nu must cover the database")
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "nu", default_nu(self.n, mu))
 
     @property
     def domain_size(self) -> int:
@@ -304,8 +297,9 @@ def fss_eval_naive(key: FssKey, x: int) -> int:
 # header (16 bytes, little-endian):
 #   version u8 | party_index u8 | parties u8 | n u8 | m u16 | lam u16 |
 #   mu u32 | nu u32
+# lam is always 128 and nu always ceil(2^n / mu); a reader rejects any other.
 # body:
-#   sigma: nu * 2^(parties-1) seed slots of lam/8 bytes, row-major
+#   sigma: nu * 2^(parties-1) seed slots of 16 bytes, row-major
 #   correction words: 2^(parties-1) blocks of ceil(m*mu/8) bytes, bits packed
 #   MSB-first and zero-padded to the byte boundary
 # ---------------------------------------------------------------------------
@@ -316,12 +310,12 @@ _HEADER = struct.Struct("<BBBBHHII")
 
 def key_size_bits(params: FssParams) -> int:
     """Payload size of one key in bits: seeds plus correction words."""
-    return params.nu * params.seeds_per_row * params.lam + params.seeds_per_row * params.row_bits
+    return params.nu * params.seeds_per_row * SEED_BITS + params.seeds_per_row * params.row_bits
 
 
 def key_size_bytes(params: FssParams) -> int:
     """Exact serialized size, including the header and per-word byte padding."""
-    sigma = params.nu * params.seeds_per_row * (params.lam // 8)
+    sigma = params.nu * params.seeds_per_row * SEED_BYTES
     words = params.seeds_per_row * ((params.row_bits + 7) // 8)
     return _HEADER.size + sigma + words
 
@@ -335,7 +329,7 @@ def key_serialize(key: FssKey) -> bytes:
             params.parties,
             params.n,
             params.m,
-            params.lam,
+            SEED_BITS,
             params.mu,
             params.nu,
         )
@@ -353,25 +347,28 @@ def key_deserialize(data: bytes) -> FssKey:
     version, party_index, parties, n, m, lam, mu, nu = _HEADER.unpack_from(data)
     if version != KEY_FORMAT_VERSION:
         raise ParseError(f"unsupported key format version {version}")
+    if lam != SEED_BITS:
+        raise ParseError(f"invalid key header: {lam}-bit seeds, expected {SEED_BITS}")
     try:
-        params = FssParams(n=n, parties=parties, m=m, lam=lam, mu=mu, nu=nu)
+        params = FssParams(n=n, parties=parties, m=m, mu=mu)
     except ValueError as exc:
         raise ParseError(f"invalid key header: {exc}") from exc
+    if nu != params.nu:
+        raise ParseError(f"invalid key header: {nu} rows, expected {params.nu}")
     if not 0 <= party_index < parties:
         raise ParseError("party index out of range")
     if len(data) != key_size_bytes(params):
         raise ParseError(
             f"key is {len(data)} bytes, expected {key_size_bytes(params)}"
         )
-    seed_bytes = params.lam // 8
     spr = params.seeds_per_row
     pos = _HEADER.size
     sigma = []
     for _ in range(params.nu):
         row = []
         for _ in range(spr):
-            row.append(bytes(data[pos : pos + seed_bytes]))
-            pos += seed_bytes
+            row.append(bytes(data[pos : pos + SEED_BYTES]))
+            pos += SEED_BYTES
         sigma.append(tuple(row))
     word_bytes = (params.row_bits + 7) // 8
     words = []

@@ -48,19 +48,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionError, IncompleteSubmissionError
-from .field import (
-    MODULUS,
-    fe_inv,
-    fe_mul,
-    fe_pow,
-    m61_add,
-    m61_mul,
-    m61_pow,
-    m61_sub,
-    m61_sum,
-    rand_element,
-    rand_nonzero,
-)
+from .field import MODULUS, m61_add, m61_mul, m61_pow, m61_sub, m61_sum
 
 KINDS = ("square", "product", "inverse")
 
@@ -97,7 +85,8 @@ def additive_share(
         raise ValueError("parties must be at least 1")
     u = [int(x) % modulus for x in u_hat]
     shares = [
-        tuple(rand_element(rng, modulus) for _ in u) for _ in range(parties - 1)
+        tuple(int(rng.integers(0, modulus, dtype=np.uint64)) for _ in u)
+        for _ in range(parties - 1)
     ]
     last = list(u)
     for share in shares:
@@ -121,25 +110,25 @@ def make_blinding(
     if columns < 1:
         raise ValueError("columns must be at least 1")
     if kind == "square":
-        base = [rand_nonzero(rng, modulus) for _ in range(columns)]
+        base = [int(rng.integers(1, modulus, dtype=np.uint64)) for _ in range(columns)]
         rows = [tuple(base)]
         prev = base
         for _ in range(parties - 1):
-            prev = [fe_mul(x, r, modulus) for x, r in zip(prev, base)]
+            prev = [x * r % modulus for x, r in zip(prev, base)]
             rows.append(tuple(prev))
         return BlindingMatrix(kind, tuple(rows))
     free = [
-        tuple(rand_nonzero(rng, modulus) for _ in range(columns))
+        tuple(int(rng.integers(1, modulus, dtype=np.uint64)) for _ in range(columns))
         for _ in range(parties - 1)
     ]
     prod = [1] * columns
     for row in free:
         for i, x in enumerate(row):
-            prod[i] = fe_mul(prod[i], x, modulus)
+            prod[i] = prod[i] * x % modulus
     if kind == "product":
         last = tuple(prod)
     else:
-        last = tuple(fe_inv(x, modulus) for x in prod)
+        last = tuple(pow(x, -1, modulus) for x in prod)
     return BlindingMatrix(kind, tuple(free) + (last,))
 
 
@@ -176,20 +165,20 @@ def aggregate(
 
 
 def check_square(s: Sequence[int], modulus: int = MODULUS) -> bool:
-    return all(fe_pow(s[0], j + 1, modulus) == s[j] % modulus for j in range(1, len(s)))
+    return all(pow(s[0], j + 1, modulus) == s[j] % modulus for j in range(1, len(s)))
 
 
 def check_product(s: Sequence[int], modulus: int = MODULUS) -> bool:
     prod = 1
     for x in s[:-1]:
-        prod = fe_mul(prod, int(x), modulus)
+        prod = prod * int(x) % modulus
     return prod == s[-1] % modulus
 
 
 def check_inverse(s: Sequence[int], modulus: int = MODULUS) -> bool:
     prod = 1
     for x in s:
-        prod = fe_mul(prod, int(x), modulus)
+        prod = prod * int(x) % modulus
     return prod == 1
 
 

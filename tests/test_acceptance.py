@@ -60,7 +60,7 @@ def epoch_pair():
     config = h.EpochConfig(
         parties=3,
         k_threshold=2,
-        fss=FssParams(n=12, parties=3, m=17, mu=4096, nu=1),
+        n=12, mu=4096,
         mech=mech.TwoRoundBinaryParams(0.45, 0.02, 0.53),
         id_bits=1,
         master_seed=71,
@@ -276,7 +276,7 @@ def test_08_end_to_end_pipeline_integrity(epoch_pair):
     small = h.EpochConfig(
         parties=3,
         k_threshold=2,
-        fss=FssParams(n=10, parties=3, m=17, mu=1024, nu=1),
+        n=10, mu=1024,
         mech=config.mech,
         id_bits=1,
         master_seed=72,
@@ -302,7 +302,8 @@ def test_08_end_to_end_pipeline_integrity(epoch_pair):
     sparse = h.run_epoch(np.array([1, 0]), h.EpochConfig(
         parties=3,
         k_threshold=3,
-        fss=small.fss,
+        n=small.n,
+        mu=small.mu,
         mech=config.mech,
         id_bits=1,
         master_seed=73,

@@ -17,7 +17,9 @@ import pytest
 from covercount import cli
 from covercount import mechanisms as mech
 from covercount.errors import ConfigError, ProtocolAbortError
-from covercount.privwrite import FssParams, key_size_bytes
+from covercount.privwrite import FssParams, default_nu, key_size_bytes
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def base_config(**overrides):
@@ -116,6 +118,61 @@ def test_mechanism_parameter_preconditions_checked_at_load():
         cli.parse_experiment(raw)
 
 
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_configs_renormalize(path):
+    exp = cli.load_config(str(path), [])
+    shipped = json.loads(path.read_text())["epoch"]["fss"]
+    assert shipped["nu"] in (None, 1)
+    assert shipped["nu"] in (None, exp.epoch.fss.nu)
+    normalized = exp.normalized()
+    assert normalized["epoch"]["fss"]["lam"] == 128
+    assert normalized["epoch"]["fss"]["nu"] == exp.epoch.fss.nu
+    assert cli.parse_experiment(json.loads(json.dumps(normalized))).normalized() == normalized
+
+
+@pytest.mark.parametrize(
+    "config, override, key",
+    [
+        ("epoch_crypto_small.json", "epoch.parties=2.9", "epoch.parties"),
+        ("epoch_crypto_small.json", "epoch.parties=true", "epoch.parties"),
+        ("epoch_crypto_small.json", "epoch.k_threshold=2.0", "epoch.k_threshold"),
+        ("epoch_crypto_small.json", "epoch.id_bits=1.5", "epoch.id_bits"),
+        ("epoch_crypto_small.json", "epoch.checksum_bits=true", "epoch.checksum_bits"),
+        ("epoch_crypto_small.json", "epoch.epoch_id=0.5", "epoch.epoch_id"),
+        ("epoch_crypto_small.json", "epoch.fss.n=8.6", "epoch.fss.n"),
+        ("epoch_crypto_small.json", "epoch.fss.mu=1024.5", "epoch.fss.mu"),
+        ("epoch_crypto_small.json", "trials=1.7", "trials"),
+        ("epoch_crypto_small.json", "seed=false", "seed"),
+        ("epoch_crypto_small.json", "population.total=500.5", "population.total"),
+        ("epoch_crypto_small.json", "population.yes=true", "population.yes"),
+        ("epoch_crypto_small.json", "mechanism.pi_s=true", "mechanism.pi_s"),
+        ("epoch_crypto_small.json", 'mechanism.pi_s="0.45"', "mechanism.pi_s"),
+        ("group_counts_multi.json", "population.groups.3=41.5", "population.groups.3"),
+        ("group_counts_multi.json", "domain=[1, 2.5]", "domain"),
+        ("group_counts_multi.json", "domain=[1, true]", "domain"),
+        ("group_counts_multi.json", "domain=5", "domain"),
+        ("group_counts_multi.json", "population.groups=3", "population.groups"),
+    ],
+)
+def test_non_integral_config_numbers_exit_2(tmp_path, capsys, config, override, key):
+    args = ["simulate", "--config", str(CONFIGS / config), "--override", override]
+    assert cli.main([*args, "--out-dir", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "override", ["epoch.fss.lam=256", "epoch.fss.lam=64", "epoch.fss.nu=2", "epoch.fss.nu=0"]
+)
+def test_fss_lam_and_nu_take_only_their_fixed_values(tmp_path, capsys, override):
+    # epoch_crypto_small.json: n = 10 and mu = 1024, so nu is 1
+    args = ["simulate", "--config", str(CONFIGS / "epoch_crypto_small.json")]
+    assert cli.main([*args, "--override", override, "--out-dir", str(tmp_path)]) == 2
+    assert override.split("=")[0] in capsys.readouterr().err
+    for good in ("epoch.fss.lam=128", "epoch.fss.nu=1", "epoch.fss.nu=null"):
+        assert cli.load_config(str(CONFIGS / "epoch_crypto_small.json"), [good]).epoch.fss.nu == 1
+
+
 def test_override_paths_and_json_values():
     raw = base_config()
     cli.apply_override(raw, "population.total=1000")
@@ -181,6 +238,17 @@ def test_simulate_trials_flag_overrides_config(tmp_path):
     out = tmp_path / "out"
     cli.main(["simulate", "--config", config, "--trials", "2", "--out-dir", str(out)])
     assert len(read_rows(out / "trials.csv")) == 2
+
+
+def test_simulate_flags_win_over_overrides(tmp_path, capsys):
+    config = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    args = ["simulate", "--config", config, "--override", "trials=3", "--override", "seed=5"]
+    assert cli.main([*args, "--trials", "2", "--seed", "99", "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["config"]["trials"], summary["config"]["seed"]) == (2, 99)
+    assert cli.main([*args, "--seed", "-1", "--out-dir", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_simulate_override_flag(tmp_path):
@@ -393,7 +461,8 @@ def test_bench_fss_structure_and_key_sizes(tmp_path):
         mus = {int(r["mu"]) for r in mine}
         assert cli.default_mu(6, p) in mus
         for r in mine:
-            params = FssParams(n=6, parties=p, m=1, mu=int(r["mu"]), nu=int(r["nu"]))
+            params = FssParams(n=6, parties=p, m=1, mu=int(r["mu"]))
+            assert int(r["nu"]) == params.nu == default_nu(6, params.mu)
             assert int(r["key_bytes"]) == key_size_bytes(params)
             assert float(r["speedup"]) == pytest.approx(
                 float(r["naive_full_eval_time"]) / float(r["optimized_full_eval_time"]),

@@ -1,9 +1,7 @@
 """Field and bitstring tests.
 
-The scalar operations are exercised exhaustively in a tiny mirror field
-(Z = 17) against direct modular arithmetic, and at the production modulus on
-edge values. The vectorized Mersenne-61 helpers must agree with the scalar
-path elementwise.
+The vectorized Mersenne-61 helpers must agree elementwise with Python's own
+int arithmetic, on edge values and on random draws.
 """
 
 import numpy as np
@@ -14,82 +12,11 @@ from covercount import field
 from covercount.errors import LengthError
 from covercount.field import BitString
 
-Z17 = 17
 M61 = field.MODULUS
 
 
 def test_default_modulus_is_mersenne_61():
     assert M61 == 2**61 - 1
-
-
-def test_add_mul_exhaustive_mirror_field():
-    for x in range(Z17):
-        for y in range(Z17):
-            assert field.fe_add(x, y, Z17) == (x + y) % Z17
-            assert field.fe_mul(x, y, Z17) == (x * y) % Z17
-            assert field.fe_sub(x, y, Z17) == (x - y) % Z17
-
-
-def test_inverse_exhaustive_mirror_field():
-    for x in range(1, Z17):
-        inv = field.fe_inv(x, Z17)
-        assert field.fe_mul(x, inv, Z17) == 1
-
-
-def test_pow_exhaustive_mirror_field():
-    for x in range(Z17):
-        for e in range(10):
-            assert field.fe_pow(x, e, Z17) == pow(x, e, Z17)
-
-
-def test_zero_has_no_inverse():
-    with pytest.raises(ZeroDivisionError):
-        field.fe_inv(0, Z17)
-    with pytest.raises(ZeroDivisionError):
-        field.fe_inv(0)
-
-
-def test_negative_exponent_rejected():
-    with pytest.raises(ValueError):
-        field.fe_pow(3, -1)
-
-
-def test_production_field_examples():
-    assert field.fe_add(0, 7) == 7
-    assert field.fe_add(M61 - 1, 1) == 0
-    assert field.fe_mul(3, 4) == 12
-    assert field.fe_mul(1, 9) == 9
-    assert field.fe_mul(0, 9) == 0
-    assert field.fe_inv(1) == 1
-    # -1 is its own inverse in any prime field.
-    assert field.fe_inv(M61 - 1) == M61 - 1
-    assert field.fe_pow(2, 3) == 8
-    assert field.fe_pow(123456789, 0) == 1
-    assert field.fe_pow(123456789, 1) == 123456789
-
-
-@given(st.integers(0, M61 - 1), st.integers(0, M61 - 1), st.integers(0, M61 - 1))
-def test_field_axioms_production(x, y, z):
-    assert field.fe_add(x, y) == field.fe_add(y, x)
-    assert field.fe_mul(x, y) == field.fe_mul(y, x)
-    assert field.fe_add(field.fe_add(x, y), z) == field.fe_add(x, field.fe_add(y, z))
-    assert field.fe_mul(field.fe_mul(x, y), z) == field.fe_mul(x, field.fe_mul(y, z))
-    assert field.fe_mul(x, field.fe_add(y, z)) == field.fe_add(
-        field.fe_mul(x, y), field.fe_mul(x, z)
-    )
-
-
-@given(st.integers(1, M61 - 1))
-def test_inverse_production(x):
-    assert field.fe_mul(x, field.fe_inv(x)) == 1
-
-
-def test_rand_element_in_range():
-    rng = np.random.default_rng(0)
-    vals = [field.rand_element(rng) for _ in range(200)]
-    assert all(0 <= v < M61 for v in vals)
-    nz = [field.rand_nonzero(rng, Z17) for _ in range(200)]
-    assert all(1 <= v < Z17 for v in nz)
 
 
 # -- vectorized Mersenne-61 path --------------------------------------------

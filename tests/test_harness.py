@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from covercount import harness as h
 from covercount import mechanisms as mech
 from covercount.errors import ConfigError, PopulationSpecError, ProtocolAbortError
 from covercount.field import BitString, m61_add
-from covercount.privwrite import FssParams, unit_write
+from covercount.privwrite import FssParams, default_mu, default_nu, unit_write
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -35,7 +36,7 @@ def binary_config(**overrides):
     base = dict(
         parties=3,
         k_threshold=2,
-        fss=FssParams(n=8, parties=3, m=17),
+        n=8,
         mech=mech.TwoRoundBinaryParams(0.45, 0.02, 0.53),
         id_bits=1,
         master_seed=11,
@@ -96,7 +97,7 @@ def test_count_values_empty_database():
 
 
 def test_count_values_collision_of_distinct_messages_is_dropped():
-    config = binary_config(id_bits=3, fss=FssParams(n=8, parties=3, m=19))
+    config = binary_config(id_bits=3, n=8)
     a = h.encode_message(3, config)
     b = h.encode_message(5, config)
     counts, drops = h.count_values([a ^ b, a, b], 3, 16, 0)
@@ -108,7 +109,7 @@ def test_count_values_collision_of_distinct_messages_is_dropped():
 @settings(max_examples=50)
 def test_count_values_matches_multiset_without_collisions(ids):
     # one write per slot: counting is exactly the multiset of encoded IDs
-    config = binary_config(id_bits=2, fss=FssParams(n=8, parties=3, m=18))
+    config = binary_config(id_bits=2, n=8)
     slots = [h.encode_message(i, config) for i in ids]
     counts, drops = h.count_values(slots, 2, 16, 0)
     assert drops == 0
@@ -189,33 +190,22 @@ def test_population_rejects_bad_specs(spec):
 # -- Config validation ---------------------------------------------------------
 
 
-def test_config_rejects_party_mismatch():
-    with pytest.raises(ConfigError):
-        binary_config(fss=FssParams(n=8, parties=2, m=17))
-
-
 def test_config_rejects_low_threshold():
     with pytest.raises(ConfigError):
         binary_config(k_threshold=1)
 
 
-def test_config_rejects_width_mismatch():
-    with pytest.raises(ConfigError):
-        binary_config(id_bits=2)  # 2 + 16 != 17
-
-
 def test_config_domain_rules():
     multi = mech.TwoRoundMultiParams(pi_s=0.2, pi_v=0.5)
-    wide = FssParams(n=8, parties=3, m=19)
     with pytest.raises(ConfigError):
-        binary_config(mech=multi, id_bits=3, fss=wide)  # missing domain
+        binary_config(mech=multi, id_bits=3)  # missing domain
     with pytest.raises(ConfigError):
-        binary_config(mech=multi, id_bits=3, fss=wide, domain=(1, 1, 2))
+        binary_config(mech=multi, id_bits=3, domain=(1, 1, 2))
     with pytest.raises(ConfigError):
-        binary_config(mech=multi, id_bits=3, fss=wide, domain=(1, 8))  # 8 needs 4 bits
+        binary_config(mech=multi, id_bits=3, domain=(1, 8))  # 8 needs 4 bits
     with pytest.raises(ConfigError):
         binary_config(domain=(1,))  # binary mechanism takes no domain
-    cfg = binary_config(mech=multi, id_bits=3, fss=wide, domain=(1, 5, 2))
+    cfg = binary_config(mech=multi, id_bits=3, domain=(1, 5, 2))
     assert cfg.value_ids == (1, 5, 2)
 
 
@@ -230,6 +220,19 @@ def test_config_checksum_and_epoch_ranges():
         binary_config(epoch_id=1 << 64)
 
 
+def test_config_derives_its_key_geometry():
+    config = binary_config(n=8, parties=3, id_bits=3)
+    assert (config.fss.n, config.fss.parties, config.fss.m) == (8, 3, 19)
+    assert config.mu is None
+    assert (config.fss.mu, config.fss.nu) == (default_mu(8, 3), default_nu(8, default_mu(8, 3)))
+    assert (config.fss.mu, config.fss.nu) == (32, 8)
+    reseeded = replace(config, master_seed=99)
+    assert reseeded.master_seed == 99
+    assert reseeded.fss == config.fss == FssParams(n=8, parties=3, m=19)
+    narrow = replace(config, mu=5)
+    assert (narrow.fss.mu, narrow.fss.nu) == (5, 52)  # ceil(256 / 5)
+
+
 def test_config_round_count_follows_mechanism():
     assert binary_config().rounds == 2
     single = binary_config(mech=mech.RrParams(0.8, 0.2))
@@ -242,7 +245,7 @@ def test_config_round_count_follows_mechanism():
 def test_conservation_on_a_collision_free_run():
     # seed chosen so no two real writes share a slot (drops stay 0 and no
     # same-message pair silently cancels)
-    config = binary_config(fss=FssParams(n=12, parties=3, m=17), master_seed=5)
+    config = binary_config(n=12, master_seed=5)
     pop = h.generate_population({"total": 60, "yes": 9}, np.random.default_rng(0))
     result = h.run_epoch(pop, config, crypto=False)
     assert result.diagnostics.collision_drops == (0, 0)
@@ -255,7 +258,7 @@ def test_conservation_on_a_collision_free_run():
 
 
 def test_round_difference_recovers_sampled_truthful_count():
-    config = binary_config(fss=FssParams(n=12, parties=3, m=17), master_seed=5)
+    config = binary_config(n=12, master_seed=5)
     pop = h.generate_population({"total": 60, "yes": 9}, np.random.default_rng(0))
     result = h.run_epoch(pop, config, crypto=False)
     assert result.diagnostics.collision_drops == (0, 0)
@@ -273,7 +276,7 @@ def test_multi_value_epoch_cancellation():
     config = h.EpochConfig(
         parties=2,
         k_threshold=2,
-        fss=FssParams(n=12, parties=2, m=19),
+        n=12,
         mech=mech.TwoRoundMultiParams(pi_s=0.3, pi_v=0.5),
         id_bits=3,
         domain=(1, 2, 5),
@@ -308,7 +311,7 @@ def test_calibrated_epoch_estimate_consistency():
 def test_rr_epoch_single_round():
     config = binary_config(
         mech=mech.RrParams(0.8, 0.2),
-        fss=FssParams(n=12, parties=3, m=17),
+        n=12,
         master_seed=9,
     )
     pop = h.generate_population({"total": 80, "yes": 20}, np.random.default_rng(2))
@@ -373,7 +376,7 @@ def test_wide_row_crypto_epoch_digest():
     # a crypto-wide-shaped epoch (one 4,096-slot row) whose last 256-owner
     # chunk holds 90 writes, not a multiple of the verifier's row block
     config = binary_config(
-        fss=FssParams(n=12, parties=3, m=17, mu=4096, nu=1),
+        n=12, mu=4096,
         mech=mech.TwoRoundBinaryParams(0.45, 0.05, 0.5),
         master_seed=29,
     )
@@ -396,7 +399,7 @@ def test_crypto_and_crypto_free_agree_exactly():
 
 
 def test_slot_choices_are_uniform():
-    config = binary_config(fss=FssParams(n=6, parties=3, m=17), master_seed=41)
+    config = binary_config(n=6, master_seed=41)
     claims = np.ones((2, 5000, 1), dtype=bool)
     writes = list(h.plan_writes(claims, config, derived_stream(41, 1)))
     observed = np.bincount([w.slot for w in writes], minlength=64)
@@ -407,7 +410,7 @@ def test_write_plan_matches_the_per_write_loop():
     config = binary_config(
         mech=mech.TwoRoundMultiParams(pi_s=0.2, pi_v=0.5),
         id_bits=3,
-        fss=FssParams(n=8, parties=3, m=19),
+        n=8,
         domain=(4, 1, 6),
     )
     claims = np.random.default_rng(3).random((2, 50, 3)) < 0.3
@@ -514,7 +517,7 @@ def test_two_row_writer_with_several_writes_per_round_is_the_only_rejection():
     config = binary_config(
         mech=mech.TwoRoundMultiParams(pi_s=0.5, pi_v=0.4),
         id_bits=2,
-        fss=FssParams(n=8, parties=3, m=18),
+        n=8,
         domain=(3, 1, 2),
         master_seed=5,
     )

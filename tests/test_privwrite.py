@@ -6,6 +6,9 @@ are checked bit-exactly against the closed-form formula and frozen reference
 values computed by hand from that formula.
 """
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,10 +125,8 @@ def test_reference_geometry_frozen():
 def test_override_must_cover_database():
     params = pw.FssParams(n=6, parties=2, m=1, mu=4)
     assert params.nu == 16
-    params = pw.FssParams(n=6, parties=2, m=1, mu=16, nu=4)
-    assert (params.mu, params.nu) == (16, 4)
-    with pytest.raises(ValueError):
-        pw.FssParams(n=6, parties=2, m=1, mu=16, nu=3)
+    params = pw.FssParams(n=6, parties=2, m=1, mu=5)
+    assert params.nu == 13  # the fewest rows of 5 that cover 64 slots
 
 
 def test_params_validation():
@@ -136,7 +137,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         pw.FssParams(n=4, parties=2, m=0)
     with pytest.raises(ValueError):
-        pw.FssParams(n=4, parties=2, m=1, lam=256)
+        pw.FssParams(n=4, parties=2, m=1, mu=0)
 
 
 # -- compressed scheme ---------------------------------------------------------
@@ -328,7 +329,7 @@ def test_serialized_length_matches_formula_bit_exactly():
         keys = pw.fss_gen(pw.PointFunction(1, 1), params, rng)
         blob = pw.key_serialize(keys[0])
         assert len(blob) == pw.key_size_bytes(params)
-        sigma_bits = params.nu * params.seeds_per_row * params.lam
+        sigma_bits = params.nu * params.seeds_per_row * 128
         word_bits = params.seeds_per_row * params.row_bits
         assert pw.key_size_bits(params) == sigma_bits + word_bits
 
@@ -370,3 +371,40 @@ def test_deserialize_rejects_malformed():
     bad_party[1] = 7
     with pytest.raises(ParseError):
         pw.key_deserialize(bytes(bad_party))
+
+
+def test_deserialize_checks_seed_width_and_row_count():
+    rng = np.random.default_rng(8)
+    params = pw.FssParams(n=4, parties=2, m=2, mu=4)
+    blob = pw.key_serialize(pw.fss_gen(pw.PointFunction(3, 1), params, rng)[0])
+    assert struct.unpack_from("<HII", blob, 6) == (128, 4, 4)  # lam, mu, nu
+    wide_seeds = bytearray(blob)
+    wide_seeds[6:8] = (256).to_bytes(2, "little")
+    with pytest.raises(ParseError, match="seeds"):
+        pw.key_deserialize(bytes(wide_seeds))
+    # a row more or less than the derived nu, with the body sized to match
+    row = params.seeds_per_row * pw.SEED_BYTES
+    sigma_end = 16 + params.nu * row
+    for nu, body in (
+        (5, blob[16:sigma_end] + blob[sigma_end - row : sigma_end]),
+        (3, blob[16 : sigma_end - row]),
+    ):
+        header = bytearray(blob[:16])
+        header[12:16] = nu.to_bytes(4, "little")
+        with pytest.raises(ParseError, match="rows"):
+            pw.key_deserialize(bytes(header) + body + blob[sigma_end:])
+
+
+def test_seeded_keys_keep_their_bytes():
+    # format version 1 fixes these bytes; changing them needs a new version
+    rng = np.random.default_rng(2024)
+    blob = b""
+    for mu in (None, 1024, 100):
+        params = pw.FssParams(n=10, parties=3, m=17, mu=mu)
+        keys = pw.fss_gen(pw.PointFunction(a=700, b=0x1ABCD), params, rng)
+        blob += b"".join(pw.key_serialize(k) for k in keys)
+    assert pw.KEY_FORMAT_VERSION == 1
+    assert len(blob) == 35820
+    assert hashlib.sha256(blob).hexdigest() == (
+        "9f55851e7409793730b8d008f7944f94d88671b7968d8ea08db7101f611fc0b2"
+    )

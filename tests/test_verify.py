@@ -15,7 +15,7 @@ import pytest
 
 from covercount import verify
 from covercount.errors import DimensionError, IncompleteSubmissionError
-from covercount.field import MODULUS, fe_pow, m61_add, m61_mul, m61_sum
+from covercount.field import MODULUS, m61_add, m61_mul, m61_sum
 
 MIRROR = 17
 NONZERO = range(1, MIRROR)
@@ -62,7 +62,7 @@ def test_make_blinding_square_rows_are_powers():
     assert mat.parties == 4 and mat.columns == 6
     for j, row in enumerate(mat.entries):
         for i, x in enumerate(row):
-            assert x == fe_pow(mat.entries[0][i], j + 1)
+            assert x == pow(mat.entries[0][i], j + 1, MODULUS)
             assert x != 0
 
 
