@@ -9,6 +9,8 @@ in a machine word, products fit in two, and reduction is cheap.
 ``BitString`` is the XOR-group carrier used by the private-write layer. Bits
 are packed most-significant-bit first within each byte and the bit length is
 carried explicitly, so values that are not byte multiples stay well defined.
+Only this module knows how a database packs its ``m``-bit slots, slot 0 first:
+``split_fields`` and ``from_fields`` convert to and from uint64 slot arrays.
 
 Everything here is simulation-grade: no constant-time guarantees are made.
 """
@@ -201,25 +203,28 @@ class BitString:
             raise IndexError("extract window out of range")
         return (self.value >> (self.length - offset - width)) & ((1 << width) - 1)
 
-    def split_fields(self, width: int) -> list[int]:
-        """Split into consecutive ``width``-bit ints; length must divide evenly."""
-        if width <= 0:
-            raise ValueError("width must be positive")
+    def split_fields(self, width: int) -> np.ndarray:
+        """Split into consecutive ``width``-bit fields, MSB first, as a uint64
+        array; ``width`` is at most 64 and must divide the length."""
+        if not 1 <= width <= 64:
+            raise ValueError("width must be in [1, 64]")
         if self.length % width:
             raise LengthError(f"{self.length} bits do not split into {width}-bit fields")
-        count = self.length // width
-        out: list[int] = []
-        acc = 0
-        have = 0
-        mask = (1 << width) - 1
-        for byte in self.to_bytes():
-            acc = (acc << 8) | byte
-            have += 8
-            while have >= width and len(out) < count:
-                have -= width
-                out.append((acc >> have) & mask)
-                acc &= (1 << have) - 1
-        return out
+        bits = np.unpackbits(np.frombuffer(self.to_bytes(), np.uint8), count=self.length)
+        # left-pad each field to 64 bits so packing keeps its value
+        words = np.packbits(np.pad(bits.reshape(-1, width), ((0, 0), (64 - width, 0))), axis=1)
+        return words.view(">u8").ravel().astype(np.uint64)
+
+    @classmethod
+    def from_fields(cls, fields: np.ndarray, width: int) -> "BitString":
+        """Pack ``width``-bit fields MSB first; the inverse of ``split_fields``."""
+        if not 1 <= width <= 64:
+            raise ValueError("width must be in [1, 64]")
+        fields = np.asarray(fields, np.uint64)
+        if fields.size and int(fields.max()) >> width:
+            raise ValueError(f"a field does not fit in {width} bits")
+        bits = np.unpackbits(fields.astype(">u8").view(np.uint8)).reshape(-1, 64)
+        return cls.from_bytes(np.packbits(bits[:, 64 - width :]).tobytes(), fields.size * width)
 
     def to01(self) -> str:
         return format(self.value, f"0{self.length}b") if self.length else ""

@@ -17,13 +17,16 @@ indicator of a null write and rejects a two-slot indicator for any number
 of parties.
 
 Databases are anonymous mailboxes: a write XORs ``ID || checksum`` into a
-uniformly chosen slot. Counting scans the reconstructed slots; two writes
-landing on the same slot XOR into garbage that the checksum rejects, which
-is surfaced as ``collision_drops`` rather than silently miscounted. Owners
-with nothing to claim in a round still submit a null write (message zero),
-so the traffic an aggregator sees is the same whether an owner answered or
-abstained. Both rounds of an owner's writes travel in a single submission,
-and only the first submission per owner counts in an epoch.
+uniformly chosen slot. A round database is a ``(2**n,)`` uint64 array of
+slot messages, so a message has at most 64 bits; ``BitString`` carries only
+key shares and the released databases. Counting tallies the distinct slot
+values: two distinct messages in one slot XOR into garbage that the
+checksum rejects, surfaced as ``collision_drops``, and two identical
+messages cancel to an empty slot. Owners with nothing to claim in a round
+still submit a null write (message zero), so the traffic an aggregator sees
+is the same whether an owner answered or abstained. Both rounds of an
+owner's writes travel in a single submission, and only the first submission
+per owner counts in an epoch.
 
 Determinism: all randomness inside :func:`run_epoch` derives from
 ``config.master_seed`` through four named child streams (privatize, slots,
@@ -52,7 +55,7 @@ from .errors import (
     ProtocolAbortError,
 )
 from .field import BitString
-from .privwrite import FssKey, FssParams, PointFunction, fss_evaluate_share, fss_gen, unit_write
+from .privwrite import FssKey, FssParams, PointFunction, fss_evaluate_share, fss_gen
 
 _CHUNK_OWNERS = 256
 _ABSENT = -1
@@ -91,6 +94,8 @@ class EpochConfig:
             raise ConfigError("id_bits must be positive")
         if not 1 <= self.checksum_bits <= 32:
             raise ConfigError("checksum_bits must be in [1, 32]")
+        if self.message_bits > 64:
+            raise ConfigError(f"id_bits + checksum_bits must be at most 64, got {self.message_bits}")
         if not 0 <= self.epoch_id < (1 << 64):
             raise ConfigError("epoch_id must fit in 64 bits")
         if not self.mech.binary:
@@ -142,37 +147,28 @@ def encode_message(value_id: int, config: EpochConfig) -> int:
 
 
 def count_values(
-    slots: Sequence[int], id_bits: int, checksum_bits: int, epoch_id: int
+    slots: np.ndarray, id_bits: int, checksum_bits: int, epoch_id: int
 ) -> tuple[dict[int, int], int]:
-    """Scan reconstructed slots into per-ID counts.
+    """Count a round's slot values per ID.
 
     All-zero slots are empty mailboxes. A nonzero slot whose checksum does
     not match its ID (the fate of colliding writes, less a 2^-c false-accept
     chance) is tallied in the returned drop count instead.
     """
+    values, hits = np.unique(np.asarray(slots, np.uint64), return_counts=True)
     counts: dict[int, int] = {}
     drops = 0
-    for value in slots:
+    for value, hit in zip(values.tolist(), hits.tolist()):
         if value == 0:
             continue
         value_id = value >> checksum_bits
         if value & ((1 << checksum_bits) - 1) == checksum(
             value_id, epoch_id, checksum_bits
         ):
-            counts[value_id] = counts.get(value_id, 0) + 1
+            counts[value_id] = hit
         else:
-            drops += 1
+            drops += hit
     return counts, drops
-
-
-def _occupied_slots(database: BitString, width: int) -> list[int]:
-    """The values of a database's nonzero ``width``-bit slots, in slot order."""
-    bits = np.unpackbits(np.frombuffer(database.to_bytes(), np.uint8), count=len(database))
-    rows = bits.reshape(-1, width)
-    rows = rows[rows.any(axis=1)]
-    # left-pad each row to whole bytes so packing keeps its value
-    packed = np.packbits(np.pad(rows, ((0, 0), ((-width) % 8, 0))), axis=1)
-    return [int.from_bytes(row.tobytes(), "big") for row in packed]
 
 
 def reconstruct(party_accumulators: Sequence[BitString]) -> BitString:
@@ -381,18 +377,21 @@ class EpochResult:
 
 
 class EpochCollector:
-    """Aggregator state over one epoch: per-party per-round accumulators,
-    verification verdicts, and the dedup ledger."""
+    """Aggregator state over one epoch: the round databases, verification
+    verdicts, and the dedup ledger. A crypto run accumulates each party's
+    key shares per round; a crypto-free run XORs each accepted write's
+    message into its slot of a ``(rounds, 2**n)`` uint64 slot array."""
 
     def __init__(self, config: EpochConfig, crypto: bool = True):
         self.config = config
         self.crypto = crypto
-        width = config.db_slots * config.message_bits
         rounds = config.rounds
-        parties = config.parties if crypto else 1
-        self._acc = [
-            [BitString.zeros(width) for _ in range(rounds)] for _ in range(parties)
-        ]
+        if crypto:
+            empty = BitString.zeros(config.db_slots * config.message_bits)
+            self._acc = [[empty] * rounds for _ in range(config.parties)]
+        else:
+            self._slots = np.zeros((rounds, config.db_slots), np.uint64)
+            self._messages = np.array(config.messages, np.uint64)
         self._seen: set[int] = set()
         self._rejected: list[int] = []
         self._duplicates = 0
@@ -420,15 +419,13 @@ class EpochCollector:
                 for acc, key in zip(self._acc, chunk.keys[idx]):
                     acc[r] ^= fss_evaluate_share(key)
             return
-        # crypto-free: each accepted non-null write lands as its database image
-        config = self.config
-        messages = config.messages
-        landed = accepted & (writes.value < len(config.value_ids))
-        columns = (writes.round_index, writes.slot, writes.value)
-        for r, slot, value in zip(*(c[landed].tolist() for c in columns)):
-            self._acc[0][r] ^= unit_write(
-                slot, messages[value], config.db_slots, config.message_bits
-            )
+        # crypto-free: unbuffered, so writes that share a slot all land; a
+        # null write's message is zero
+        np.bitwise_xor.at(
+            self._slots,
+            (writes.round_index[accepted], writes.slot[accepted]),
+            self._messages[writes.value[accepted]],
+        )
 
     def _verify(self, chunk: SubmissionChunk) -> np.ndarray:
         """Per-write verdicts of the square-blinded unit-vector check."""
@@ -461,21 +458,16 @@ class EpochCollector:
                 estimates={},
                 diagnostics=diagnostics,
             )
-        databases = tuple(
-            reconstruct([acc[r] for acc in self._acc]) for r in range(config.rounds)
-        )
-        counts = []
-        drops = []
-        for db in databases:
-            c, d = count_values(
-                _occupied_slots(db, config.message_bits),
-                config.id_bits,
-                config.checksum_bits,
-                config.epoch_id,
-            )
-            counts.append(c)
-            drops.append(d)
-        diagnostics.collision_drops = tuple(drops)
+        width = config.message_bits
+        if self.crypto:
+            slots = [reconstruct(accs).split_fields(width) for accs in zip(*self._acc)]
+        else:
+            slots = self._slots
+        tallies = [
+            count_values(s, config.id_bits, config.checksum_bits, config.epoch_id) for s in slots
+        ]
+        counts = tuple(c for c, _ in tallies)
+        diagnostics.collision_drops = tuple(d for _, d in tallies)
         value_ids = config.value_ids
         table = [[c.get(v, 0) for v in value_ids] for c in counts]
         estimates = dict(zip(value_ids, config.mech.estimate(table, accepted)))
@@ -483,8 +475,8 @@ class EpochCollector:
             halted=False,
             epoch_id=config.epoch_id,
             k_threshold=config.k_threshold,
-            databases=databases,
-            counts=tuple(counts),
+            databases=tuple(BitString.from_fields(s, width) for s in slots),
+            counts=counts,
             estimates=estimates,
             diagnostics=diagnostics,
         )

@@ -173,6 +173,16 @@ def test_fss_lam_and_nu_take_only_their_fixed_values(tmp_path, capsys, override)
         assert cli.load_config(str(CONFIGS / "epoch_crypto_small.json"), [good]).epoch.fss.nu == 1
 
 
+def test_messages_wider_than_64_bits_exit_2(tmp_path, capsys):
+    # a slot holds one uint64: with 16 checksum bits the ID gets at most 48
+    path = str(CONFIGS / "epoch_cryptofree.json")
+    args = ["simulate", "--config", path, "--override", "epoch.id_bits=49"]
+    assert cli.main([*args, "--out-dir", str(tmp_path)]) == 2
+    assert "id_bits + checksum_bits must be at most 64" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+    assert cli.load_config(path, ["epoch.id_bits=48"]).epoch.message_bits == 64
+
+
 def test_override_paths_and_json_values():
     raw = base_config()
     cli.apply_override(raw, "population.total=1000")

@@ -105,10 +105,24 @@ def test_extract_and_split():
     with pytest.raises(IndexError):
         b.extract(9, 3)
     c = BitString(0b101100011010, 12)
-    assert c.split_fields(3) == [0b101, 0b100, 0b011, 0b010]
-    assert c.split_fields(4) == [0b1011, 0b0001, 0b1010]
+    assert c.split_fields(3).tolist() == [0b101, 0b100, 0b011, 0b010]
+    assert c.split_fields(4).tolist() == [0b1011, 0b0001, 0b1010]
     with pytest.raises(LengthError):
         c.split_fields(5)
+    with pytest.raises(ValueError):
+        BitString.zeros(65).split_fields(65)
+
+
+def test_from_fields_packs_msb_first():
+    fields = np.array([0b101, 0b100, 0b011, 0b010], np.uint64)
+    assert BitString.from_fields(fields, 3) == BitString(0b101100011010, 12)
+    top = np.array([1 << 63, 1], np.uint64)
+    assert BitString.from_fields(top, 64) == BitString((1 << 127) | 1, 128)
+    assert BitString.from_fields(np.zeros(0, np.uint64), 5) == BitString.zeros(0)
+    with pytest.raises(ValueError):
+        BitString.from_fields(np.array([8], np.uint64), 3)  # 8 needs 4 bits
+    with pytest.raises(ValueError):
+        BitString.from_fields(np.array([1], np.uint64), 65)
 
 
 def test_value_must_fit_length():
@@ -140,17 +154,18 @@ def test_xor_group_properties(args):
 
 
 @given(st.integers(1, 300))
-def test_split_fields_reassembles(width_seed):
-    rng = np.random.default_rng(width_seed)
-    width = int(rng.integers(1, 24))
-    count = int(rng.integers(1, 40))
-    b = BitString.random(width * count, rng)
-    parts = b.split_fields(width)
-    assert len(parts) == count
-    acc = 0
-    for part in parts:
-        acc = (acc << width) | part
-    assert acc == b.value
-    # extract agrees with split
-    for i, part in enumerate(parts):
-        assert b.extract(i * width, width) == part
+def test_split_fields_reassembles(seed):
+    rng = np.random.default_rng(seed)
+    for width in range(1, 65):
+        count = int(rng.integers(1, 40))
+        b = BitString.random(width * count, rng)
+        parts = b.split_fields(width).tolist()
+        assert len(parts) == count
+        acc = 0
+        for part in parts:
+            acc = (acc << width) | part
+        assert acc == b.value
+        # extract agrees with split, and from_fields inverts it
+        for i, part in enumerate(parts):
+            assert b.extract(i * width, width) == part
+        assert BitString.from_fields(b.split_fields(width), width) == b

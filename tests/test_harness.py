@@ -218,6 +218,10 @@ def test_config_checksum_and_epoch_ranges():
         binary_config(epoch_id=-1)
     with pytest.raises(ConfigError):
         binary_config(epoch_id=1 << 64)
+    # a slot message is one uint64
+    assert binary_config(id_bits=32, checksum_bits=32).message_bits == 64
+    with pytest.raises(ConfigError, match="at most 64"):
+        binary_config(id_bits=33, checksum_bits=32)
 
 
 def test_config_derives_its_key_geometry():
@@ -396,6 +400,37 @@ def test_crypto_and_crypto_free_agree_exactly():
     assert full.counts == free.counts
     assert full.estimates == free.estimates
     assert full.to_json_bytes() == free.to_json_bytes()
+
+
+def test_colliding_writes_agree_across_modes():
+    # about 115 real writes per epoch into 16 slots: slots taking distinct
+    # messages and slots taking one message twice, in both rounds
+    config = binary_config(
+        mech=mech.TwoRoundMultiParams(pi_s=0.2, pi_v=0.5),
+        id_bits=2,
+        n=4,
+        domain=(3, 1, 2),
+        master_seed=2,
+    )
+    pop = h.generate_population(
+        {"total": 40, "groups": {"1": 10, "2": 10, "3": 10}}, np.random.default_rng(1)
+    )
+    claims = config.mech.claims(pop, config.value_ids, derived_stream(2, 0))
+    plan = h.plan_writes(claims, config, derived_stream(2, 1))
+    real = plan.value < len(config.value_ids)
+    columns = (plan.round_index, plan.slot, plan.value)
+    same = Counter(zip(*(c[real].tolist() for c in columns)))
+    distinct = Counter((r, slot) for r, slot, _ in same)
+    for r in range(config.rounds):
+        assert any(n >= 2 for (rr, _, _), n in same.items() if rr == r)
+        assert any(n >= 2 for (rr, _), n in distinct.items() if rr == r)
+
+    free = h.run_epoch(pop, config, crypto=False)
+    full = h.run_epoch(pop, config, crypto=True)
+    assert full.databases == free.databases
+    assert full.counts == free.counts
+    assert full.diagnostics.collision_drops == free.diagnostics.collision_drops
+    assert all(d > 0 for d in free.diagnostics.collision_drops)
 
 
 def test_slot_choices_are_uniform():
@@ -577,7 +612,7 @@ def test_attackers_require_the_verification_layer():
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP item 2: identical binary Yes writes that share a slot XOR "
+    reason="ROADMAP item 1: identical binary Yes writes that share a slot XOR "
     "to zero, so round one loses more writes and the estimate is biased low",
 )
 def test_shipped_cryptofree_config_is_unbiased():
