@@ -392,24 +392,31 @@ class EpochCollector:
         else:
             self._slots = np.zeros((rounds, config.db_slots), np.uint64)
             self._messages = np.array(config.messages, np.uint64)
-        self._seen: set[int] = set()
+        self._seen = np.zeros(0, bool)  # indexed by owner ID
         self._rejected: list[int] = []
         self._duplicates = 0
         self._writes_per_round = np.zeros(rounds, np.int64)
 
     def submit(self, chunk: SubmissionChunk) -> None:
-        fresh = [oid for oid in chunk.owner_ids if oid not in self._seen]
-        self._duplicates += len(chunk.owner_ids) - len(fresh)
-        keep = set(fresh)
-        self._seen.update(fresh)
-        if not keep:
+        # owner_ids are the sorted distinct owners of the chunk's writes
+        owners = np.asarray(chunk.owner_ids, np.int64)
+        if owners.size and owners[-1] >= self._seen.size:
+            grown = np.zeros(max(int(owners[-1]) + 1, 2 * self._seen.size), bool)
+            grown[: self._seen.size] = self._seen
+            self._seen = grown
+        keep = ~self._seen[owners]
+        self._seen[owners] = True
+        self._duplicates += owners.size - int(keep.sum())
+        if not keep.any():
             return
         writes = chunk.writes
+        owner_of_write = np.searchsorted(owners, writes.owner)
         if self.crypto:
-            rejected = set(writes.owner[~self._verify(chunk)].tolist())
-            self._rejected.extend(sorted(rejected & keep))
-            keep -= rejected
-        accepted = np.isin(writes.owner, list(keep))
+            rejected = np.zeros(owners.size, bool)
+            rejected[owner_of_write[~self._verify(chunk)]] = True
+            self._rejected.extend(owners[rejected & keep].tolist())
+            keep &= ~rejected
+        accepted = keep[owner_of_write]
         self._writes_per_round += np.bincount(
             writes.round_index[accepted], minlength=self.config.rounds
         )
@@ -438,7 +445,7 @@ class EpochCollector:
 
     def finalize(self) -> EpochResult:
         config = self.config
-        participants = len(self._seen)
+        participants = int(np.count_nonzero(self._seen))
         accepted = participants - len(self._rejected)
         diagnostics = EpochDiagnostics(
             participants=participants,

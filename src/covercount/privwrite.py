@@ -19,15 +19,33 @@ Two encodings are provided:
   matrix has odd-parity columns, leaving the correction words XORed with the
   row expansion, which generation constrains to equal the write.
 
+The PRG is the fixed-key construction of Guo, Katz, Wang and Yu (S&P 2020),
+the usual choice in DPF implementations. A 16-byte seed ``s`` expands to
+
+    G(s) = H(s ^ 0) || H(s ^ 1) || ...,    H(x) = AES_k(x) ^ x,
+
+truncated to the requested length, where ``k`` is the public constant
+``PRG_FIXED_KEY`` and the block counter ``i`` is XORed into the seed's low
+64-bit word, read little-endian. No seed ever keys a cipher, so every seed of
+a call is expanded in one ECB pass under ``k``. Security rests on fixed-key
+AES being correlation robust: for a secret uniform seed ``s`` and public
+counters ``i``, the outputs ``H(s ^ i)`` look uniform. Two seeds' outputs
+are related only when their counter ranges overlap, which for uniform seeds
+of ``B`` blocks each happens with chance below ``2 * B * 2**-128`` per pair.
+
 Party shares leak nothing individually under the PRG assumption; this
 implementation is simulation-grade and not hardened.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cache, reduce
+from itertools import chain, compress
+from operator import xor
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -57,33 +75,50 @@ __all__ = [
 SEED_BYTES = 16
 SEED_BITS = 8 * SEED_BYTES
 _ZERO_SEED = b"\x00" * SEED_BYTES
-_CTR_ZERO = modes.CTR(b"\x00" * 16)
-_zero_buffers: dict[int, bytes] = {}
+# the public AES key of the PRG; a hash of a fixed string, so it hides nothing
+PRG_FIXED_KEY = hashlib.sha256(b"covercount fixed-key PRG").digest()[:SEED_BYTES]
 
 
-def _prg_bytes(seed: bytes, nbytes: int) -> bytes:
-    buf = _zero_buffers.get(nbytes)
-    if buf is None:
-        buf = _zero_buffers.setdefault(nbytes, b"\x00" * nbytes)
-    return Cipher(algorithms.AES(seed), _CTR_ZERO).encryptor().update(buf)
+@cache
+def _ecb():
+    """The one ECB encryptor under ``PRG_FIXED_KEY``, built on first use so
+    that importing the module does not start OpenSSL's cipher. Given whole
+    blocks, ECB carries no state from one call to the next, so it serves
+    every call in the process; it is not safe across threads."""
+    return Cipher(algorithms.AES(PRG_FIXED_KEY), modes.ECB()).encryptor()
 
 
-def _prg_int(seed: bytes, out_bits: int) -> int:
-    nbytes = (out_bits + 7) // 8
-    return int.from_bytes(_prg_bytes(seed, nbytes), "big") >> (8 * nbytes - out_bits)
+def _prg_rows(seeds: np.ndarray, nbytes: int) -> np.ndarray:
+    """Expand each 16-byte seed of ``seeds`` to ``nbytes`` bytes in one ECB
+    call: block i of seed s is AES_k(s ^ i) ^ (s ^ i), with the counter i in
+    the seed's low little-endian 64-bit word. Returns ``(count, nbytes)``
+    uint8."""
+    words = seeds.reshape(-1, SEED_BYTES).view("<u8")
+    blocks = -(-nbytes // SEED_BYTES)
+    inputs = np.repeat(words[:, None, :], blocks, axis=1)
+    inputs[:, :, 0] ^= np.arange(blocks, dtype="<u8")
+    raw = inputs.view(np.uint8).reshape(len(words), blocks * SEED_BYTES)
+    raw ^= np.frombuffer(_ecb().update(raw), np.uint8).reshape(raw.shape)
+    return raw[:, :nbytes]
+
+
+def _row_int(expansion: np.ndarray, out_bits: int) -> int:
+    """The first ``out_bits`` bits of a byte row, MSB first, as an int."""
+    return int.from_bytes(expansion.tobytes(), "big") >> (8 * expansion.size - out_bits)
 
 
 def prg_expand(seed: bytes, out_bits: int) -> BitString:
     """Expand a 128-bit seed to ``out_bits`` pseudorandom bits.
 
-    AES-128 in counter mode keyed by the seed, starting from a zero counter;
-    the final block is truncated to the requested length.
+    The fixed-key PRG of the module docstring; the final block is truncated
+    to the requested length.
     """
     if len(seed) != SEED_BYTES:
         raise ValueError(f"seed must be {SEED_BYTES} bytes, got {len(seed)}")
     if out_bits < 0:
         raise ValueError("out_bits must be non-negative")
-    return BitString(_prg_int(seed, out_bits), out_bits)
+    expansion = _prg_rows(np.frombuffer(seed, np.uint8), (out_bits + 7) // 8)[0]
+    return BitString(_row_int(expansion, out_bits), out_bits)
 
 
 def unit_write(slot: int, message: int, n_slots: int, m: int) -> BitString:
@@ -215,73 +250,88 @@ def fss_gen(pf: PointFunction, params: FssParams, rng: np.random.Generator) -> l
     spr = params.seeds_per_row
     row_bits = params.row_bits
 
-    raw = rng.bytes(SEED_BYTES * params.nu * spr)
-    seeds = [
-        raw[off : off + SEED_BYTES]
-        for off in range(0, len(raw), SEED_BYTES)
-    ]
-    for idx, seed in enumerate(seeds):
+    seeds = np.frombuffer(rng.bytes(SEED_BYTES * params.nu * spr), np.uint8)
+    seeds = seeds.reshape(params.nu, spr, SEED_BYTES).copy()
+    for row, j in zip(*np.nonzero(~seeds.any(axis=2))):
+        seed = _ZERO_SEED
         while seed == _ZERO_SEED:
             seed = rng.bytes(SEED_BYTES)
-        seeds[idx] = seed
-    held = _selection_matrices(params.parties, params.nu, spr, gamma, rng).tolist()
+        seeds[row, j] = np.frombuffer(seed, np.uint8)
+    held = _selection_matrices(params.parties, params.nu, spr, gamma, rng)
 
     correction = [BitString.random(row_bits, rng) for _ in range(spr - 1)]
-    acc = unit_write(delta, pf.b, params.mu, params.m)
-    for j in range(spr - 1):
-        acc ^= correction[j] ^ prg_expand(seeds[gamma * spr + j], row_bits)
-    correction.append(acc ^ prg_expand(seeds[gamma * spr + spr - 1], row_bits))
+    expansion = np.bitwise_xor.reduce(_prg_rows(seeds[gamma], (row_bits + 7) // 8), axis=0)
+    last = unit_write(delta, pf.b, params.mu, params.m).value ^ _row_int(expansion, row_bits)
+    for word in correction:
+        last ^= word.value
+    correction.append(BitString(last, row_bits))
 
     keys = []
     cw = tuple(correction)
-    for i in range(params.parties):
-        sigma = tuple(
-            tuple(
-                seeds[row * spr + j] if held[row][i][j] else _ZERO_SEED
-                for j in range(spr)
-            )
-            for row in range(params.nu)
-        )
+    # the parties holding a seed share its bytes object, and unheld slots
+    # share _ZERO_SEED, so a write's keys keep one copy of its seeds
+    flat = seeds.view(f"V{SEED_BYTES}").ravel().tolist()
+    for i, mask in enumerate(held.transpose(1, 0, 2).reshape(params.parties, -1).tolist()):
+        picked = iter([seed if h else _ZERO_SEED for seed, h in zip(flat, mask)])
+        sigma = tuple(zip(*[picked] * spr))
         keys.append(
             FssKey(params=params, party_index=i, sigma=sigma, correction_words=cw)
         )
     return keys
 
 
-def _eval_row_value(key: FssKey, row: int) -> int:
-    row_bits = key.params.row_bits
-    acc = 0
-    for j, seed in enumerate(key.sigma[row]):
-        if seed != _ZERO_SEED:
-            acc ^= key.correction_words[j].value ^ _prg_int(seed, row_bits)
-    return acc
+def _eval_rows(key: FssKey, sigma: tuple[tuple[bytes, ...], ...]) -> np.ndarray:
+    """One party's expansion of the rows of ``sigma``, a slice of
+    ``key.sigma``: every held seed is expanded in one PRG call and the
+    expansions are XOR-reduced per row, then each row's correction words
+    are XORed in as ints, once per distinct set of held seeds. Returns
+    MSB-first bytes padded to the byte boundary, ``(rows, ceil(m * mu / 8))``
+    uint8."""
+    params = key.params
+    nbytes = (params.row_bits + 7) // 8
+    seeds = np.frombuffer(b"".join(chain.from_iterable(sigma)), np.uint8)
+    seeds = seeds.reshape(len(sigma), params.seeds_per_row, SEED_BYTES)
+    held = seeds.any(axis=2)
+    expansions = np.zeros((*held.shape, nbytes), np.uint8)
+    expansions[held] = _prg_rows(seeds[held], nbytes)
+    out = np.bitwise_xor.reduce(expansions, axis=1)
+    pad = 8 * nbytes - params.row_bits
+    words = [word.value for word in key.correction_words]
+    patterns = list(map(tuple, held.tolist()))
+    row_words = {
+        pattern: (reduce(xor, compress(words, pattern), 0) << pad).to_bytes(nbytes, "big")
+        for pattern in set(patterns)
+    }
+    out ^= np.frombuffer(b"".join(map(row_words.get, patterns)), np.uint8).reshape(out.shape)
+    return out
 
 
 def fss_eval_row(key: FssKey, row: int) -> BitString:
     """One party's expansion of a single row (``m * mu`` bits)."""
     if not 0 <= row < key.params.nu:
         raise ValueError("row out of range")
-    return BitString(_eval_row_value(key, row), key.params.row_bits)
+    row_bits = key.params.row_bits
+    return BitString(_row_int(_eval_rows(key, key.sigma[row : row + 1])[0], row_bits), row_bits)
 
 
 def fss_evaluate_share(key: FssKey) -> BitString:
     """Full-database expansion of one key: ``nu`` row evaluations, sliced to
-    ``2**n`` messages. This is the fast path; it never touches a seed more
-    than once."""
+    ``2**n`` messages. This is the fast path; it expands every held seed
+    once, all in one PRG call."""
     params = key.params
-    acc = 0
-    for row in range(params.nu):
-        acc = (acc << params.row_bits) | _eval_row_value(key, row)
+    rows = _eval_rows(key, key.sigma)
+    if 8 * rows.shape[1] != params.row_bits:
+        # drop each row's padding bits so the rows abut
+        rows = np.packbits(np.unpackbits(rows, axis=1, count=params.row_bits))
     total_bits = params.domain_size * params.m
-    excess = params.nu * params.row_bits - total_bits
-    return BitString(acc >> excess, total_bits)
+    return BitString.from_bytes(rows.reshape(-1)[: (total_bits + 7) // 8].tobytes(), total_bits)
 
 
 def fss_eval_naive(key: FssKey, x: int) -> int:
     """Single-point evaluation that re-expands the row on every call.
 
     Used as the baseline in benchmarks: a full-database sweep built from this
-    repeatedly re-initializes the same PRG seeds, which is exactly the cost
+    expands a row once for every point in it, which is exactly the cost
     ``fss_evaluate_share`` avoids.
     """
     params = key.params
@@ -302,9 +352,11 @@ def fss_eval_naive(key: FssKey, x: int) -> int:
 #   sigma: nu * 2^(parties-1) seed slots of 16 bytes, row-major
 #   correction words: 2^(parties-1) blocks of ceil(m*mu/8) bytes, bits packed
 #   MSB-first and zero-padded to the byte boundary
+# The correction words fit one PRG: version 2 is the fixed-key expansion of
+# the module docstring, and version 1 keys (per-seed AES-CTR) are rejected.
 # ---------------------------------------------------------------------------
 
-KEY_FORMAT_VERSION = 1
+KEY_FORMAT_VERSION = 2
 _HEADER = struct.Struct("<BBBBHHII")
 
 

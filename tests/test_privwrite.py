@@ -11,6 +11,7 @@ import struct
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings, strategies as st
 
 from covercount import privwrite as pw
@@ -38,6 +39,41 @@ def xor_all(shares):
 
 
 # -- PRG ---------------------------------------------------------------------
+
+
+def reference_prg(seed, out_bits):
+    """G(s)_i = AES_k(s ^ i) ^ (s ^ i) under the fixed key, one block at a
+    time, with the counter in the seed's low little-endian 64-bit word."""
+    encryptor = Cipher(algorithms.AES(pw.PRG_FIXED_KEY), modes.ECB()).encryptor()
+    low = int.from_bytes(seed[:8], "little")
+    out = b""
+    counter = 0
+    while 8 * len(out) < out_bits:
+        block = (low ^ counter).to_bytes(8, "little") + seed[8:]
+        out += bytes(x ^ y for x, y in zip(block, encryptor.update(block)))
+        counter += 1
+    nbytes = (out_bits + 7) // 8
+    return int.from_bytes(out[:nbytes], "big") >> (8 * nbytes - out_bits)
+
+
+@pytest.mark.parametrize("out_bits", [0, 7, 128, 1024, 725])
+def test_prg_matches_block_by_block_reference(out_bits):
+    rng = np.random.default_rng(out_bits)
+    for seed in (bytes(range(16)), b"\xff" * 16, rng.bytes(16)):
+        assert pw.prg_expand(seed, out_bits) == BitString(
+            reference_prg(seed, out_bits), out_bits
+        )
+
+
+def test_prg_rows_expands_each_seed_alone():
+    seeds = np.frombuffer(np.random.default_rng(5).bytes(16 * 9), np.uint8).reshape(9, 16)
+    for nbytes in (1, 16, 91, 272):
+        rows = pw._prg_rows(seeds, nbytes)
+        assert rows.shape == (9, nbytes)
+        for seed, row in zip(seeds, rows):
+            single = pw._prg_rows(seed, nbytes)[0]
+            assert row.tobytes() == single.tobytes()
+            assert int.from_bytes(row.tobytes(), "big") == reference_prg(seed.tobytes(), 8 * nbytes)
 
 
 def test_prg_deterministic_and_truncated():
@@ -395,16 +431,27 @@ def test_deserialize_checks_seed_width_and_row_count():
             pw.key_deserialize(bytes(header) + body + blob[sigma_end:])
 
 
+def test_deserialize_rejects_format_version_1():
+    # version 1 keys were built for the per-seed AES-CTR PRG; their last
+    # correction word does not match the fixed-key expansion
+    rng = np.random.default_rng(10)
+    params = pw.FssParams(n=5, parties=3, m=3)
+    blob = pw.key_serialize(pw.fss_gen(pw.PointFunction(9, 5), params, rng)[1])
+    assert blob[0] == pw.KEY_FORMAT_VERSION == 2
+    with pytest.raises(ParseError, match="version 1"):
+        pw.key_deserialize(bytes([1]) + blob[1:])
+
+
 def test_seeded_keys_keep_their_bytes():
-    # format version 1 fixes these bytes; changing them needs a new version
+    # format version 2 fixes these bytes; changing them needs a new version
     rng = np.random.default_rng(2024)
     blob = b""
     for mu in (None, 1024, 100):
         params = pw.FssParams(n=10, parties=3, m=17, mu=mu)
         keys = pw.fss_gen(pw.PointFunction(a=700, b=0x1ABCD), params, rng)
         blob += b"".join(pw.key_serialize(k) for k in keys)
-    assert pw.KEY_FORMAT_VERSION == 1
+    assert pw.KEY_FORMAT_VERSION == 2
     assert len(blob) == 35820
     assert hashlib.sha256(blob).hexdigest() == (
-        "9f55851e7409793730b8d008f7944f94d88671b7968d8ea08db7101f611fc0b2"
+        "da9544a43e5a714d3c7f2c3842563059c8621c3d820af7c60edea173b0929086"
     )
