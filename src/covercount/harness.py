@@ -19,10 +19,10 @@ of parties.
 Databases are anonymous mailboxes: a write XORs ``ID || checksum`` into a
 uniformly chosen slot. A round database is a ``(2**n,)`` uint64 array of
 slot messages, so a message has at most 64 bits; ``BitString`` carries only
-key shares and the released databases. Counting tallies the distinct slot
-values: two distinct messages in one slot XOR into garbage that the
-checksum rejects, surfaced as ``collision_drops``, and two identical
-messages cancel to an empty slot. Owners with nothing to claim in a round
+the released databases. Counting tallies the distinct slot values: two
+distinct messages in one slot XOR into garbage that the checksum rejects,
+surfaced as ``collision_drops``, and two identical messages cancel to an
+empty slot. Owners with nothing to claim in a round
 still submit a null write (message zero), so the traffic an aggregator sees
 is the same whether an owner answered or abstained. Both rounds of an
 owner's writes travel in a single submission, and only the first submission
@@ -55,7 +55,8 @@ from .errors import (
     ProtocolAbortError,
 )
 from .field import BitString
-from .privwrite import FssKey, FssParams, PointFunction, fss_evaluate_share, fss_gen
+from .privwrite import FssKey, FssParams, PointFunction, database_bits, fss_evaluate_batch, fss_gen
+from .privwrite import fss_evaluate_share  # noqa: F401 the benchmark's trace wraps this name
 
 _CHUNK_OWNERS = 256
 _ABSENT = -1
@@ -171,8 +172,8 @@ def count_values(
     return counts, drops
 
 
-def reconstruct(party_accumulators: Sequence[BitString]) -> BitString:
-    """XOR the parties' accumulated bitstrings into the round database."""
+def reconstruct(party_accumulators: Sequence[BitString | np.ndarray]) -> BitString | np.ndarray:
+    """XOR the parties' accumulators, bitstrings or arrays, into the round databases."""
     if not party_accumulators:
         raise ProtocolAbortError("no party accumulators to combine")
     combined = party_accumulators[0]
@@ -378,17 +379,18 @@ class EpochResult:
 
 class EpochCollector:
     """Aggregator state over one epoch: the round databases, verification
-    verdicts, and the dedup ledger. A crypto run accumulates each party's
-    key shares per round; a crypto-free run XORs each accepted write's
-    message into its slot of a ``(rounds, 2**n)`` uint64 slot array."""
+    verdicts, and the dedup ledger. A crypto run XORs one batch evaluation
+    per party per chunk into the party's ``(rounds, nu, row bytes)`` uint8
+    array; a crypto-free run XORs each accepted write's message into its
+    slot of a ``(rounds, 2**n)`` uint64 slot array."""
 
     def __init__(self, config: EpochConfig, crypto: bool = True):
         self.config = config
         self.crypto = crypto
         rounds = config.rounds
         if crypto:
-            empty = BitString.zeros(config.db_slots * config.message_bits)
-            self._acc = [[empty] * rounds for _ in range(config.parties)]
+            shape = (rounds, config.fss.nu, config.fss.row_bytes)
+            self._acc = [np.zeros(shape, np.uint8) for _ in range(config.parties)]
         else:
             self._slots = np.zeros((rounds, config.db_slots), np.uint64)
             self._messages = np.array(config.messages, np.uint64)
@@ -421,10 +423,11 @@ class EpochCollector:
             writes.round_index[accepted], minlength=self.config.rounds
         )
         if self.crypto:
-            rounds = writes.round_index[accepted].tolist()
-            for idx, r in zip(np.flatnonzero(accepted).tolist(), rounds):
-                for acc, key in zip(self._acc, chunk.keys[idx]):
-                    acc[r] ^= fss_evaluate_share(key)
+            index = np.flatnonzero(accepted).tolist()
+            if index:
+                rounds = writes.round_index[accepted]
+                for acc, keys in zip(self._acc, zip(*chunk.keys)):
+                    acc ^= fss_evaluate_batch([keys[i] for i in index], rounds, self.config.rounds)
             return
         # crypto-free: unbuffered, so writes that share a slot all land; a
         # null write's message is zero
@@ -467,7 +470,8 @@ class EpochCollector:
             )
         width = config.message_bits
         if self.crypto:
-            slots = [reconstruct(accs).split_fields(width) for accs in zip(*self._acc)]
+            rounds = reconstruct(self._acc)
+            slots = [database_bits(r, config.fss).split_fields(width) for r in rounds]
         else:
             slots = self._slots
         tallies = [

@@ -19,6 +19,10 @@ Two encodings are provided:
   matrix has odd-parity columns, leaving the correction words XORed with the
   row expansion, which generation constrains to equal the write.
 
+A key holds its wire body as bytes (``FssKey``). ``fss_evaluate_batch``, the
+one evaluator, expands the held seeds of many keys in one PRG call and XORs
+the rows per group of keys: an aggregator folds a chunk in one pass.
+
 The PRG is the fixed-key construction of Guo, Katz, Wang and Yu (S&P 2020),
 the usual choice in DPF implementations. A 16-byte seed ``s`` expands to
 
@@ -43,9 +47,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import cache, reduce
-from itertools import chain, compress
-from operator import xor
+from functools import cache
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -63,6 +65,8 @@ __all__ = [
     "unit_write",
     "it_gen",
     "fss_gen",
+    "fss_evaluate_batch",
+    "database_bits",
     "fss_eval_row",
     "fss_evaluate_share",
     "fss_eval_naive",
@@ -98,13 +102,11 @@ def _prg_rows(seeds: np.ndarray, nbytes: int) -> np.ndarray:
     inputs = np.repeat(words[:, None, :], blocks, axis=1)
     inputs[:, :, 0] ^= np.arange(blocks, dtype="<u8")
     raw = inputs.view(np.uint8).reshape(len(words), blocks * SEED_BYTES)
-    raw ^= np.frombuffer(_ecb().update(raw), np.uint8).reshape(raw.shape)
+    # update's fresh bytes object costs several times the encryption on large calls
+    out = np.empty(raw.size + SEED_BYTES - 1, np.uint8)
+    _ecb().update_into(raw, out)
+    raw ^= out[: raw.size].reshape(raw.shape)
     return raw[:, :nbytes]
-
-
-def _row_int(expansion: np.ndarray, out_bits: int) -> int:
-    """The first ``out_bits`` bits of a byte row, MSB first, as an int."""
-    return int.from_bytes(expansion.tobytes(), "big") >> (8 * expansion.size - out_bits)
 
 
 def prg_expand(seed: bytes, out_bits: int) -> BitString:
@@ -118,7 +120,7 @@ def prg_expand(seed: bytes, out_bits: int) -> BitString:
     if out_bits < 0:
         raise ValueError("out_bits must be non-negative")
     expansion = _prg_rows(np.frombuffer(seed, np.uint8), (out_bits + 7) // 8)[0]
-    return BitString(_row_int(expansion, out_bits), out_bits)
+    return BitString.from_bytes(expansion.tobytes(), out_bits)
 
 
 def unit_write(slot: int, message: int, n_slots: int, m: int) -> BitString:
@@ -194,16 +196,29 @@ class FssParams:
     def row_bits(self) -> int:
         return self.m * self.mu
 
+    @property
+    def row_bytes(self) -> int:
+        return (self.row_bits + 7) // 8
+
 
 @dataclass(frozen=True)
 class FssKey:
-    """One party's share: per-row seed slots (a zero seed marks "not held")
-    plus the correction words, which are identical across parties."""
+    """One party's share as its wire body: ``seeds`` is the ``nu * 2**(p-1)``
+    16-byte seed slots, row-major, zero where the party holds no seed;
+    ``words`` is the ``2**(p-1)`` correction words of ``ceil(m * mu / 8)``
+    bytes, MSB-first with zero pad bits, one object shared by a write's keys."""
 
     params: FssParams
     party_index: int
-    sigma: tuple[tuple[bytes, ...], ...]
-    correction_words: tuple[BitString, ...]
+    seeds: bytes
+    words: bytes
+
+    @property
+    def sigma(self) -> tuple[tuple[bytes, ...], ...]:
+        """The seed slots as ``nu`` rows of 16-byte seeds."""
+        seeds = self.seeds
+        slots = iter([seeds[i : i + SEED_BYTES] for i in range(0, len(seeds), SEED_BYTES)])
+        return tuple(zip(*[slots] * self.params.seeds_per_row))
 
 
 def it_gen(pf: PointFunction, n: int, m: int, parties: int, rng: np.random.Generator) -> list[BitString]:
@@ -233,6 +248,12 @@ def _selection_matrices(
     return np.concatenate([top, last[:, None, :]], axis=1)
 
 
+def _zero_pad(words: np.ndarray, params: FssParams) -> np.ndarray:
+    """Zero the pad bits of each ``(2**(p-1), row_bytes)`` word row in place."""
+    words[:, -1] &= np.uint8((0xFF << (8 * params.row_bytes - params.row_bits)) & 0xFF)
+    return words
+
+
 def fss_gen(pf: PointFunction, params: FssParams, rng: np.random.Generator) -> list[FssKey]:
     """Split a point function into ``parties`` compressed keys.
 
@@ -247,84 +268,96 @@ def fss_gen(pf: PointFunction, params: FssParams, rng: np.random.Generator) -> l
     if not 0 <= pf.b < (1 << params.m):
         raise ValueError("message does not fit in m bits")
     gamma, delta = divmod(pf.a, params.mu)
-    spr = params.seeds_per_row
-    row_bits = params.row_bits
+    spr, nbytes = params.seeds_per_row, params.row_bytes
 
     seeds = np.frombuffer(rng.bytes(SEED_BYTES * params.nu * spr), np.uint8)
     seeds = seeds.reshape(params.nu, spr, SEED_BYTES).copy()
-    for row, j in zip(*np.nonzero(~seeds.any(axis=2))):
+    lanes = seeds.view(np.uint64)
+    for row, j in zip(*np.nonzero((lanes[..., 0] | lanes[..., 1]) == 0)):
         seed = _ZERO_SEED
         while seed == _ZERO_SEED:
             seed = rng.bytes(SEED_BYTES)
         seeds[row, j] = np.frombuffer(seed, np.uint8)
     held = _selection_matrices(params.parties, params.nu, spr, gamma, rng)
 
-    correction = [BitString.random(row_bits, rng) for _ in range(spr - 1)]
-    expansion = np.bitwise_xor.reduce(_prg_rows(seeds[gamma], (row_bits + 7) // 8), axis=0)
-    last = unit_write(delta, pf.b, params.mu, params.m).value ^ _row_int(expansion, row_bits)
-    for word in correction:
-        last ^= word.value
-    correction.append(BitString(last, row_bits))
+    words = np.empty((spr, nbytes), np.uint8)
+    drawn = b"".join([rng.bytes(nbytes) for _ in range(spr - 1)])
+    words[:-1] = np.frombuffer(drawn, np.uint8).reshape(spr - 1, nbytes)
+    words[-1] = np.bitwise_xor.reduce(_prg_rows(seeds[gamma], nbytes), axis=0)
+    words[-1] ^= np.bitwise_xor.reduce(words[:-1], axis=0)
+    # XOR in the row image: message b at bits [delta * m, (delta + 1) * m)
+    start, stop = delta * params.m, (delta + 1) * params.m
+    first, last = start // 8, (stop + 7) // 8
+    image = (pf.b << (8 * last - stop)).to_bytes(last - first, "big")
+    words[-1, first:last] ^= np.frombuffer(image, np.uint8)
+    wire_words = _zero_pad(words, params).tobytes()
 
-    keys = []
-    cw = tuple(correction)
-    # the parties holding a seed share its bytes object, and unheld slots
-    # share _ZERO_SEED, so a write's keys keep one copy of its seeds
-    flat = seeds.view(f"V{SEED_BYTES}").ravel().tolist()
-    for i, mask in enumerate(held.transpose(1, 0, 2).reshape(params.parties, -1).tolist()):
-        picked = iter([seed if h else _ZERO_SEED for seed, h in zip(flat, mask)])
-        sigma = tuple(zip(*[picked] * spr))
-        keys.append(
-            FssKey(params=params, party_index=i, sigma=sigma, correction_words=cw)
-        )
-    return keys
+    # party i holds the seeds its selection-matrix row marks, zero elsewhere
+    party_seeds = seeds * held.transpose(1, 0, 2)[..., None]
+    return [FssKey(params, i, s.tobytes(), wire_words) for i, s in enumerate(party_seeds)]
 
 
-def _eval_rows(key: FssKey, sigma: tuple[tuple[bytes, ...], ...]) -> np.ndarray:
-    """One party's expansion of the rows of ``sigma``, a slice of
-    ``key.sigma``: every held seed is expanded in one PRG call and the
-    expansions are XOR-reduced per row, then each row's correction words
-    are XORed in as ints, once per distinct set of held seeds. Returns
-    MSB-first bytes padded to the byte boundary, ``(rows, ceil(m * mu / 8))``
-    uint8."""
-    params = key.params
-    nbytes = (params.row_bits + 7) // 8
-    seeds = np.frombuffer(b"".join(chain.from_iterable(sigma)), np.uint8)
-    seeds = seeds.reshape(len(sigma), params.seeds_per_row, SEED_BYTES)
-    held = seeds.any(axis=2)
-    expansions = np.zeros((*held.shape, nbytes), np.uint8)
-    expansions[held] = _prg_rows(seeds[held], nbytes)
-    out = np.bitwise_xor.reduce(expansions, axis=1)
-    pad = 8 * nbytes - params.row_bits
-    words = [word.value for word in key.correction_words]
-    patterns = list(map(tuple, held.tolist()))
-    row_words = {
-        pattern: (reduce(xor, compress(words, pattern), 0) << pad).to_bytes(nbytes, "big")
-        for pattern in set(patterns)
-    }
-    out ^= np.frombuffer(b"".join(map(row_words.get, patterns)), np.uint8).reshape(out.shape)
-    return out
+# a sub-batch's expansion bytes if every seed were held: bounds transient
+# memory; 1 MiB ran fastest of 0.5 to 4 MiB at n = 12, mu = 128 and 4096
+_BATCH_BYTES = 1 << 20
 
 
-def fss_eval_row(key: FssKey, row: int) -> BitString:
-    """One party's expansion of a single row (``m * mu`` bits)."""
-    if not 0 <= row < key.params.nu:
-        raise ValueError("row out of range")
-    row_bits = key.params.row_bits
-    return BitString(_row_int(_eval_rows(key, key.sigma[row : row + 1])[0], row_bits), row_bits)
+def fss_evaluate_batch(keys: list[FssKey], groups, ngroups: int) -> np.ndarray:
+    """XOR of the row expansions of each group of keys of one geometry,
+    ``(ngroups, nu, ceil(m * mu / 8))`` uint8, MSB-first: row ``r`` of group
+    ``g`` XORs row ``r`` of every key ``k`` with ``groups[k] == g``. Per
+    sub-batch, every held seed is expanded in one PRG call and XORed with
+    its key's correction word, then reduced per (group, row) with a sort and
+    one ``reduceat``."""
+    if not keys or any(key.params != keys[0].params for key in keys):
+        raise ValueError("a batch needs keys that share one geometry")
+    params = keys[0].params
+    groups = np.asarray(groups, np.intp)
+    if groups.shape != (len(keys),) or groups.min() < 0 or groups.max() >= ngroups:
+        raise ValueError("groups must give each key a group in [0, ngroups)")
+    nu, spr, nbytes = params.nu, params.seeds_per_row, params.row_bytes
+    # whole PRG blocks per expansion, so that rows reduce as uint64 words
+    width = -(-nbytes // SEED_BYTES) * SEED_BYTES
+    out = np.zeros((ngroups * nu, width // 8), np.uint64)
+    step = max(1, _BATCH_BYTES // (nu * spr * width))
+    for start in range(0, len(keys), step):
+        batch = keys[start : start + step]
+        seeds = np.frombuffer(b"".join([key.seeds for key in batch]), np.uint64)
+        lanes = seeds.reshape(len(batch), nu, spr, 2)
+        # one entry per held seed: its key in the batch, row and column
+        which, row, col = np.nonzero(lanes[..., 0] | lanes[..., 1])
+        cell = groups[start + which] * nu + row
+        order = np.argsort(cell, kind="stable")
+        which, row, col, cell = which[order], row[order], col[order], cell[order]
+        words = np.frombuffer(b"".join([key.words for key in batch]), np.uint8)
+        expansions = _prg_rows(lanes[which, row, col].view(np.uint8), width)
+        expansions[:, :nbytes] ^= words.reshape(len(batch), spr, nbytes)[which, col]
+        heads = np.flatnonzero(np.diff(cell, prepend=-1))
+        out[cell[heads]] ^= np.bitwise_xor.reduceat(expansions.view(np.uint64), heads, axis=0)
+    return out.view(np.uint8).reshape(ngroups, nu, width)[:, :, :nbytes]
 
 
-def fss_evaluate_share(key: FssKey) -> BitString:
-    """Full-database expansion of one key: ``nu`` row evaluations, sliced to
-    ``2**n`` messages. This is the fast path; it expands every held seed
-    once, all in one PRG call."""
-    params = key.params
-    rows = _eval_rows(key, key.sigma)
-    if 8 * rows.shape[1] != params.row_bits:
-        # drop each row's padding bits so the rows abut
+def database_bits(rows: np.ndarray, params: FssParams) -> BitString:
+    """The database bitstring of ``(nu, ceil(m * mu / 8))`` row bytes: each
+    row's pad bits dropped so the rows abut, cut to ``2**n`` messages."""
+    if 8 * params.row_bytes != params.row_bits:
         rows = np.packbits(np.unpackbits(rows, axis=1, count=params.row_bits))
     total_bits = params.domain_size * params.m
     return BitString.from_bytes(rows.reshape(-1)[: (total_bits + 7) // 8].tobytes(), total_bits)
+
+
+def fss_eval_row(key: FssKey, row: int) -> BitString:
+    """One party's expansion of one row (``m * mu`` bits), from a full evaluation."""
+    if not 0 <= row < key.params.nu:
+        raise ValueError("row out of range")
+    rows = fss_evaluate_batch([key], [0], 1)[0]
+    return BitString.from_bytes(rows[row].tobytes(), key.params.row_bits)
+
+
+def fss_evaluate_share(key: FssKey) -> BitString:
+    """Full-database expansion of one key: a batch of one, sliced to ``2**n``
+    messages. It expands every held seed once, all in one PRG call."""
+    return database_bits(fss_evaluate_batch([key], [0], 1)[0], key.params)
 
 
 def fss_eval_naive(key: FssKey, x: int) -> int:
@@ -338,7 +371,18 @@ def fss_eval_naive(key: FssKey, x: int) -> int:
     if not 0 <= x < params.domain_size:
         raise ValueError("evaluation point out of range")
     row, pos = divmod(x, params.mu)
-    return fss_eval_row(key, row).extract(pos * params.m, params.m)
+    spr, nbytes, m = params.seeds_per_row, params.row_bytes, params.m
+    start = row * spr * SEED_BYTES
+    slots = [key.seeds[start + j * SEED_BYTES : start + (j + 1) * SEED_BYTES] for j in range(spr)]
+    held = [j for j, seed in enumerate(slots) if seed != _ZERO_SEED]
+    expansions = _prg_rows(np.frombuffer(b"".join([slots[j] for j in held]), np.uint8), nbytes)
+    # only the bytes that hold the point's m bits are read
+    first, last = pos * m // 8, ((pos + 1) * m + 7) // 8
+    value = 0
+    for expansion, j in zip(expansions[:, first:last], held):
+        word = key.words[j * nbytes + first : j * nbytes + last]
+        value ^= int.from_bytes(expansion.tobytes(), "big") ^ int.from_bytes(word, "big")
+    return (value >> (8 * last - (pos + 1) * m)) & ((1 << m) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +392,11 @@ def fss_eval_naive(key: FssKey, x: int) -> int:
 #   version u8 | party_index u8 | parties u8 | n u8 | m u16 | lam u16 |
 #   mu u32 | nu u32
 # lam is always 128 and nu always ceil(2^n / mu); a reader rejects any other.
-# body:
-#   sigma: nu * 2^(parties-1) seed slots of 16 bytes, row-major
+# body, which is FssKey.seeds followed by FssKey.words:
+#   seeds: nu * 2^(parties-1) seed slots of 16 bytes, row-major
 #   correction words: 2^(parties-1) blocks of ceil(m*mu/8) bytes, bits packed
-#   MSB-first and zero-padded to the byte boundary
+#   MSB-first and zero-padded to the byte boundary; a reader zeroes the pad
+#   bits it is given
 # The correction words fit one PRG: version 2 is the fixed-key expansion of
 # the module docstring, and version 1 keys (per-seed AES-CTR) are rejected.
 # ---------------------------------------------------------------------------
@@ -367,30 +412,17 @@ def key_size_bits(params: FssParams) -> int:
 
 def key_size_bytes(params: FssParams) -> int:
     """Exact serialized size, including the header and per-word byte padding."""
-    sigma = params.nu * params.seeds_per_row * SEED_BYTES
-    words = params.seeds_per_row * ((params.row_bits + 7) // 8)
-    return _HEADER.size + sigma + words
+    seeds = params.nu * params.seeds_per_row * SEED_BYTES
+    return _HEADER.size + seeds + params.seeds_per_row * params.row_bytes
 
 
 def key_serialize(key: FssKey) -> bytes:
     params = key.params
-    parts = [
-        _HEADER.pack(
-            KEY_FORMAT_VERSION,
-            key.party_index,
-            params.parties,
-            params.n,
-            params.m,
-            SEED_BITS,
-            params.mu,
-            params.nu,
-        )
-    ]
-    for row in key.sigma:
-        parts.extend(row)
-    for word in key.correction_words:
-        parts.append(word.to_bytes())
-    return b"".join(parts)
+    header = _HEADER.pack(
+        KEY_FORMAT_VERSION, key.party_index, params.parties, params.n, params.m, SEED_BITS,
+        params.mu, params.nu,
+    )
+    return header + key.seeds + key.words
 
 
 def key_deserialize(data: bytes) -> FssKey:
@@ -413,23 +445,7 @@ def key_deserialize(data: bytes) -> FssKey:
         raise ParseError(
             f"key is {len(data)} bytes, expected {key_size_bytes(params)}"
         )
-    spr = params.seeds_per_row
-    pos = _HEADER.size
-    sigma = []
-    for _ in range(params.nu):
-        row = []
-        for _ in range(spr):
-            row.append(bytes(data[pos : pos + SEED_BYTES]))
-            pos += SEED_BYTES
-        sigma.append(tuple(row))
-    word_bytes = (params.row_bits + 7) // 8
-    words = []
-    for _ in range(spr):
-        words.append(BitString.from_bytes(data[pos : pos + word_bytes], params.row_bits))
-        pos += word_bytes
-    return FssKey(
-        params=params,
-        party_index=party_index,
-        sigma=tuple(sigma),
-        correction_words=tuple(words),
-    )
+    words_at = _HEADER.size + params.nu * params.seeds_per_row * SEED_BYTES
+    words = np.frombuffer(data, np.uint8, offset=words_at).reshape(params.seeds_per_row, -1)
+    seeds = bytes(data[_HEADER.size : words_at])
+    return FssKey(params, party_index, seeds, _zero_pad(words.copy(), params).tobytes())

@@ -282,6 +282,96 @@ def test_fss_naive_matches_optimized():
                     assert pw.fss_eval_naive(key, x) == values[x]
 
 
+def reference_rows(key):
+    """One key's row expansions, rebuilt seed by seed from ``prg_expand``
+    and the wire words: each held seed's expansion XOR its column's word."""
+    params = key.params
+    nbytes = params.row_bytes
+    words = [
+        BitString.from_bytes(key.words[j * nbytes : (j + 1) * nbytes], params.row_bits)
+        for j in range(params.seeds_per_row)
+    ]
+    rows = []
+    for seeds in key.sigma:
+        acc = BitString.zeros(params.row_bits)
+        for seed, word in zip(seeds, words):
+            if seed != b"\x00" * 16:
+                acc ^= pw.prg_expand(seed, params.row_bits) ^ word
+        rows.append(acc)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "parties, n, m, mu",
+    [
+        (2, 6, 3, None),
+        (3, 6, 3, None),
+        (4, 5, 2, None),
+        (5, 5, 2, None),
+        (3, 10, 17, 100),  # padded rows: nu * mu = 1,100 slots cover 1,024
+        (3, 8, 5, 256),  # one wide row
+        (2, 6, 1, None),  # p = 2 leaves some parties rows without seeds
+    ],
+)
+@pytest.mark.parametrize("sub_batch_keys", [None, 3])
+def test_batch_groups_equal_xor_of_shares(parties, n, m, mu, sub_batch_keys, monkeypatch):
+    params = pw.FssParams(n=n, parties=parties, m=m, mu=mu)
+    if sub_batch_keys:
+        # whole 16-byte PRG blocks per expansion, every seed counted as held
+        key_bytes = params.nu * params.seeds_per_row * -(-params.row_bytes // 16) * 16
+        monkeypatch.setattr(pw, "_BATCH_BYTES", sub_batch_keys * key_bytes)
+    rng = np.random.default_rng(1000 * parties + n)
+    keys = []
+    for _ in range(10):
+        a = int(rng.integers(0, params.domain_size))
+        b = int(rng.integers(0, 1 << m))
+        keys.append(pw.fss_gen(pw.PointFunction(a, b), params, rng)[int(rng.integers(0, parties))])
+    # group 0 holds one key, group 2 none, the rest are interleaved
+    groups = [0, 1, 3, 1, 3, 3, 1, 4, 4, 1]
+    out = pw.fss_evaluate_batch(keys, groups, 5)
+    assert out.shape == (5, params.nu, params.row_bytes)
+    for g in range(5):
+        members = [key for key, group in zip(keys, groups) if group == g]
+        expected_rows = [BitString.zeros(params.row_bits)] * params.nu
+        share = BitString.zeros(params.domain_size * m)
+        for key in members:
+            expected_rows = [x ^ y for x, y in zip(expected_rows, reference_rows(key))]
+            share ^= pw.fss_evaluate_share(key)
+        rows = [BitString.from_bytes(row.tobytes(), params.row_bits) for row in out[g]]
+        assert rows == expected_rows, g
+        assert pw.database_bits(out[g], params) == share, g
+    assert not out[2].any()
+    if parties == 2:
+        assert any(all(s == b"\x00" * 16 for s in row) for key in keys for row in key.sigma)
+
+
+def test_batch_rejects_mixed_geometry_and_bad_groups():
+    rng = np.random.default_rng(12)
+    a = pw.fss_gen(pw.PointFunction(1, 1), pw.FssParams(n=4, parties=2, m=2), rng)[0]
+    b = pw.fss_gen(pw.PointFunction(1, 1), pw.FssParams(n=4, parties=2, m=3), rng)[0]
+    with pytest.raises(ValueError):
+        pw.fss_evaluate_batch([a, b], [0, 0], 1)
+    with pytest.raises(ValueError):
+        pw.fss_evaluate_batch([a], [1], 1)
+    with pytest.raises(ValueError):
+        pw.fss_evaluate_batch([a], [-1], 1)
+    with pytest.raises(ValueError):
+        pw.fss_evaluate_batch([], [], 1)
+
+
+def test_sigma_is_rows_of_seed_slots():
+    rng = np.random.default_rng(14)
+    for parties, mu in ((2, None), (3, 100), (4, None)):
+        params = pw.FssParams(n=7, parties=parties, m=5, mu=mu)
+        for key in pw.fss_gen(pw.PointFunction(50, 9), params, rng):
+            spr = params.seeds_per_row
+            assert len(key.seeds) == params.nu * spr * 16
+            slots = [key.seeds[i : i + 16] for i in range(0, len(key.seeds), 16)]
+            assert key.sigma == tuple(
+                tuple(slots[r * spr : (r + 1) * spr]) for r in range(params.nu)
+            )
+
+
 def test_fss_gen_validates_point():
     params = pw.FssParams(n=4, parties=2, m=2)
     rng = np.random.default_rng(0)
@@ -382,6 +472,24 @@ def test_serialize_round_trip(n, parties, m, seed):
         back = pw.key_deserialize(pw.key_serialize(key))
         assert back == key
         assert pw.fss_evaluate_share(back) == pw.fss_evaluate_share(key)
+
+
+def test_deserialize_zeroes_pad_bits():
+    # m * mu = 18 bits per word: the last byte of each word carries 6 pad bits
+    rng = np.random.default_rng(16)
+    params = pw.FssParams(n=4, parties=2, m=3)
+    assert params.row_bits == 18 and params.row_bytes == 3
+    key = pw.fss_gen(pw.PointFunction(5, 6), params, rng)[1]
+    clean = pw.key_serialize(key)
+    dirty = bytearray(clean)
+    words_at = len(clean) - params.seeds_per_row * params.row_bytes
+    for j in range(params.seeds_per_row):
+        last = words_at + (j + 1) * params.row_bytes - 1
+        assert clean[last] & 0x3F == 0
+        dirty[last] |= 0x3F
+    back = pw.key_deserialize(bytes(dirty))
+    assert back == pw.key_deserialize(clean) == key
+    assert pw.key_serialize(back) == clean
 
 
 def test_deserialize_rejects_malformed():
