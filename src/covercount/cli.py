@@ -26,6 +26,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -342,19 +343,16 @@ def _statistical_trial(
     return dict(zip(value_ids, params.estimate(counts, len(population))))
 
 
-def _run_trial(task: tuple) -> tuple[int, dict[int, float] | None, dict | None]:
-    """One trial, picklable for worker pools: returns (index, estimates,
-    epoch diagnostics). Estimates are None when the epoch halted."""
-    index, experiment, population, trial_seed = task
+def _run_trial(task: tuple) -> tuple[dict[int, float] | None, dict | None]:
+    """One trial, picklable for worker pools: returns (estimates, epoch
+    diagnostics). Estimates are None when the epoch halted."""
+    experiment, population, trial_seed = task
     if experiment.mode == "statistical":
         rng = np.random.default_rng(trial_seed)
-        return index, _statistical_trial(population, experiment, rng), None
+        return _statistical_trial(population, experiment, rng), None
     config = replace(experiment.epoch, master_seed=trial_seed)
     result = h.run_epoch(population, config, crypto=experiment.mode == "crypto")
-    diag = result.diagnostics.as_dict()
-    if result.halted:
-        return index, None, diag
-    return index, result.estimates, diag
+    return (None if result.halted else result.estimates), result.diagnostics.as_dict()
 
 
 def run_experiment(
@@ -373,16 +371,13 @@ def run_experiment(
     value_ids = experiment.epoch.value_ids
     true_counts = {v: int((population == v).sum()) for v in value_ids}
 
-    tasks = [
-        (t, experiment, population, int(state[t + 1]))
-        for t in range(experiment.trials)
-    ]
+    # both paths return the trials in task order
+    tasks = [(experiment, population, int(seed)) for seed in state[1:]]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_trial, tasks))
     else:
         outcomes = [_run_trial(task) for task in tasks]
-    outcomes.sort(key=lambda item: item[0])
 
     rows = []
     estimates: dict[int, list[float]] = {v: [] for v in value_ids}
@@ -392,7 +387,7 @@ def run_experiment(
         "duplicate_submissions": 0,
         "collision_drops": [0] * experiment.epoch.rounds,
     }
-    for index, trial_estimates, diag in outcomes:
+    for index, (trial_estimates, diag) in enumerate(outcomes):
         if diag is not None:
             diagnostics["rejected_submissions"] += diag["rejected_submissions"]
             diagnostics["duplicate_submissions"] += diag["duplicate_submissions"]
@@ -445,18 +440,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         overrides.append(f"seed={args.seed}")
     experiment = load_config(args.config, overrides)
     rows, summary = run_experiment(experiment, workers=args.workers)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trials_path = out_dir / "trials.csv"
-    with open(trials_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIALS_HEADER)
-        writer.writerows(rows)
-    summary_path = out_dir / "summary.json"
+    _emit_csv(args.out_dir, "trials.csv", TRIALS_HEADER, rows)
+    summary_path = Path(args.out_dir) / "summary.json"
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    print(trials_path)
     print(summary_path)
     return 0
 
@@ -466,64 +454,50 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _epsilon_cell(fn, params_type, *params) -> str:
+def _binary_at(pi_s: float, pi_yes: float) -> mech.TwoRoundBinaryParams:
+    # the chaff-No side is the die remainder; absorb float drift at the
+    # exactly-full boundary
+    pi_no = 1.0 - pi_s - pi_yes
+    if -1e-9 < pi_no < 0.0:
+        pi_no = 0.0
+    return mech.TwoRoundBinaryParams(pi_s, pi_yes, pi_no)
+
+
+# each swept mechanism: its leakage bound, and its params at a (sampling,
+# chaff) grid point
+EPSILON_SWEEPS = {
+    "rr": (mech.rr_epsilon, mech.RrParams),
+    "binary": (mech.two_round_epsilon_binary, _binary_at),
+    "multi": (mech.two_round_epsilon_multi, mech.TwoRoundMultiParams),
+}
+
+
+def _epsilon_cell(bound, params_at, a: float, b: float) -> str:
     try:
-        return f"{fn(params_type(*params)):.12f}"
+        return f"{bound(params_at(a, b)):.12f}"
     except (CoverCountError, ValueError):
         return "undefined"
 
 
 def epsilon_rows(mechanisms: list[str], step: float) -> list[tuple]:
-    """Leakage sweep over an evenly spaced parameter grid.
-
-    Parameter points where the bound diverges or is undefined produce
-    explicit "undefined" cells. For the coupled binary mechanism the chaff-No
-    weight is the remainder of the die, so over-full dies are undefined too.
+    """Leakage sweep of the named ``EPSILON_SWEEPS`` over an evenly spaced
+    parameter grid. Points where the bound diverges or is undefined, an
+    over-full binary die among them, produce explicit "undefined" cells.
     """
     if not 0 < step < 1:
         raise ConfigError("step must lie strictly between 0 and 1")
     grid = [i * step for i in range(1, int(1 / step + 1e-9) + 1) if i * step < 1]
-    rows = []
-    for a in grid:
-        for b in grid:
-            if "rr" in mechanisms:
-                rows.append(("rr", a, b, _epsilon_cell(mech.rr_epsilon, mech.RrParams, a, b)))
-            if "binary" in mechanisms:
-                # the chaff-No side is the die remainder; absorb float drift
-                # at the exactly-full boundary
-                pi_no = 1.0 - a - b
-                if -1e-9 < pi_no < 0.0:
-                    pi_no = 0.0
-                rows.append(
-                    (
-                        "binary",
-                        a,
-                        b,
-                        _epsilon_cell(
-                            mech.two_round_epsilon_binary,
-                            mech.TwoRoundBinaryParams,
-                            a,
-                            b,
-                            pi_no,
-                        ),
-                    )
-                )
-            if "multi" in mechanisms:
-                rows.append(
-                    (
-                        "multi",
-                        a,
-                        b,
-                        _epsilon_cell(
-                            mech.two_round_epsilon_multi, mech.TwoRoundMultiParams, a, b
-                        ),
-                    )
-                )
-    return [(m, f"{a:.6g}", f"{b:.6g}", e) for m, a, b, e in rows]
+    return [
+        (name, f"{a:.6g}", f"{b:.6g}", _epsilon_cell(bound, params_at, a, b))
+        for a in grid
+        for b in grid
+        for name, (bound, params_at) in EPSILON_SWEEPS.items()
+        if name in mechanisms
+    ]
 
 
 def cmd_epsilon(args: argparse.Namespace) -> int:
-    wanted = ["rr", "binary", "multi"] if args.mechanism == "all" else [args.mechanism]
+    wanted = list(EPSILON_SWEEPS) if args.mechanism == "all" else [args.mechanism]
     rows = epsilon_rows(wanted, args.step)
     _emit_csv(args.out_dir, "epsilon.csv", EPSILON_HEADER, rows)
     return 0
@@ -534,15 +508,16 @@ def cmd_epsilon(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _median_time(fn, runs: int) -> float:
-    """Median wall time of ``fn`` over ``runs`` timed calls after a warmup."""
-    fn()
+def _median_time(fn, runs: int) -> tuple:
+    """Median wall time of ``fn`` over ``runs`` timed calls after a warmup,
+    and the result of the last call."""
+    result = fn()
     samples = []
     for _ in range(runs):
         start = time.perf_counter()
-        fn()
+        result = fn()
         samples.append(time.perf_counter() - start)
-    return statistics.median(samples)
+    return statistics.median(samples), result
 
 
 def _mu_sweep(n: int, parties: int) -> list[int]:
@@ -570,10 +545,9 @@ def bench_fss_rows(
                     a=int(rng.integers(0, params.domain_size)),
                     b=int(rng.integers(0, 1 << m)),
                 )
-                gen_time = _median_time(lambda: fss_gen(pf, params, rng), runs)
-                keys = fss_gen(pf, params, rng)
-                optimized = _median_time(lambda: fss_evaluate_share(keys[0]), runs)
-                naive = _median_time(
+                gen_time, keys = _median_time(lambda: fss_gen(pf, params, rng), runs)
+                optimized, _ = _median_time(lambda: fss_evaluate_share(keys[0]), runs)
+                naive, _ = _median_time(
                     lambda: [fss_eval_naive(keys[0], x) for x in range(params.domain_size)],
                     runs,
                 )
@@ -613,21 +587,18 @@ def bench_verify_rows(
             indicators[np.arange(batch), rng.integers(0, columns, batch)] = 1
             shares = verify.additive_share_batch(indicators, p, rng)
             for kind in verify.KINDS:
-                make = _median_time(
+                make, matrices = _median_time(
                     lambda: verify.make_blinding_batch(kind, columns, p, batch, rng),
                     runs,
                 )
-                matrices = verify.make_blinding_batch(kind, columns, p, batch, rng)
-                blind = _median_time(
+                blind, blinded = _median_time(
                     lambda: [verify.blind_batch(matrices, shares[i]) for i in range(p)],
                     runs,
                 )
-                blinded = [verify.blind_batch(matrices, shares[i]) for i in range(p)]
-                aggregate = _median_time(
+                aggregate, aggregates = _median_time(
                     lambda: verify.aggregate_batch(blinded), runs
                 )
-                aggregates = verify.aggregate_batch(blinded)
-                check = _median_time(lambda: verify.check_batch(aggregates, kind), runs)
+                check, _ = _median_time(lambda: verify.check_batch(aggregates, kind), runs)
                 rows.append(
                     (
                         n,
@@ -683,19 +654,20 @@ def _int_list(text: str) -> list[int]:
 
 
 def _emit_csv(out_dir: str | None, name: str, header: tuple, rows: list) -> None:
+    """Write a table to ``out_dir/name`` and print its path, or to stdout
+    when ``out_dir`` is None."""
     if out_dir is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    target = path / name
-    with open(target, "w", newline="", encoding="utf-8") as fh:
+        sink = nullcontext(sys.stdout)
+    else:
+        target = Path(out_dir) / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        sink = open(target, "w", newline="", encoding="utf-8")
+    with sink as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    print(target)
+    if out_dir is not None:
+        print(target)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -722,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     eps = sub.add_parser("epsilon", help="leakage sweep as CSV")
     eps.add_argument(
-        "--mechanism", choices=("all", "rr", "binary", "multi"), default="all"
+        "--mechanism", choices=("all", *EPSILON_SWEEPS), default="all"
     )
     eps.add_argument("--step", type=float, default=0.05, help="parameter grid step")
     eps.add_argument("--out-dir", default=None, help="write epsilon.csv here (default stdout)")

@@ -3,8 +3,8 @@
 One epoch runs the full collection round: owners privatize their values
 into the mechanism's claim matrix (round x owner x value), every claim
 becomes a non-attributable database write, aggregators verify the write
-shape, accumulate, exchange and reconstruct the round databases, filter
-slots by checksum, count IDs, and feed the counts to the mechanism's
+shape, accumulate, exchange and reconstruct the round databases, count the
+slots that hold a value's message, and feed the counts to the mechanism's
 estimator.
 
 The write plan is columnar (:class:`WritePlan`): one array each for owner,
@@ -19,12 +19,12 @@ of parties.
 Databases are anonymous mailboxes: a write XORs ``ID || checksum`` into a
 uniformly chosen slot. A round database is a ``(2**n,)`` uint64 array of
 slot messages, so a message has at most 64 bits; ``BitString`` carries only
-the released databases. Counting tallies the distinct slot values: two
-distinct messages in one slot XOR into garbage that the checksum rejects,
-surfaced as ``collision_drops``, and two identical messages cancel to an
-empty slot. Owners with nothing to claim in a round
-still submit a null write (message zero), so the traffic an aggregator sees
-is the same whether an owner answered or abstained. Both rounds of an
+the released databases. Counting tallies the slots equal to each value's
+message: two distinct messages in one slot XOR into garbage, surfaced as
+``collision_drops``, and two identical messages cancel to an empty slot.
+Owners with nothing to claim in a round still submit a null write (message
+zero), so the traffic an aggregator sees is the same whether an owner
+answered or abstained. Both rounds of an
 owner's writes travel in a single submission, and only the first submission
 per owner counts in an epoch.
 
@@ -134,8 +134,10 @@ class EpochConfig:
 
 
 def checksum(value_id: int, epoch_id: int, checksum_bits: int) -> int:
-    """Truncated CRC-32 of the value ID and epoch, stored beside the ID."""
-    crc = zlib.crc32(struct.pack("<IQ", value_id, epoch_id))
+    """Truncated CRC-32 of the value ID and epoch, stored beside the ID by
+    :func:`encode_message`. IDs from 2**32 up pack as 8 bytes, not 4."""
+    layout = "<IQ" if value_id < (1 << 32) else "<QQ"
+    crc = zlib.crc32(struct.pack(layout, value_id, epoch_id))
     return crc & ((1 << checksum_bits) - 1)
 
 
@@ -147,27 +149,23 @@ def encode_message(value_id: int, config: EpochConfig) -> int:
     )
 
 
-def count_values(
-    slots: np.ndarray, id_bits: int, checksum_bits: int, epoch_id: int
-) -> tuple[dict[int, int], int]:
-    """Count a round's slot values per ID.
+def count_values(slots: np.ndarray, messages: dict[int, int]) -> tuple[dict[int, int], int]:
+    """Count a round's slots per value ID, given ``{value_id: message}``.
 
-    All-zero slots are empty mailboxes. A nonzero slot whose checksum does
-    not match its ID (the fate of colliding writes, less a 2^-c false-accept
-    chance) is tallied in the returned drop count instead.
+    All-zero slots are empty mailboxes. A nonzero slot counts for a value
+    only when it equals that value's message; any other nonzero slot (the
+    garbage of colliding writes) is tallied in the returned drop count.
+    IDs with no slot are left out of the counts.
     """
+    # a zero message cannot be told from an empty slot
+    ids = {message: value_id for value_id, message in messages.items() if message}
     values, hits = np.unique(np.asarray(slots, np.uint64), return_counts=True)
     counts: dict[int, int] = {}
     drops = 0
     for value, hit in zip(values.tolist(), hits.tolist()):
-        if value == 0:
-            continue
-        value_id = value >> checksum_bits
-        if value & ((1 << checksum_bits) - 1) == checksum(
-            value_id, epoch_id, checksum_bits
-        ):
-            counts[value_id] = hit
-        else:
+        if value in ids:
+            counts[ids[value]] = hit
+        elif value:
             drops += hit
     return counts, drops
 
@@ -303,10 +301,11 @@ class SubmissionChunk:
     slot indicator, ``(parties, writes, db_slots)``; ``blinding`` holds the
     base rows ``(writes, db_slots)`` of the square blinding matrices, whose
     row j is the base row's j-th power. ``keys`` is one FSS key per party
-    per write. A crypto-free chunk carries the planned writes only.
+    per write, and ``owner_ids`` the sorted distinct owners of the writes.
+    A crypto-free chunk carries the planned writes only.
     """
 
-    owner_ids: tuple[int, ...]
+    owner_ids: np.ndarray
     writes: WritePlan
     keys: tuple[tuple[FssKey, ...], ...] | None
     indicator_shares: np.ndarray | None
@@ -400,8 +399,7 @@ class EpochCollector:
         self._writes_per_round = np.zeros(rounds, np.int64)
 
     def submit(self, chunk: SubmissionChunk) -> None:
-        # owner_ids are the sorted distinct owners of the chunk's writes
-        owners = np.asarray(chunk.owner_ids, np.int64)
+        owners = chunk.owner_ids
         if owners.size and owners[-1] >= self._seen.size:
             grown = np.zeros(max(int(owners[-1]) + 1, 2 * self._seen.size), bool)
             grown[: self._seen.size] = self._seen
@@ -474,12 +472,11 @@ class EpochCollector:
             slots = [database_bits(r, config.fss).split_fields(width) for r in rounds]
         else:
             slots = self._slots
-        tallies = [
-            count_values(s, config.id_bits, config.checksum_bits, config.epoch_id) for s in slots
-        ]
+        value_ids = config.value_ids
+        messages = dict(zip(value_ids, config.messages))
+        tallies = [count_values(s, messages) for s in slots]
         counts = tuple(c for c, _ in tallies)
         diagnostics.collision_drops = tuple(d for _, d in tallies)
-        value_ids = config.value_ids
         table = [[c.get(v, 0) for v in value_ids] for c in counts]
         estimates = dict(zip(value_ids, config.mech.estimate(table, accepted)))
         return EpochResult(
@@ -510,11 +507,10 @@ def build_chunk(
     accumulators anyway.
     """
     owners, first = np.unique(writes.owner, return_index=True)
-    owner_ids = tuple(owners.tolist())
     if not crypto:
         if two_row_owners:
             raise ValueError("two-row writers need the verification layer")
-        return SubmissionChunk(owner_ids, writes, None, None, None)
+        return SubmissionChunk(owners, writes, None, None, None)
     messages = config.messages
     keys = tuple(
         tuple(fss_gen(PointFunction(a=slot, b=messages[value]), config.fss, keys_rng))
@@ -534,7 +530,7 @@ def build_chunk(
     blinding = verify_rng.integers(
         1, verify.MODULUS, size=indicators.shape, dtype=np.uint64
     )
-    return SubmissionChunk(owner_ids, writes, keys, shares, blinding)
+    return SubmissionChunk(owners, writes, keys, shares, blinding)
 
 
 def run_epoch(

@@ -67,7 +67,6 @@ __all__ = [
     "fss_gen",
     "fss_evaluate_batch",
     "database_bits",
-    "fss_eval_row",
     "fss_evaluate_share",
     "fss_eval_naive",
     "key_serialize",
@@ -344,14 +343,6 @@ def database_bits(rows: np.ndarray, params: FssParams) -> BitString:
         rows = np.packbits(np.unpackbits(rows, axis=1, count=params.row_bits))
     total_bits = params.domain_size * params.m
     return BitString.from_bytes(rows.reshape(-1)[: (total_bits + 7) // 8].tobytes(), total_bits)
-
-
-def fss_eval_row(key: FssKey, row: int) -> BitString:
-    """One party's expansion of one row (``m * mu`` bits), from a full evaluation."""
-    if not 0 <= row < key.params.nu:
-        raise ValueError("row out of range")
-    rows = fss_evaluate_batch([key], [0], 1)[0]
-    return BitString.from_bytes(rows[row].tobytes(), key.params.row_bits)
 
 
 def fss_evaluate_share(key: FssKey) -> BitString:

@@ -87,22 +87,37 @@ def test_count_values_accepts_valid_and_drops_garbage():
     ok = h.encode_message(1, config)
     bad = ok ^ 1  # flip one checksum bit
     slots = [0, ok, 0, bad, ok, 0]
-    counts, drops = h.count_values(slots, 1, 16, 9)
+    counts, drops = h.count_values(slots, {1: ok})
     assert counts == {1: 2}
     assert drops == 1
 
 
 def test_count_values_empty_database():
-    assert h.count_values([0] * 32, 1, 16, 0) == ({}, 0)
+    assert h.count_values([0] * 32, {1: h.encode_message(1, binary_config())}) == ({}, 0)
 
 
 def test_count_values_collision_of_distinct_messages_is_dropped():
     config = binary_config(id_bits=3, n=8)
     a = h.encode_message(3, config)
     b = h.encode_message(5, config)
-    counts, drops = h.count_values([a ^ b, a, b], 3, 16, 0)
+    counts, drops = h.count_values([a ^ b, a, b], {3: a, 5: b})
     assert counts == {3: 1, 5: 1}
     assert drops == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="CHANGES.md FOUND note on harness.checksum: the truncated CRC-32 is "
+    "affine over XOR, so the messages of 1, 2 and 4 XOR to the message of 7",
+)
+def test_odd_collision_onto_a_domain_id_is_a_drop():
+    config = binary_config(
+        mech=mech.TwoRoundMultiParams(pi_s=0.2, pi_v=0.5), id_bits=3, domain=(1, 2, 4, 7)
+    )
+    messages = dict(zip(config.value_ids, config.messages))
+    garbage = messages[1] ^ messages[2] ^ messages[4]
+    assert h.count_values([garbage], messages) == ({}, 1)
 
 
 @given(st.lists(st.sampled_from([0, 1, 2, 3]), min_size=0, max_size=40))
@@ -111,7 +126,7 @@ def test_count_values_matches_multiset_without_collisions(ids):
     # one write per slot: counting is exactly the multiset of encoded IDs
     config = binary_config(id_bits=2, n=8)
     slots = [h.encode_message(i, config) for i in ids]
-    counts, drops = h.count_values(slots, 2, 16, 0)
+    counts, drops = h.count_values(slots, {i: h.encode_message(i, config) for i in range(4)})
     assert drops == 0
     expected = {}
     for i in ids:
@@ -433,13 +448,6 @@ def test_colliding_writes_agree_across_modes():
     assert all(d > 0 for d in free.diagnostics.collision_drops)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="CHANGES.md FOUND note on harness.checksum: a truncated CRC-32 is "
-    "affine over XOR, so an odd number of distinct messages in one slot can "
-    "XOR to a message with a valid checksum, counted as an ID outside the domain",
-)
 @pytest.mark.parametrize("master_seed", [1, 2])
 def test_colliding_writes_count_only_domain_ids(master_seed):
     config = binary_config(
@@ -455,6 +463,24 @@ def test_colliding_writes_count_only_domain_ids(master_seed):
     result = h.run_epoch(pop, config, crypto=False)
     for counts in result.counts:
         assert set(counts) <= set(config.domain), counts
+
+
+def test_ids_wider_than_32_bits_count_in_both_modes():
+    # 40-bit IDs with 16 checksum bits: 56-bit slot messages
+    config = binary_config(
+        mech=mech.TwoRoundMultiParams(pi_s=0.3, pi_v=0.1),
+        id_bits=40,
+        n=8,
+        domain=(1, 2**35),
+    )
+    pop = h.generate_population(
+        {"total": 40, "groups": {"1": 15, str(2**35): 15}}, np.random.default_rng(2)
+    )
+    free = h.run_epoch(pop, config, crypto=False)
+    full = h.run_epoch(pop, config, crypto=True)
+    assert full.to_json_bytes() == free.to_json_bytes()
+    for counts in free.counts:
+        assert set(counts) == {1, 2**35}
 
 
 def test_slot_choices_are_uniform():
@@ -515,6 +541,37 @@ def test_duplicate_submissions_are_ignored():
     assert second.counts == first.counts
     assert second.diagnostics.duplicate_submissions == 30
     assert second.diagnostics.participants == 30
+
+
+def test_duplicate_crypto_submissions_are_ignored():
+    config = binary_config()
+    claims = config.mech.claims(
+        h.generate_population({"total": 30, "yes": 6}, np.random.default_rng(0)),
+        config.value_ids,
+        derived_stream(config.master_seed, 0),
+    )
+    plan = h.plan_writes(claims, config, derived_stream(config.master_seed, 1))
+    chunk = h.build_chunk(
+        plan,
+        config,
+        derived_stream(config.master_seed, 2),
+        derived_stream(config.master_seed, 3),
+        crypto=True,
+        two_row_owners=frozenset({4}),
+    )
+
+    once = h.EpochCollector(config, crypto=True)
+    once.submit(chunk)
+    twice = h.EpochCollector(config, crypto=True)
+    twice.submit(chunk)
+    twice.submit(chunk)
+
+    first = once.finalize()
+    second = twice.finalize()
+    assert second.databases == first.databases
+    assert second.counts == first.counts
+    assert second.diagnostics.duplicate_submissions == len(chunk.owner_ids) == 30
+    assert second.diagnostics.rejected_owner_ids == (4,)
 
 
 def test_below_threshold_halts_without_release():

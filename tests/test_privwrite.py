@@ -227,6 +227,12 @@ def test_fss_single_row_geometry():
     assert full_reconstruction(keys) == pw.unit_write(11, 1, 16, 1)
 
 
+def evaluated_row(key, row):
+    """One party's expansion of one row, read from a batch-of-one evaluation."""
+    rows = pw.fss_evaluate_batch([key], [0], 1)[0]
+    return BitString.from_bytes(rows[row].tobytes(), key.params.row_bits)
+
+
 def test_fss_row_xor_is_one_hot_only_at_written_row():
     params = pw.FssParams(n=6, parties=3, m=3)
     rng = np.random.default_rng(17)
@@ -234,7 +240,7 @@ def test_fss_row_xor_is_one_hot_only_at_written_row():
     keys = pw.fss_gen(pw.PointFunction(a, b), params, rng)
     gamma, delta = divmod(a, params.mu)
     for row in range(params.nu):
-        combined = xor_all([pw.fss_eval_row(k, row) for k in keys])
+        combined = xor_all([evaluated_row(k, row) for k in keys])
         if row == gamma:
             assert combined == pw.unit_write(delta, b, params.mu, params.m)
         else:
@@ -251,7 +257,7 @@ def test_fss_unheld_row_evaluates_to_zero():
     for key in keys:
         for row in range(params.nu):
             if all(s == b"\x00" * 16 for s in key.sigma[row]):
-                assert pw.fss_eval_row(key, row) == BitString.zeros(params.row_bits)
+                assert evaluated_row(key, row) == BitString.zeros(params.row_bits)
                 found = True
     assert found, "expected at least one seedless (party, row) pair at p=2"
 
