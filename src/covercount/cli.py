@@ -161,6 +161,10 @@ def _normalize_population(block: dict) -> dict:
     elif not isinstance(block["groups"], dict):
         raise ConfigError("population.groups must be a JSON object")
     else:
+        # one spelling per value, so "01" and "1" cannot name the same group
+        bad = [k for k in map(str, block["groups"]) if not (k.isdecimal() and str(int(k)) == k)]
+        if bad:
+            raise ConfigError(f"population.groups keys must be plain decimal integers, got {bad}")
         out["groups"] = {
             str(v): _int(c, f"population.groups.{v}")
             for v, c in sorted((int(v), c) for v, c in block["groups"].items())
@@ -343,7 +347,7 @@ def _statistical_trial(
     return dict(zip(value_ids, params.estimate(counts, len(population))))
 
 
-def _run_trial(task: tuple) -> tuple[dict[int, float] | None, dict | None]:
+def _run_trial(task: tuple) -> tuple[dict[int, float] | None, h.EpochDiagnostics | None]:
     """One trial, picklable for worker pools: returns (estimates, epoch
     diagnostics). Estimates are None when the epoch halted."""
     experiment, population, trial_seed = task
@@ -352,7 +356,7 @@ def _run_trial(task: tuple) -> tuple[dict[int, float] | None, dict | None]:
         return _statistical_trial(population, experiment, rng), None
     config = replace(experiment.epoch, master_seed=trial_seed)
     result = h.run_epoch(population, config, crypto=experiment.mode == "crypto")
-    return (None if result.halted else result.estimates), result.diagnostics.as_dict()
+    return (None if result.halted else result.estimates), result.diagnostics
 
 
 def run_experiment(
@@ -389,9 +393,9 @@ def run_experiment(
     }
     for index, (trial_estimates, diag) in enumerate(outcomes):
         if diag is not None:
-            diagnostics["rejected_submissions"] += diag["rejected_submissions"]
-            diagnostics["duplicate_submissions"] += diag["duplicate_submissions"]
-            for r, d in enumerate(diag["collision_drops"]):
+            diagnostics["rejected_submissions"] += diag.rejected_submissions
+            diagnostics["duplicate_submissions"] += diag.duplicate_submissions
+            for r, d in enumerate(diag.collision_drops):
                 diagnostics["collision_drops"][r] += d
         if trial_estimates is None:
             diagnostics["halted_trials"] += 1

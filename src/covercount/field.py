@@ -152,10 +152,6 @@ class BitString:
         raise AttributeError(f"BitString is immutable ({name})")
 
     @classmethod
-    def zeros(cls, length: int) -> "BitString":
-        return cls(0, length)
-
-    @classmethod
     def random(cls, length: int, rng: np.random.Generator) -> "BitString":
         nbytes = (length + 7) // 8
         if nbytes == 0:
@@ -192,17 +188,6 @@ class BitString:
             raise LengthError(f"cannot xor {self.length} bits with {other.length} bits")
         return BitString(self.value ^ other.value, self.length)
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError("bit index out of range")
-        return (self.value >> (self.length - 1 - i)) & 1
-
-    def extract(self, offset: int, width: int) -> int:
-        """Int value of bits [offset, offset + width), MSB first."""
-        if width < 0 or offset < 0 or offset + width > self.length:
-            raise IndexError("extract window out of range")
-        return (self.value >> (self.length - offset - width)) & ((1 << width) - 1)
-
     def split_fields(self, width: int) -> np.ndarray:
         """Split into consecutive ``width``-bit fields, MSB first, as a uint64
         array; ``width`` is at most 64 and must divide the length."""
@@ -226,10 +211,5 @@ class BitString:
         bits = np.unpackbits(fields.astype(">u8").view(np.uint8)).reshape(-1, 64)
         return cls.from_bytes(np.packbits(bits[:, 64 - width :]).tobytes(), fields.size * width)
 
-    def to01(self) -> str:
-        return format(self.value, f"0{self.length}b") if self.length else ""
-
     def __repr__(self) -> str:
-        if self.length <= 64:
-            return f"BitString({self.to01()!r})"
-        return f"BitString(<{self.length} bits>)"
+        return f"BitString({self.value:#x}, {self.length})"

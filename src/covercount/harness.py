@@ -9,9 +9,9 @@ estimator.
 
 The write plan is columnar (:class:`WritePlan`): one array each for owner,
 round, value index and slot, ordered by owner, then round, then value in
-domain order. A submission chunk is a slice of the plan covering 256
-owners, and chunk building, verification and accumulation read its columns;
-``PlannedWrite`` records exist only for readers that iterate a plan.
+domain order. A submission chunk is a slice of the plan, and chunk
+building, verification and accumulation read its columns; ``PlannedWrite``
+records exist only for readers that iterate a plan.
 Verification uses square blinding, the one kind that accepts the all-zero
 indicator of a null write and rejects a two-slot indicator for any number
 of parties.
@@ -30,10 +30,13 @@ per owner counts in an epoch.
 
 Determinism: all randomness inside :func:`run_epoch` derives from
 ``config.master_seed`` through four named child streams (privatize, slots,
-key material, verification). The crypto-free mode consumes the first two
-streams identically and skips the other two, so its reconstructed
-databases, and therefore counts and estimates, are bit-identical to the
-full run; it exists to make large sweeps affordable.
+key material, verification). Keys are drawn write by write, the
+verification stream one array per 256-owner chunk, so that chunk size is
+part of the crypto stream contract. The crypto-free mode consumes the
+first two streams identically, skips the other two and submits its plan
+as one chunk, so its reconstructed databases, and therefore counts and
+estimates, are bit-identical to the full run; it exists to make large
+sweeps affordable.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import hashlib
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -324,17 +327,6 @@ class EpochDiagnostics:
     writes_per_round: tuple[int, ...] = ()
     collision_drops: tuple[int, ...] = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "participants": self.participants,
-            "accepted": self.accepted,
-            "rejected_submissions": self.rejected_submissions,
-            "rejected_owner_ids": list(self.rejected_owner_ids),
-            "duplicate_submissions": self.duplicate_submissions,
-            "writes_per_round": list(self.writes_per_round),
-            "collision_drops": list(self.collision_drops),
-        }
-
 
 @dataclass
 class EpochResult:
@@ -371,7 +363,7 @@ class EpochResult:
             "databases_sha256": [
                 hashlib.sha256(db.to_bytes()).hexdigest() for db in self.databases
             ],
-            "diagnostics": self.diagnostics.as_dict(),
+            "diagnostics": asdict(self.diagnostics),
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
@@ -541,24 +533,24 @@ def run_epoch(
 ) -> EpochResult:
     """Simulate one epoch end to end; deterministic in ``config.master_seed``.
 
-    ``attackers`` are owner indices that submit a two-row write (crypto mode
-    only); the pipeline is expected to exclude and flag them.
+    ``attackers`` are owner indices that submit a two-row write; the pipeline
+    is expected to exclude and flag them. :func:`build_chunk` raises
+    ``ValueError`` for them in crypto-free mode, which has no verification.
     """
     population = np.asarray(population)
     if population.size == 0:
         raise PopulationSpecError("population must be nonempty")
     two_row = frozenset(int(a) for a in attackers)
-    if two_row and not crypto:
-        raise ValueError("two-row writers need the verification layer")
     out_of_range = [a for a in two_row if not 0 <= a < population.size]
     if out_of_range:
         raise ValueError(f"attacker indices out of range: {sorted(out_of_range)}")
     rngs = _streams(config.master_seed)
     claims = config.mech.claims(population, config.value_ids, rngs["privatize"])
     plan = plan_writes(claims, config, rngs["slots"])
-    # every owner makes at least one write per round, so each chunk of
-    # _CHUNK_OWNERS consecutive owners is nonempty
-    owner_starts = np.arange(0, population.size + _CHUNK_OWNERS, _CHUNK_OWNERS)
+    # a crypto-free chunk draws nothing, so its plan is one chunk; every
+    # owner makes at least one write per round, so no chunk is empty
+    step = _CHUNK_OWNERS if crypto else population.size
+    owner_starts = np.arange(0, population.size + step, step)
     bounds = np.searchsorted(plan.owner, owner_starts).tolist()
     collector = EpochCollector(config, crypto=crypto)
     for start, stop in zip(bounds, bounds[1:]):

@@ -109,8 +109,8 @@ def _binary_truths(truths: np.ndarray) -> np.ndarray:
 
 
 def _binary_claims(*rounds: np.ndarray) -> np.ndarray:
-    """Per-round 0/1 answers as a (rounds, owners, 1) claim matrix."""
-    return np.stack(rounds)[:, :, None] == 1
+    """Per-round bool answers as a (rounds, owners, 1) claim matrix."""
+    return np.stack(rounds)[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -287,7 +287,7 @@ def rr_privatize_population(
     truths = np.asarray(truths)
     u = rng.random(len(truths))
     thresholds = np.where(truths == 1, params.yes_rate, params.chaff_yes_rate)
-    return (u < thresholds).astype(np.int64)
+    return u < thresholds
 
 
 def rr_estimate(private_sum: float, total: int, params: RrParams) -> float:
@@ -357,8 +357,8 @@ def two_round_binary(
 
 
 class BinaryRounds(NamedTuple):
-    """Vectorized binary responses: abstainers have ``round2 == 0`` and are
-    flagged by ``sampled``."""
+    """Vectorized binary responses as bool arrays: abstainers have
+    ``round2`` False and are flagged by ``sampled``."""
 
     round1: np.ndarray
     round2: np.ndarray
@@ -372,11 +372,8 @@ def two_round_binary_population(
     u = rng.random(len(truths))
     sampled = u < params.pi_s
     chaff = (~sampled) & (u < params.pi_s + params.pi_yes)
-    round1 = np.where(sampled, truths == 1, chaff)
-    round2 = np.where(sampled, False, chaff)
-    return BinaryRounds(
-        round1.astype(np.int64), round2.astype(np.int64), sampled
-    )
+    # chaff excludes the sampled owners, who abstain in round two
+    return BinaryRounds(np.where(sampled, truths == 1, chaff), chaff, sampled)
 
 
 def two_round_estimate(sum1: float, sum2: float, pi_s: float) -> float:
@@ -524,9 +521,7 @@ def calibrated_population(
     u = rng.random((len(truths), 2))
     r1 = np.where(truths == 1, params.pi_s_yes_1, params.pi_s_no_1)
     r2 = np.where(truths == 1, params.pi_s_yes_2, params.pi_s_no_2)
-    return CalibratedRounds(
-        (u[:, 0] < r1).astype(np.int64), (u[:, 1] < r2).astype(np.int64)
-    )
+    return CalibratedRounds(u[:, 0] < r1, u[:, 1] < r2)
 
 
 def calibrated_estimate(sum1: float, sum2: float, params: CalibratedParams) -> float:

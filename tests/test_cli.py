@@ -162,6 +162,23 @@ def test_non_integral_config_numbers_exit_2(tmp_path, capsys, config, override, 
 
 
 @pytest.mark.parametrize(
+    "groups",
+    [{"1": 95, "01": 40, "2": 67}, {"1": 95, " 1": 40}, {"x": 3, "2": 67}],
+    ids=["leading-zero", "leading-space", "not-an-integer"],
+)
+def test_population_group_keys_must_be_plain_integers(tmp_path, capsys, groups):
+    # "01" and " 1" used to be merged into group 1, and "x" failed with a
+    # bare int() message
+    raw = json.loads((CONFIGS / "group_counts_multi.json").read_text())
+    raw["population"]["groups"] = groups
+    out = tmp_path / "out"
+    args = ["simulate", "--config", write_config(tmp_path, raw), "--out-dir", str(out)]
+    assert cli.main(args) == 2
+    assert "population.groups" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
     "override", ["epoch.fss.lam=256", "epoch.fss.lam=64", "epoch.fss.nu=2", "epoch.fss.nu=0"]
 )
 def test_fss_lam_and_nu_take_only_their_fixed_values(tmp_path, capsys, override):
@@ -293,12 +310,20 @@ def test_simulate_epoch_modes_agree(tmp_path):
 
 
 def test_simulate_worker_pool_matches_serial(tmp_path):
-    config = write_config(tmp_path, base_config(trials=3))
-    out1, out2 = tmp_path / "serial", tmp_path / "pool"
-    cli.main(["simulate", "--config", config, "--out-dir", str(out1)])
-    cli.main(["simulate", "--config", config, "--workers", "2", "--out-dir", str(out2)])
-    assert (out1 / "trials.csv").read_bytes() == (out2 / "trials.csv").read_bytes()
-    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+    # statistical trials, and crypto-free epochs whose diagnostics cross the
+    # pool: the shipped multi-value config collides in every trial
+    multi = json.loads((CONFIGS / "group_counts_multi.json").read_text())
+    multi.update(mode="cryptofree", trials=3)
+    for name, raw in (("statistical", base_config(trials=3)), ("cryptofree", multi)):
+        config = write_config(tmp_path, raw, f"{name}.json")
+        out1, out2 = tmp_path / name / "serial", tmp_path / name / "pool"
+        assert cli.main(["simulate", "--config", config, "--out-dir", str(out1)]) == 0
+        args = ["simulate", "--config", config, "--workers", "2", "--out-dir", str(out2)]
+        assert cli.main(args) == 0
+        assert (out1 / "trials.csv").read_bytes() == (out2 / "trials.csv").read_bytes()
+        assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+    drops = json.loads((out1 / "summary.json").read_text())["diagnostics"]["collision_drops"]
+    assert all(d > 0 for d in drops)
 
 
 def test_simulate_halted_trials_are_summarized_not_rowed(tmp_path):

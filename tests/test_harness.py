@@ -147,7 +147,7 @@ def test_reconstruct_xors_party_accumulators():
 
 def test_reconstruct_rejects_mismatched_lengths():
     with pytest.raises(ProtocolAbortError):
-        h.reconstruct([BitString.zeros(34), BitString.zeros(17)])
+        h.reconstruct([BitString(0, 34), BitString(0, 17)])
 
 
 def test_reconstruct_rejects_no_parties():
@@ -358,7 +358,7 @@ def test_abstentions_still_produce_traffic():
 def test_writes_per_round_counts_every_owner_each_round():
     config = binary_config(master_seed=23)
     pop = h.generate_population({"total": 600, "yes": 60}, np.random.default_rng(5))
-    result = h.run_epoch(pop, config, crypto=False)  # spans multiple chunks
+    result = h.run_epoch(pop, config, crypto=False)
     assert result.diagnostics.writes_per_round == (600, 600)
     assert result.diagnostics.participants == 600
 
@@ -407,8 +407,9 @@ def test_wide_row_crypto_epoch_digest():
 
 
 def test_crypto_and_crypto_free_agree_exactly():
+    # 600 owners: three 256-owner crypto chunks against one crypto-free chunk
     config = binary_config(master_seed=11)
-    pop = h.generate_population({"total": 60, "yes": 9}, np.random.default_rng(0))
+    pop = h.generate_population({"total": 600, "yes": 90}, np.random.default_rng(0))
     free = h.run_epoch(pop, config, crypto=False)
     full = h.run_epoch(pop, config, crypto=True)
     assert full.databases == free.databases
@@ -681,7 +682,7 @@ def test_two_row_writer_with_several_writes_per_round_is_the_only_rejection():
 def test_attackers_require_the_verification_layer():
     config = binary_config()
     pop = h.generate_population({"total": 10, "yes": 2}, np.random.default_rng(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="verification layer"):
         h.run_epoch(pop, config, crypto=False, attackers=[1])
     with pytest.raises(ValueError):
         h.run_epoch(pop, config, crypto=True, attackers=[99])
