@@ -127,54 +127,15 @@ class Experiment:
         return out
 
 
-def _check_keys(block: dict, allowed: set, where: str) -> None:
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-
-
-def _int(value, key: str) -> int:
-    """A JSON integer. Fractions, booleans and strings are errors rather
-    than truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def _number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     return float(value)
 
 
-def _normalize_population(block: dict) -> dict:
-    _check_keys(block, {"total", "yes", "groups"}, "population")
-    if "total" not in block:
-        raise ConfigError("population needs a total")
-    if ("yes" in block) == ("groups" in block):
-        raise ConfigError("population needs exactly one of 'yes' or 'groups'")
-    out = {"total": _int(block["total"], "population.total")}
-    if "yes" in block:
-        out["yes"] = _int(block["yes"], "population.yes")
-    elif not isinstance(block["groups"], dict):
-        raise ConfigError("population.groups must be a JSON object")
-    else:
-        # one spelling per value, so "01" and "1" cannot name the same group
-        bad = [k for k in map(str, block["groups"]) if not (k.isdecimal() and str(int(k)) == k)]
-        if bad:
-            raise ConfigError(f"population.groups keys must be plain decimal integers, got {bad}")
-        out["groups"] = {
-            str(v): _int(c, f"population.groups.{v}")
-            for v, c in sorted((int(v), c) for v, c in block["groups"].items())
-        }
-    return out
-
-
 def parse_experiment(raw: dict) -> Experiment:
     """Validate a raw config dict; every layer's preconditions run here."""
-    _check_keys(
+    h.check_keys(
         raw,
         {"mechanism", "population", "dataset", "epoch", "domain", "mode", "trials", "seed"},
         "config",
@@ -205,7 +166,7 @@ def parse_experiment(raw: dict) -> Experiment:
     )
 
     eblock = raw["epoch"]
-    _check_keys(
+    h.check_keys(
         eblock,
         {"parties", "k_threshold", "id_bits", "checksum_bits", "blinding_kind", "epoch_id", "fss"},
         "epoch",
@@ -216,27 +177,27 @@ def parse_experiment(raw: dict) -> Experiment:
     if eblock.get("blinding_kind", "square") != "square":
         raise ConfigError("epochs verify with square blinding only")
     fblock = eblock["fss"]
-    _check_keys(fblock, {"n", "lam", "mu", "nu"}, "fss")
+    h.check_keys(fblock, {"n", "lam", "mu", "nu"}, "fss")
     if "n" not in fblock:
         raise ConfigError("fss config needs 'n'")
-    if _int(fblock.get("lam", 128), "epoch.fss.lam") != 128:
+    if h.strict_int(fblock.get("lam", 128), "epoch.fss.lam") != 128:
         raise ConfigError("epoch.fss.lam must be 128: keys use 128-bit seeds")
     domain = raw.get("domain")
     if domain is not None and not isinstance(domain, list):
         raise ConfigError("domain must be a JSON list")
     epoch = h.EpochConfig(
-        parties=_int(eblock["parties"], "epoch.parties"),
-        k_threshold=_int(eblock["k_threshold"], "epoch.k_threshold"),
-        n=_int(fblock["n"], "epoch.fss.n"),
-        mu=None if fblock.get("mu") is None else _int(fblock["mu"], "epoch.fss.mu"),
+        parties=h.strict_int(eblock["parties"], "epoch.parties"),
+        k_threshold=h.strict_int(eblock["k_threshold"], "epoch.k_threshold"),
+        n=h.strict_int(fblock["n"], "epoch.fss.n"),
+        mu=None if fblock.get("mu") is None else h.strict_int(fblock["mu"], "epoch.fss.mu"),
         mech=mechanism,
-        id_bits=_int(eblock["id_bits"], "epoch.id_bits"),
-        checksum_bits=_int(eblock.get("checksum_bits", 16), "epoch.checksum_bits"),
-        domain=None if domain is None else tuple(_int(v, "domain") for v in domain),
-        epoch_id=_int(eblock.get("epoch_id", 0), "epoch.epoch_id"),
+        id_bits=h.strict_int(eblock["id_bits"], "epoch.id_bits"),
+        checksum_bits=h.strict_int(eblock.get("checksum_bits", 16), "epoch.checksum_bits"),
+        domain=None if domain is None else tuple(h.strict_int(v, "domain") for v in domain),
+        epoch_id=h.strict_int(eblock.get("epoch_id", 0), "epoch.epoch_id"),
     )
     nu = fblock.get("nu")
-    if nu is not None and _int(nu, "epoch.fss.nu") != epoch.fss.nu:
+    if nu is not None and h.strict_int(nu, "epoch.fss.nu") != epoch.fss.nu:
         raise ConfigError(
             f"epoch.fss.nu must be null or {epoch.fss.nu}, the rows of "
             f"{epoch.fss.mu} slots that cover 2^{epoch.n} slots"
@@ -245,20 +206,16 @@ def parse_experiment(raw: dict) -> Experiment:
     mode = raw.get("mode", "cryptofree")
     if mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
-    trials = _int(raw.get("trials", 1), "trials")
+    trials = h.strict_int(raw.get("trials", 1), "trials")
     if trials < 1:
         raise ConfigError("trials must be at least 1")
-    seed = _int(raw.get("seed", 0), "seed")
+    seed = h.strict_int(raw.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError("seed must be non-negative")
 
-    population = None
-    dataset = None
     if "population" in raw:
-        population = _normalize_population(raw["population"])
-    else:
-        dataset = str(raw["dataset"])
-    return Experiment(population, dataset, epoch, mode, trials, seed)
+        return Experiment(h.normalize_population(raw["population"]), None, epoch, mode, trials, seed)
+    return Experiment(None, str(raw["dataset"]), epoch, mode, trials, seed)
 
 
 def load_config(path: str, overrides: list[str]) -> Experiment:
@@ -267,6 +224,8 @@ def load_config(path: str, overrides: list[str]) -> Experiment:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     for spec in overrides:
         apply_override(raw, spec)
     return parse_experiment(raw)
@@ -314,7 +273,12 @@ def load_dataset(path: str, experiment: Experiment) -> np.ndarray:
             if row["owner_id"] in owners:
                 raise ConfigError(f"duplicate owner_id {row['owner_id']!r} in {path}")
             owners.add(row["owner_id"])
-            values.append(int(row["value"]))
+            try:
+                values.append(int(row["value"]))
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"{path} line {reader.line_num}: value must be an integer, got {row['value']!r}"
+                ) from None
     if not values:
         raise ConfigError(f"{path} contains no rows")
     truths = np.array(values, dtype=np.int64)

@@ -45,9 +45,9 @@ class ProtocolAbortError(CoverCountError):
     """Reconstruction cannot proceed (missing party or mismatched accumulators)."""
 
 
-class PopulationSpecError(CoverCountError):
-    """A synthetic population description is inconsistent."""
-
-
 class ConfigError(CoverCountError):
     """An experiment configuration file is invalid."""
+
+
+class PopulationSpecError(ConfigError):
+    """A synthetic population description is inconsistent."""

@@ -173,55 +173,87 @@ def count_values(slots: np.ndarray, messages: dict[int, int]) -> tuple[dict[int,
     return counts, drops
 
 
-def reconstruct(party_accumulators: Sequence[BitString | np.ndarray]) -> BitString | np.ndarray:
-    """XOR the parties' accumulators, bitstrings or arrays, into the round databases."""
+def reconstruct(party_accumulators: Sequence[np.ndarray]) -> np.ndarray:
+    """XOR the parties' accumulator arrays into the round databases."""
     if not party_accumulators:
         raise ProtocolAbortError("no party accumulators to combine")
-    combined = party_accumulators[0]
-    for acc in party_accumulators[1:]:
-        if len(acc) != len(combined):
-            raise ProtocolAbortError("party accumulators differ in length")
-        combined = combined ^ acc
-    return combined
+    if len({acc.shape for acc in party_accumulators}) > 1:
+        raise ProtocolAbortError("party accumulators differ in shape")
+    return np.bitwise_xor.reduce(party_accumulators)
+
+
+def check_keys(block, allowed: set, where: str, error: type[ConfigError] = ConfigError) -> None:
+    """``block`` is a JSON object with keys from ``allowed``."""
+    if not isinstance(block, dict):
+        raise error(f"{where} must be a JSON object")
+    unknown = set(block) - allowed
+    if unknown:
+        raise error(f"unknown {where} keys: {sorted(unknown, key=str)}")
+
+
+def strict_int(value, key: str, error: type[ConfigError] = ConfigError) -> int:
+    """A JSON integer, named ``key`` in the error. Fractions, booleans and
+    strings are errors rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def normalize_population(spec: dict) -> dict:
+    """Validate a population shape; returns it with the group keys as decimal
+    strings sorted by value, the form ``summary.json`` records.
+
+    ``{"total": N, "yes": Y}`` asks for Y Yes owners out of N, and
+    ``{"total": N, "groups": {value: count, ...}}`` for ``count`` owners of
+    each value. A value is a non-negative int or its plain decimal string,
+    so "01" and "1" cannot name one group, and every count a strict integer.
+    """
+    check_keys(spec, {"total", "yes", "groups"}, "population", PopulationSpecError)
+    if "total" not in spec or ("yes" in spec) == ("groups" in spec):
+        raise PopulationSpecError("population needs a total and exactly one of 'yes' or 'groups'")
+    total = strict_int(spec["total"], "population.total", PopulationSpecError)
+    if total < 1:
+        raise PopulationSpecError("population.total must be at least 1")
+    if "yes" in spec:
+        yes = strict_int(spec["yes"], "population.yes", PopulationSpecError)
+        if not 0 <= yes <= total:
+            raise PopulationSpecError("population.yes must be within [0, population.total]")
+        return {"total": total, "yes": yes}
+    if not isinstance(spec["groups"], dict):
+        raise PopulationSpecError("population.groups must be a JSON object")
+    groups: dict[int, int] = {}
+    for key, count in spec["groups"].items():
+        value = int(key) if isinstance(key, str) and key.isdecimal() else key
+        if type(value) is not int or value < 0 or str(value) != str(key) or value in groups:
+            raise PopulationSpecError(
+                f"population.groups keys must name distinct values in plain decimal, got {key!r}"
+            )
+        groups[value] = strict_int(count, f"population.groups.{key}", PopulationSpecError)
+    if min(groups.values(), default=0) < 0 or sum(groups.values()) > total:
+        raise PopulationSpecError(
+            "population.groups counts must be non-negative and sum to at most population.total"
+        )
+    return {"total": total, "groups": {str(v): groups[v] for v in sorted(groups)}}
 
 
 def generate_population(spec: dict, rng: np.random.Generator) -> np.ndarray:
-    """Owner truth assignments from a population shape.
+    """Owner truth assignments from a population shape
+    (:func:`normalize_population`).
 
-    ``{"total": N, "yes": Y}`` yields a 0/1 array with Y ones;
-    ``{"total": N, "groups": {value: count, ...}}`` yields value IDs with
-    the unassigned remainder marked absent (-1). Order is shuffled so that
-    owner index carries no information.
+    A ``yes`` shape yields a 0/1 array with Y ones; a ``groups`` shape
+    yields value IDs with the unassigned remainder marked absent (-1). Order
+    is shuffled so that owner index carries no information.
     """
-    if "total" not in spec:
-        raise PopulationSpecError("population spec needs a total")
-    total = int(spec["total"])
-    if total < 1:
-        raise PopulationSpecError("population must be nonempty")
-    extra = set(spec) - {"total", "yes", "groups"}
-    if extra:
-        raise PopulationSpecError(f"unknown population keys {sorted(extra)}")
-    if ("yes" in spec) == ("groups" in spec):
-        raise PopulationSpecError("specify exactly one of 'yes' or 'groups'")
+    spec = normalize_population(spec)
     if "yes" in spec:
-        yes = int(spec["yes"])
-        if not 0 <= yes <= total:
-            raise PopulationSpecError("yes count must be within the total")
-        truths = np.zeros(total, dtype=np.int64)
-        truths[:yes] = 1
+        truths = np.zeros(spec["total"], dtype=np.int64)
+        truths[: spec["yes"]] = 1
     else:
-        groups = {int(v): int(c) for v, c in spec["groups"].items()}
-        if any(c < 0 for c in groups.values()):
-            raise PopulationSpecError("group counts must be non-negative")
-        if any(v < 0 for v in groups):
-            raise PopulationSpecError("group values must be non-negative")
-        if sum(groups.values()) > total:
-            raise PopulationSpecError("group counts exceed the total")
-        truths = np.full(total, _ABSENT, dtype=np.int64)
+        truths = np.full(spec["total"], _ABSENT, dtype=np.int64)
         pos = 0
-        for value in sorted(groups):
-            truths[pos : pos + groups[value]] = value
-            pos += groups[value]
+        for value, count in spec["groups"].items():
+            truths[pos : pos + count] = int(value)
+            pos += count
     return rng.permutation(truths)
 
 

@@ -61,7 +61,6 @@ __all__ = [
     "FssKey",
     "default_mu",
     "default_nu",
-    "prg_expand",
     "unit_write",
     "it_gen",
     "fss_gen",
@@ -71,7 +70,6 @@ __all__ = [
     "fss_eval_naive",
     "key_serialize",
     "key_deserialize",
-    "key_size_bits",
     "key_size_bytes",
 ]
 
@@ -106,20 +104,6 @@ def _prg_rows(seeds: np.ndarray, nbytes: int) -> np.ndarray:
     _ecb().update_into(raw, out)
     raw ^= out[: raw.size].reshape(raw.shape)
     return raw[:, :nbytes]
-
-
-def prg_expand(seed: bytes, out_bits: int) -> BitString:
-    """Expand a 128-bit seed to ``out_bits`` pseudorandom bits.
-
-    The fixed-key PRG of the module docstring; the final block is truncated
-    to the requested length.
-    """
-    if len(seed) != SEED_BYTES:
-        raise ValueError(f"seed must be {SEED_BYTES} bytes, got {len(seed)}")
-    if out_bits < 0:
-        raise ValueError("out_bits must be non-negative")
-    expansion = _prg_rows(np.frombuffer(seed, np.uint8), (out_bits + 7) // 8)[0]
-    return BitString.from_bytes(expansion.tobytes(), out_bits)
 
 
 def unit_write(slot: int, message: int, n_slots: int, m: int) -> BitString:
@@ -394,11 +378,6 @@ def fss_eval_naive(key: FssKey, x: int) -> int:
 
 KEY_FORMAT_VERSION = 2
 _HEADER = struct.Struct("<BBBBHHII")
-
-
-def key_size_bits(params: FssParams) -> int:
-    """Payload size of one key in bits: seeds plus correction words."""
-    return params.nu * params.seeds_per_row * SEED_BITS + params.seeds_per_row * params.row_bits
 
 
 def key_size_bytes(params: FssParams) -> int:

@@ -185,25 +185,6 @@ def check_inverse(s: Sequence[int], modulus: int = MODULUS) -> bool:
 CHECKS = {"square": check_square, "product": check_product, "inverse": check_inverse}
 
 
-def verify_owner(
-    blinded: Sequence[Sequence[int] | None],
-    kind: str,
-    modulus: int = MODULUS,
-) -> bool:
-    """Aggregate one owner's blinded shares and run the kind's check.
-
-    A rejected owner is simply excluded from the epoch; raising is reserved
-    for malformed submissions (a party that never sent its share).
-    """
-    _check_kind(kind)
-    shares = list(blinded)
-    if not shares or any(share is None for share in shares):
-        raise IncompleteSubmissionError("missing a party's blinded share")
-    if any(len(share) != len(shares) for share in shares):
-        raise DimensionError("expected one row per party in each blinded share")
-    return CHECKS[kind](aggregate(shares, modulus), modulus)
-
-
 # ---------------------------------------------------------------------------
 # Batched variants for the epoch pipeline. Layouts: indicator vectors are
 # (owners, columns); additive shares are (parties, owners, columns); one

@@ -200,6 +200,14 @@ def test_messages_wider_than_64_bits_exit_2(tmp_path, capsys):
     assert cli.load_config(path, ["epoch.id_bits=48"]).epoch.message_bits == 64
 
 
+def test_non_object_config_exits_2_with_or_without_overrides(tmp_path, capsys):
+    path = write_config(tmp_path, [1, 2])
+    for overrides in ([], ["--override", "trials=3"]):
+        args = ["simulate", "--config", path, *overrides, "--out-dir", str(tmp_path)]
+        assert cli.main(args) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
+
 def test_override_paths_and_json_values():
     raw = base_config()
     cli.apply_override(raw, "population.total=1000")
@@ -424,6 +432,10 @@ def test_dataset_rejects_duplicates_bad_header_and_wide_values(tmp_path):
         cli.load_dataset(dataset_file(tmp_path, ["a,2"]), exp)  # id_bits is 1
     with pytest.raises(ConfigError):
         cli.load_dataset(dataset_file(tmp_path, []), exp)
+    # a row with no value, and a value that is not an integer
+    for rows in (["a,1", "b"], ["a,1", "b,x"]):
+        with pytest.raises(ConfigError, match=r"owners\.csv line 3"):
+            cli.load_dataset(dataset_file(tmp_path, rows), exp)
 
 
 def test_dataset_drives_simulation(tmp_path):

@@ -26,7 +26,7 @@ from covercount import cli
 from covercount import harness as h
 from covercount import mechanisms as mech
 from covercount.errors import ConfigError, PopulationSpecError, ProtocolAbortError
-from covercount.field import BitString, m61_add
+from covercount.field import m61_add
 from covercount.privwrite import FssParams, default_mu, default_nu, unit_write
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -140,14 +140,22 @@ def test_count_values_matches_multiset_without_collisions(ids):
 
 def test_reconstruct_xors_party_accumulators():
     rng = np.random.default_rng(3)
-    db = BitString.random(6 * 17, rng)
-    share = BitString.random(6 * 17, rng)
-    assert h.reconstruct([share, share ^ db]) == db
+    db = rng.integers(0, 256, size=(2, 1, 64), dtype=np.uint8)
+    shares = [rng.integers(0, 256, size=db.shape, dtype=np.uint8) for _ in range(2)]
+    combined = h.reconstruct([shares[0], shares[1], shares[0] ^ shares[1] ^ db])
+    assert np.array_equal(combined, db)
 
 
 def test_reconstruct_rejects_mismatched_lengths():
     with pytest.raises(ProtocolAbortError):
-        h.reconstruct([BitString(0, 34), BitString(0, 17)])
+        h.reconstruct([np.zeros((2, 1, 512), np.uint8), np.zeros((3, 1, 512), np.uint8)])
+
+
+@pytest.mark.parametrize("other", [(2, 1, 1), (2, 2, 512)])
+def test_reconstruct_rejects_mismatched_shapes(other):
+    # same round count, so these used to XOR by broadcasting
+    with pytest.raises(ProtocolAbortError):
+        h.reconstruct([np.zeros((2, 1, 512), np.uint8), np.zeros(other, np.uint8)])
 
 
 def test_reconstruct_rejects_no_parties():
@@ -195,11 +203,21 @@ def test_population_groups_remainder_is_absent():
         {"total": 10, "groups": {-1: 2}},
         {"total": 10, "groups": {1: -2}},
         {"total": 10, "yes": 5, "extra": 1},
+        {"total": 10, "groups": {"1": 2, "01": 3}},
+        {"total": 10.7, "yes": 3},
+        {"total": 10, "yes": True},
+        {"total": 10, "groups": [1, 2]},
+        {"total": 10, "groups": {"x": 2}},
     ],
 )
 def test_population_rejects_bad_specs(spec):
     with pytest.raises(PopulationSpecError):
         h.generate_population(spec, np.random.default_rng(0))
+    # the CLI applies the same rules
+    raw = json.loads((CONFIGS / "epoch_cryptofree.json").read_text())
+    raw["population"] = spec
+    with pytest.raises(ConfigError):
+        cli.parse_experiment(raw)
 
 
 # -- Config validation ---------------------------------------------------------

@@ -56,13 +56,18 @@ def reference_prg(seed, out_bits):
     return int.from_bytes(out[:nbytes], "big") >> (8 * nbytes - out_bits)
 
 
+def prg(seed, nbytes):
+    """One seed's expansion through the pipeline's batched PRG."""
+    return pw._prg_rows(np.frombuffer(seed, np.uint8), nbytes)[0].tobytes()
+
+
 @pytest.mark.parametrize("out_bits", [0, 7, 128, 1024, 725])
 def test_prg_matches_block_by_block_reference(out_bits):
     rng = np.random.default_rng(out_bits)
+    nbytes = (out_bits + 7) // 8
     for seed in (bytes(range(16)), b"\xff" * 16, rng.bytes(16)):
-        assert pw.prg_expand(seed, out_bits) == BitString(
-            reference_prg(seed, out_bits), out_bits
-        )
+        expansion = int.from_bytes(prg(seed, nbytes), "big") >> (8 * nbytes - out_bits)
+        assert expansion == reference_prg(seed, out_bits)
 
 
 def test_prg_rows_expands_each_seed_alone():
@@ -78,23 +83,22 @@ def test_prg_rows_expands_each_seed_alone():
 
 def test_prg_deterministic_and_truncated():
     seed = bytes(range(16))
-    a = pw.prg_expand(seed, 725)
-    assert a == pw.prg_expand(seed, 725)
-    assert len(a) == 725
+    a = prg(seed, 91)
+    assert a == prg(seed, 91)
+    assert len(a) == 91
     # a longer expansion of the same seed starts with the shorter one
-    b = pw.prg_expand(seed, 1024)
-    assert b.value >> (1024 - 725) == a.value
+    assert prg(seed, 128)[:91] == a
 
 
 def test_prg_distinct_seeds_disagree():
     rng = np.random.default_rng(1)
-    outs = {pw.prg_expand(rng.bytes(16), 128).value for _ in range(200)}
+    outs = {prg(rng.bytes(16), 16) for _ in range(200)}
     assert len(outs) == 200
 
 
 def test_prg_rejects_bad_seed_length():
     with pytest.raises(ValueError):
-        pw.prg_expand(b"\x00" * 8, 64)
+        pw._prg_rows(np.zeros(8, np.uint8), 8)
 
 
 # -- information-theoretic scheme ---------------------------------------------
@@ -289,7 +293,7 @@ def test_fss_naive_matches_optimized():
 
 
 def reference_rows(key):
-    """One key's row expansions, rebuilt seed by seed from ``prg_expand``
+    """One key's row expansions, rebuilt seed by seed from ``reference_prg``
     and the wire words: each held seed's expansion XOR its column's word."""
     params = key.params
     nbytes = params.row_bytes
@@ -302,7 +306,7 @@ def reference_rows(key):
         acc = BitString(0, params.row_bits)
         for seed, word in zip(seeds, words):
             if seed != b"\x00" * 16:
-                acc ^= pw.prg_expand(seed, params.row_bits) ^ word
+                acc ^= BitString(reference_prg(seed, params.row_bits), params.row_bits) ^ word
         rows.append(acc)
     return rows
 
@@ -451,7 +455,8 @@ def test_key_size_formula_frozen_reference():
     #   payload bits = 181*4*128 + 4*725 = 95,572
     #   serialized   = 16 + 181*4*16 + 4*91 = 11,964 bytes
     params = pw.FssParams(n=17, parties=3, m=1)
-    assert pw.key_size_bits(params) == 95572
+    payload_bits = params.nu * params.seeds_per_row * 128 + params.seeds_per_row * params.row_bits
+    assert payload_bits == 95572
     assert pw.key_size_bytes(params) == 11964
 
 
@@ -462,9 +467,9 @@ def test_serialized_length_matches_formula_bit_exactly():
         keys = pw.fss_gen(pw.PointFunction(1, 1), params, rng)
         blob = pw.key_serialize(keys[0])
         assert len(blob) == pw.key_size_bytes(params)
-        sigma_bits = params.nu * params.seeds_per_row * 128
-        word_bits = params.seeds_per_row * params.row_bits
-        assert pw.key_size_bits(params) == sigma_bits + word_bits
+        # the body is the seed slots, then each word padded to whole bytes
+        assert 8 * len(keys[0].seeds) == params.nu * params.seeds_per_row * 128
+        assert len(keys[0].words) == params.seeds_per_row * -(-params.row_bits // 8)
 
 
 @settings(max_examples=25, deadline=None)

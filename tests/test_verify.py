@@ -158,7 +158,8 @@ def test_completeness_one_hot_always_accepts(kind):
         u[rng.integers(0, n)] = 1
         mat = verify.make_blinding(kind, n, parties, rng)
         shares = verify.additive_share(u, parties, rng)
-        assert verify.verify_owner([verify.blind(mat, v) for v in shares], kind)
+        blinded = [verify.blind(mat, v) for v in shares]
+        assert verify.CHECKS[kind](verify.aggregate(blinded))
 
 
 @pytest.mark.parametrize("kind", verify.KINDS)
@@ -173,9 +174,8 @@ def test_soundness_random_non_unit_rejected(kind):
             u[i] = int(rng.integers(1, MODULUS))
         mat = verify.make_blinding(kind, n, parties, rng)
         shares = verify.additive_share(u, parties, rng)
-        rejected += not verify.verify_owner(
-            [verify.blind(mat, v) for v in shares], kind
-        )
+        blinded = [verify.blind(mat, v) for v in shares]
+        rejected += not verify.CHECKS[kind](verify.aggregate(blinded))
     assert rejected >= 999
 
 
@@ -186,7 +186,7 @@ def test_zero_vector_per_kind():
         shares = verify.additive_share([0] * n, parties, rng)
         for kind, expect in (("square", True), ("product", True), ("inverse", False)):
             mat = verify.make_blinding(kind, n, parties, rng)
-            got = verify.verify_owner([verify.blind(mat, v) for v in shares], kind)
+            got = verify.CHECKS[kind](verify.aggregate([verify.blind(mat, v) for v in shares]))
             assert got is expect
 
 
@@ -197,7 +197,8 @@ def test_inflation_value_two_rejected_by_square():
         u[rng.integers(0, 6)] = 2
         mat = verify.make_blinding("square", 6, 3, rng)
         shares = verify.additive_share(u, 3, rng)
-        assert not verify.verify_owner([verify.blind(mat, v) for v in shares], "square")
+        blinded = [verify.blind(mat, v) for v in shares]
+        assert not verify.check_square(verify.aggregate(blinded))
 
 
 def test_outcome_depends_only_on_input_vector():
@@ -209,23 +210,23 @@ def test_outcome_depends_only_on_input_vector():
         shares = verify.additive_share(u, 3, rng)
         blinded = [verify.blind(mat, v) for v in shares]
         aggregates.add(verify.aggregate(blinded))
-        assert verify.verify_owner(blinded, "square")
+        assert verify.check_square(verify.aggregate(blinded))
     assert len(aggregates) == 1
 
 
-def test_verify_owner_malformed_submissions():
+def test_malformed_submissions_raise():
     rng = np.random.default_rng(15)
     mat = verify.make_blinding("square", 4, 3, rng)
     shares = verify.additive_share([0, 1, 0, 0], 3, rng)
     blinded = [verify.blind(mat, v) for v in shares]
     with pytest.raises(IncompleteSubmissionError):
-        verify.verify_owner([blinded[0], None, blinded[2]], "square")
-    with pytest.raises(IncompleteSubmissionError):
-        verify.verify_owner([], "square")
+        verify.aggregate([])
     with pytest.raises(DimensionError):
-        verify.verify_owner(blinded[:2], "square")
+        verify.aggregate([blinded[0], blinded[1][:2], blinded[2]])
+    with pytest.raises(DimensionError):
+        verify.blind(mat, shares[0][:3])
     with pytest.raises(ValueError):
-        verify.verify_owner(blinded, "cube")
+        verify.check_batch(np.array([verify.aggregate(blinded)], np.uint64), "cube")
 
 
 # -- mirror-field exhaustive truth tables ---------------------------------------
