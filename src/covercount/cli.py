@@ -267,21 +267,20 @@ def load_dataset(path: str, experiment: Experiment) -> np.ndarray:
             raise ConfigError(
                 f"{path} must have header 'owner_id,value', got {reader.fieldnames}"
             )
-        owners = set()
-        values = []
+        values: dict[str, int] = {}  # by owner ID
         for row in reader:
-            if row["owner_id"] in owners:
-                raise ConfigError(f"duplicate owner_id {row['owner_id']!r} in {path}")
-            owners.add(row["owner_id"])
-            try:
-                values.append(int(row["value"]))
-            except (TypeError, ValueError):
+            # DictReader files extra fields under None and fills missing ones with None
+            if None in row or not h.plain_decimal(row["value"]):
                 raise ConfigError(
-                    f"{path} line {reader.line_num}: value must be an integer, got {row['value']!r}"
-                ) from None
+                    f"{path} line {reader.line_num}: expected owner_id,value with a plain"
+                    f" decimal value, got {list(row.values())!r}"
+                )
+            if row["owner_id"] in values:
+                raise ConfigError(f"duplicate owner_id {row['owner_id']!r} in {path}")
+            values[row["owner_id"]] = int(row["value"])
     if not values:
         raise ConfigError(f"{path} contains no rows")
-    truths = np.array(values, dtype=np.int64)
+    truths = np.array(list(values.values()), dtype=np.int64)
     config = experiment.epoch
     if (truths < 0).any() or (truths >= (1 << config.id_bits)).any():
         raise ConfigError(f"dataset values must fit {config.id_bits} id bits")

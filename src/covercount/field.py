@@ -6,11 +6,12 @@ verification path can run at a small test modulus; this module holds only
 the vectorized kernels, fixed to the Mersenne prime 2^61 - 1: elements fit
 in a machine word, products fit in two, and reduction is cheap.
 
-``BitString`` is the XOR-group carrier used by the private-write layer. Bits
-are packed most-significant-bit first within each byte and the bit length is
-carried explicitly, so values that are not byte multiples stay well defined.
-Only this module knows how a database packs its ``m``-bit slots, slot 0 first:
-``split_fields`` and ``from_fields`` convert to and from uint64 slot arrays.
+``BitString`` is the XOR-group carrier of released databases. Bits are packed
+most-significant-bit first within each byte and the bit length is carried
+explicitly, so values that are not byte multiples stay well defined. Only this
+module knows how a database packs its ``m``-bit slots, slot 0 first:
+``unpack_fields`` reads uint64 slot arrays off a 0/1 bit array (the FSS
+evaluator's, or ``split_fields``'s), and ``from_fields`` packs them back.
 
 Everything here is simulation-grade: no constant-time guarantees are made.
 """
@@ -130,6 +131,20 @@ def m61_pow(a: np.ndarray, e: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def unpack_fields(bits: np.ndarray, width: int) -> np.ndarray:
+    """Read consecutive ``width``-bit fields, MSB first, off the last axis of
+    a 0/1 uint8 array, as uint64; ``width`` is at most 64 and must divide
+    that axis."""
+    if not 1 <= width <= 64:
+        raise ValueError("width must be in [1, 64]")
+    if bits.shape[-1] % width:
+        raise LengthError(f"{bits.shape[-1]} bits do not split into {width}-bit fields")
+    fields = bits.reshape(*bits.shape[:-1], -1, width)
+    # left-pad each field to 64 bits so packing keeps its value
+    fields = np.pad(fields, [(0, 0)] * (fields.ndim - 1) + [(64 - width, 0)])
+    return np.packbits(fields, axis=-1).view(">u8")[..., 0].astype(np.uint64)
+
+
 class BitString:
     """Immutable bit sequence with an explicit length.
 
@@ -191,14 +206,8 @@ class BitString:
     def split_fields(self, width: int) -> np.ndarray:
         """Split into consecutive ``width``-bit fields, MSB first, as a uint64
         array; ``width`` is at most 64 and must divide the length."""
-        if not 1 <= width <= 64:
-            raise ValueError("width must be in [1, 64]")
-        if self.length % width:
-            raise LengthError(f"{self.length} bits do not split into {width}-bit fields")
         bits = np.unpackbits(np.frombuffer(self.to_bytes(), np.uint8), count=self.length)
-        # left-pad each field to 64 bits so packing keeps its value
-        words = np.packbits(np.pad(bits.reshape(-1, width), ((0, 0), (64 - width, 0))), axis=1)
-        return words.view(">u8").ravel().astype(np.uint64)
+        return unpack_fields(bits, width)
 
     @classmethod
     def from_fields(cls, fields: np.ndarray, width: int) -> "BitString":

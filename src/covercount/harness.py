@@ -17,16 +17,16 @@ indicator of a null write and rejects a two-slot indicator for any number
 of parties.
 
 Databases are anonymous mailboxes: a write XORs ``ID || checksum`` into a
-uniformly chosen slot. A round database is a ``(2**n,)`` uint64 array of
-slot messages, so a message has at most 64 bits; ``BitString`` carries only
-the released databases. Counting tallies the slots equal to each value's
-message: two distinct messages in one slot XOR into garbage, surfaced as
-``collision_drops``, and two identical messages cancel to an empty slot.
-Owners with nothing to claim in a round still submit a null write (message
-zero), so the traffic an aggregator sees is the same whether an owner
-answered or abstained. Both rounds of an
-owner's writes travel in a single submission, and only the first submission
-per owner counts in an epoch.
+uniformly chosen slot. In both modes a round database is a ``(2**n,)``
+uint64 array of slot messages, so a message has at most 64 bits;
+``BitString`` carries only the released databases. Counting tallies the
+slots equal to each value's message: two distinct messages in one slot XOR
+into garbage, surfaced as ``collision_drops``, and two identical messages
+cancel to an empty slot. Owners with nothing to claim in a round still
+submit a null write (message zero), so the traffic an aggregator sees is
+the same whether an owner answered or abstained. Both rounds of an owner's
+writes travel in a single submission, and only the first submission per
+owner counts in an epoch.
 
 Determinism: all randomness inside :func:`run_epoch` derives from
 ``config.master_seed`` through four named child streams (privatize, slots,
@@ -58,7 +58,7 @@ from .errors import (
     ProtocolAbortError,
 )
 from .field import BitString
-from .privwrite import FssKey, FssParams, PointFunction, database_bits, fss_evaluate_batch, fss_gen
+from .privwrite import FssKey, FssParams, PointFunction, fss_evaluate_batch, fss_gen
 from .privwrite import fss_evaluate_share  # noqa: F401 the benchmark's trace wraps this name
 
 _CHUNK_OWNERS = 256
@@ -173,9 +173,9 @@ def count_values(slots: np.ndarray, messages: dict[int, int]) -> tuple[dict[int,
     return counts, drops
 
 
-def reconstruct(party_accumulators: Sequence[np.ndarray]) -> np.ndarray:
-    """XOR the parties' accumulator arrays into the round databases."""
-    if not party_accumulators:
+def reconstruct(party_accumulators: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """XOR the parties' accumulators, a list or one stacked array, into the round databases."""
+    if len(party_accumulators) == 0:
         raise ProtocolAbortError("no party accumulators to combine")
     if len({acc.shape for acc in party_accumulators}) > 1:
         raise ProtocolAbortError("party accumulators differ in shape")
@@ -197,6 +197,11 @@ def strict_int(value, key: str, error: type[ConfigError] = ConfigError) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def plain_decimal(text) -> bool:
+    """``text`` spells a non-negative int in ASCII digits: no sign, space, ``_`` or leading 0."""
+    return isinstance(text, str) and text.isdecimal() and str(int(text)) == text
 
 
 def normalize_population(spec: dict) -> dict:
@@ -223,8 +228,8 @@ def normalize_population(spec: dict) -> dict:
         raise PopulationSpecError("population.groups must be a JSON object")
     groups: dict[int, int] = {}
     for key, count in spec["groups"].items():
-        value = int(key) if isinstance(key, str) and key.isdecimal() else key
-        if type(value) is not int or value < 0 or str(value) != str(key) or value in groups:
+        value = int(key) if plain_decimal(key) else key
+        if type(value) is not int or value < 0 or value in groups:
             raise PopulationSpecError(
                 f"population.groups keys must name distinct values in plain decimal, got {key!r}"
             )
@@ -402,21 +407,18 @@ class EpochResult:
 
 class EpochCollector:
     """Aggregator state over one epoch: the round databases, verification
-    verdicts, and the dedup ledger. A crypto run XORs one batch evaluation
-    per party per chunk into the party's ``(rounds, nu, row bytes)`` uint8
-    array; a crypto-free run XORs each accepted write's message into its
-    slot of a ``(rounds, 2**n)`` uint64 slot array."""
+    verdicts, and the dedup ledger. The databases are one ``(parties or 1,
+    rounds, 2**n)`` uint64 slot array: a crypto run XORs party i's batch
+    evaluation of each chunk into ``[i]``, a crypto-free run XORs each
+    accepted write's message into its slot of ``[0]``, and ``finalize``
+    reconstructs either the same way."""
 
     def __init__(self, config: EpochConfig, crypto: bool = True):
         self.config = config
         self.crypto = crypto
         rounds = config.rounds
-        if crypto:
-            shape = (rounds, config.fss.nu, config.fss.row_bytes)
-            self._acc = [np.zeros(shape, np.uint8) for _ in range(config.parties)]
-        else:
-            self._slots = np.zeros((rounds, config.db_slots), np.uint64)
-            self._messages = np.array(config.messages, np.uint64)
+        self._acc = np.zeros((config.parties if crypto else 1, rounds, config.db_slots), np.uint64)
+        self._messages = np.array(config.messages, np.uint64)
         self._seen = np.zeros(0, bool)  # indexed by owner ID
         self._rejected: list[int] = []
         self._duplicates = 0
@@ -454,7 +456,7 @@ class EpochCollector:
         # crypto-free: unbuffered, so writes that share a slot all land; a
         # null write's message is zero
         np.bitwise_xor.at(
-            self._slots,
+            self._acc[0],
             (writes.round_index[accepted], writes.slot[accepted]),
             self._messages[writes.value[accepted]],
         )
@@ -480,37 +482,20 @@ class EpochCollector:
             duplicate_submissions=self._duplicates,
             writes_per_round=tuple(self._writes_per_round.tolist()),
         )
+        common = dict(
+            epoch_id=config.epoch_id, k_threshold=config.k_threshold, diagnostics=diagnostics
+        )
         if accepted < config.k_threshold:
-            return EpochResult(
-                halted=True,
-                epoch_id=config.epoch_id,
-                k_threshold=config.k_threshold,
-                databases=(),
-                counts=(),
-                estimates={},
-                diagnostics=diagnostics,
-            )
-        width = config.message_bits
-        if self.crypto:
-            rounds = reconstruct(self._acc)
-            slots = [database_bits(r, config.fss).split_fields(width) for r in rounds]
-        else:
-            slots = self._slots
-        value_ids = config.value_ids
-        messages = dict(zip(value_ids, config.messages))
-        tallies = [count_values(s, messages) for s in slots]
-        counts = tuple(c for c, _ in tallies)
-        diagnostics.collision_drops = tuple(d for _, d in tallies)
-        table = [[c.get(v, 0) for v in value_ids] for c in counts]
-        estimates = dict(zip(value_ids, config.mech.estimate(table, accepted)))
+            return EpochResult(halted=True, databases=(), counts=(), estimates={}, **common)
+        slots = reconstruct(self._acc)
+        messages = dict(zip(config.value_ids, config.messages))
+        counts, drops = zip(*[count_values(s, messages) for s in slots])
+        diagnostics.collision_drops = drops
+        table = [[c.get(v, 0) for v in config.value_ids] for c in counts]
+        estimates = dict(zip(config.value_ids, config.mech.estimate(table, accepted)))
+        databases = tuple(BitString.from_fields(s, config.message_bits) for s in slots)
         return EpochResult(
-            halted=False,
-            epoch_id=config.epoch_id,
-            k_threshold=config.k_threshold,
-            databases=tuple(BitString.from_fields(s, width) for s in slots),
-            counts=counts,
-            estimates=estimates,
-            diagnostics=diagnostics,
+            halted=False, databases=databases, counts=counts, estimates=estimates, **common
         )
 
 

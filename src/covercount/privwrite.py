@@ -21,7 +21,8 @@ Two encodings are provided:
 
 A key holds its wire body as bytes (``FssKey``). ``fss_evaluate_batch``, the
 one evaluator, expands the held seeds of many keys in one PRG call and XORs
-the rows per group of keys: an aggregator folds a chunk in one pass.
+the rows per group of keys into ``2**n`` uint64 slots: an aggregator folds a
+chunk in one pass, and the row layout never leaves this module.
 
 The PRG is the fixed-key construction of Guo, Katz, Wang and Yu (S&P 2020),
 the usual choice in DPF implementations. A 16-byte seed ``s`` expands to
@@ -53,7 +54,7 @@ import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .errors import ParseError
-from .field import BitString
+from .field import BitString, unpack_fields
 
 __all__ = [
     "PointFunction",
@@ -65,7 +66,6 @@ __all__ = [
     "it_gen",
     "fss_gen",
     "fss_evaluate_batch",
-    "database_bits",
     "fss_evaluate_share",
     "fss_eval_naive",
     "key_serialize",
@@ -285,11 +285,10 @@ def fss_gen(pf: PointFunction, params: FssParams, rng: np.random.Generator) -> l
 _BATCH_BYTES = 1 << 20
 
 
-def fss_evaluate_batch(keys: list[FssKey], groups, ngroups: int) -> np.ndarray:
-    """XOR of the row expansions of each group of keys of one geometry,
-    ``(ngroups, nu, ceil(m * mu / 8))`` uint8, MSB-first: row ``r`` of group
-    ``g`` XORs row ``r`` of every key ``k`` with ``groups[k] == g``. Per
-    sub-batch, every held seed is expanded in one PRG call and XORed with
+def _batch_bits(keys: list[FssKey], groups, ngroups: int) -> np.ndarray:
+    """The XOR of each group's database expansions as ``(ngroups, 2**n * m)``
+    0/1 uint8 bits: group ``g`` XORs every key ``k`` with ``groups[k] == g``.
+    Per sub-batch, every held seed is expanded in one PRG call and XORed with
     its key's correction word, then reduced per (group, row) with a sort and
     one ``reduceat``."""
     if not keys or any(key.params != keys[0].params for key in keys):
@@ -317,22 +316,24 @@ def fss_evaluate_batch(keys: list[FssKey], groups, ngroups: int) -> np.ndarray:
         expansions[:, :nbytes] ^= words.reshape(len(batch), spr, nbytes)[which, col]
         heads = np.flatnonzero(np.diff(cell, prepend=-1))
         out[cell[heads]] ^= np.bitwise_xor.reduceat(expansions.view(np.uint64), heads, axis=0)
-    return out.view(np.uint8).reshape(ngroups, nu, width)[:, :, :nbytes]
+    # the rows' m * mu bits abut, pad bits dropped; the slots past 2**n fall away
+    rows = out.view(np.uint8).reshape(ngroups, nu, width)
+    bits = np.unpackbits(rows, axis=2, count=params.row_bits).reshape(ngroups, -1)
+    return bits[:, : params.domain_size * params.m]
 
 
-def database_bits(rows: np.ndarray, params: FssParams) -> BitString:
-    """The database bitstring of ``(nu, ceil(m * mu / 8))`` row bytes: each
-    row's pad bits dropped so the rows abut, cut to ``2**n`` messages."""
-    if 8 * params.row_bytes != params.row_bits:
-        rows = np.packbits(np.unpackbits(rows, axis=1, count=params.row_bits))
-    total_bits = params.domain_size * params.m
-    return BitString.from_bytes(rows.reshape(-1)[: (total_bits + 7) // 8].tobytes(), total_bits)
+def fss_evaluate_batch(keys: list[FssKey], groups, ngroups: int) -> np.ndarray:
+    """XOR of the database expansions of each group of keys of one geometry,
+    as ``(ngroups, 2**n)`` uint64 slot values: group ``g`` XORs every key
+    ``k`` with ``groups[k] == g``."""
+    return unpack_fields(_batch_bits(keys, groups, ngroups), keys[0].params.m)
 
 
 def fss_evaluate_share(key: FssKey) -> BitString:
-    """Full-database expansion of one key: a batch of one, sliced to ``2**n``
-    messages. It expands every held seed once, all in one PRG call."""
-    return database_bits(fss_evaluate_batch([key], [0], 1)[0], key.params)
+    """Full-database expansion of one key: a batch of one, packed as a
+    bitstring. It expands every held seed once, all in one PRG call."""
+    bits = _batch_bits([key], [0], 1)[0]
+    return BitString.from_bytes(np.packbits(bits).tobytes(), bits.size)
 
 
 def fss_eval_naive(key: FssKey, x: int) -> int:

@@ -432,8 +432,12 @@ def test_dataset_rejects_duplicates_bad_header_and_wide_values(tmp_path):
         cli.load_dataset(dataset_file(tmp_path, ["a,2"]), exp)  # id_bits is 1
     with pytest.raises(ConfigError):
         cli.load_dataset(dataset_file(tmp_path, []), exp)
-    # a row with no value, and a value that is not an integer
-    for rows in (["a,1", "b"], ["a,1", "b,x"]):
+    # a row with no value, a value that is not an integer, a row with an
+    # extra field, and values that are not plain decimal
+    for rows in (
+        ["a,1", "b"], ["a,1", "b,x"], ["a,1", "b,1,7"], ["a,1", "b,1_0"], ["a,1", "b, 1"],
+        ["a,1", "b,01"],
+    ):
         with pytest.raises(ConfigError, match=r"owners\.csv line 3"):
             cli.load_dataset(dataset_file(tmp_path, rows), exp)
 

@@ -119,6 +119,21 @@ def test_from_fields_packs_msb_first():
         BitString.from_fields(np.array([1], np.uint64), 65)
 
 
+def test_unpack_fields_reads_the_last_axis():
+    bits = np.random.default_rng(5).integers(0, 2, size=(3, 2, 24), dtype=np.uint8)
+    fields = field.unpack_fields(bits, 6)
+    assert fields.shape == (3, 2, 4) and fields.dtype == np.uint64
+    for i, j, k in np.ndindex(3, 2, 4):
+        digits = "".join(str(b) for b in bits[i, j, 6 * k : 6 * k + 6])
+        assert fields[i, j, k] == int(digits, 2)
+    ones = field.unpack_fields(np.ones((2, 64), np.uint8), 64)
+    assert ones.tolist() == [[(1 << 64) - 1], [(1 << 64) - 1]]
+    with pytest.raises(LengthError):
+        field.unpack_fields(bits, 5)
+    with pytest.raises(ValueError):
+        field.unpack_fields(np.zeros((2, 65), np.uint8), 65)
+
+
 def test_value_must_fit_length():
     with pytest.raises(ValueError):
         BitString(0b100, 2)

@@ -142,8 +142,10 @@ def test_reconstruct_xors_party_accumulators():
     rng = np.random.default_rng(3)
     db = rng.integers(0, 256, size=(2, 1, 64), dtype=np.uint8)
     shares = [rng.integers(0, 256, size=db.shape, dtype=np.uint8) for _ in range(2)]
-    combined = h.reconstruct([shares[0], shares[1], shares[0] ^ shares[1] ^ db])
-    assert np.array_equal(combined, db)
+    parties = [shares[0], shares[1], shares[0] ^ shares[1] ^ db]
+    assert np.array_equal(h.reconstruct(parties), db)
+    # the collector's form: one array stacking the parties
+    assert np.array_equal(h.reconstruct(np.stack(parties)), db)
 
 
 def test_reconstruct_rejects_mismatched_lengths():
@@ -161,6 +163,8 @@ def test_reconstruct_rejects_mismatched_shapes(other):
 def test_reconstruct_rejects_no_parties():
     with pytest.raises(ProtocolAbortError):
         h.reconstruct([])
+    with pytest.raises(ProtocolAbortError):
+        h.reconstruct(np.zeros((0, 2, 256), np.uint64))
 
 
 # -- Populations ---------------------------------------------------------------
@@ -426,14 +430,16 @@ def test_wide_row_crypto_epoch_digest():
 
 def test_crypto_and_crypto_free_agree_exactly():
     # 600 owners: three 256-owner crypto chunks against one crypto-free chunk
-    config = binary_config(master_seed=11)
     pop = h.generate_population({"total": 600, "yes": 90}, np.random.default_rng(0))
-    free = h.run_epoch(pop, config, crypto=False)
-    full = h.run_epoch(pop, config, crypto=True)
-    assert full.databases == free.databases
-    assert full.counts == free.counts
-    assert full.estimates == free.estimates
-    assert full.to_json_bytes() == free.to_json_bytes()
+    # the default geometry, and 17-bit messages in 1,700-bit (212.5-byte)
+    # rows whose 11 rows cover 1,100 of 1,024 slots
+    for config in (binary_config(master_seed=11), binary_config(n=10, mu=100)):
+        free = h.run_epoch(pop, config, crypto=False)
+        full = h.run_epoch(pop, config, crypto=True)
+        assert full.databases == free.databases
+        assert full.counts == free.counts
+        assert full.estimates == free.estimates
+        assert full.to_json_bytes() == free.to_json_bytes()
 
 
 def test_colliding_writes_agree_across_modes():

@@ -232,9 +232,9 @@ def test_fss_single_row_geometry():
 
 
 def evaluated_row(key, row):
-    """One party's expansion of one row, read from a batch-of-one evaluation."""
-    rows = pw.fss_evaluate_batch([key], [0], 1)[0]
-    return BitString.from_bytes(rows[row].tobytes(), key.params.row_bits)
+    """One party's slot values in one row, read from a batch-of-one evaluation."""
+    mu = key.params.mu
+    return pw.fss_evaluate_batch([key], [0], 1)[0, row * mu : (row + 1) * mu]
 
 
 def test_fss_row_xor_is_one_hot_only_at_written_row():
@@ -245,10 +245,8 @@ def test_fss_row_xor_is_one_hot_only_at_written_row():
     gamma, delta = divmod(a, params.mu)
     for row in range(params.nu):
         combined = xor_all([evaluated_row(k, row) for k in keys])
-        if row == gamma:
-            assert combined == pw.unit_write(delta, b, params.mu, params.m)
-        else:
-            assert combined == BitString(0, params.row_bits)
+        expected = [b if (row, slot) == (gamma, delta) else 0 for slot in range(params.mu)]
+        assert combined.tolist() == expected
 
 
 def test_fss_unheld_row_evaluates_to_zero():
@@ -261,7 +259,7 @@ def test_fss_unheld_row_evaluates_to_zero():
     for key in keys:
         for row in range(params.nu):
             if all(s == b"\x00" * 16 for s in key.sigma[row]):
-                assert evaluated_row(key, row) == BitString(0, params.row_bits)
+                assert not evaluated_row(key, row).any()
                 found = True
     assert found, "expected at least one seedless (party, row) pair at p=2"
 
@@ -311,6 +309,13 @@ def reference_rows(key):
     return rows
 
 
+def leading_slots(value, slots, params):
+    """The first ``2**n`` ``m``-bit slot values of a ``slots * m``-bit int,
+    slot 0 in the top bits, read by integer shifts."""
+    mask = (1 << params.m) - 1
+    return [(value >> ((slots - 1 - x) * params.m)) & mask for x in range(params.domain_size)]
+
+
 @pytest.mark.parametrize(
     "parties, n, m, mu",
     [
@@ -339,7 +344,7 @@ def test_batch_groups_equal_xor_of_shares(parties, n, m, mu, sub_batch_keys, mon
     # group 0 holds one key, group 2 none, the rest are interleaved
     groups = [0, 1, 3, 1, 3, 3, 1, 4, 4, 1]
     out = pw.fss_evaluate_batch(keys, groups, 5)
-    assert out.shape == (5, params.nu, params.row_bytes)
+    assert out.shape == (5, params.domain_size) and out.dtype == np.uint64
     for g in range(5):
         members = [key for key, group in zip(keys, groups) if group == g]
         expected_rows = [BitString(0, params.row_bits)] * params.nu
@@ -347,9 +352,12 @@ def test_batch_groups_equal_xor_of_shares(parties, n, m, mu, sub_batch_keys, mon
         for key in members:
             expected_rows = [x ^ y for x, y in zip(expected_rows, reference_rows(key))]
             share ^= pw.fss_evaluate_share(key)
-        rows = [BitString.from_bytes(row.tobytes(), params.row_bits) for row in out[g]]
-        assert rows == expected_rows, g
-        assert pw.database_bits(out[g], params) == share, g
+        # the rows abut with their pad bits dropped; slots past 2**n fall away
+        database = 0
+        for row in expected_rows:
+            database = (database << params.row_bits) | row.value
+        assert out[g].tolist() == leading_slots(database, params.nu * params.mu, params), g
+        assert out[g].tolist() == leading_slots(share.value, params.domain_size, params), g
     assert not out[2].any()
     if parties == 2:
         assert any(all(s == b"\x00" * 16 for s in row) for key in keys for row in key.sigma)
