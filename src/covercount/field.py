@@ -46,7 +46,6 @@ _S31 = np.uint64(31)
 _S29 = np.uint64(29)
 _S32 = np.uint64(32)
 _S61 = np.uint64(61)
-_S63 = np.uint64(63)
 
 
 def m61_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -58,8 +57,9 @@ def m61_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, np.uint64)
     b = np.asarray(b, np.uint64)
     t = np.asarray(a - b)          # an array even for 0-d operands
-    t += _M61 * (t >> _S63)        # a < b wrapped t past 2^63; + p wraps back
-    return t
+    # t is off by at most p, and the wrong one of t and t + p is the larger:
+    # t wrapped past 2^63 when a < b, else t + p is p or more
+    return np.minimum(t, t + _M61, out=t)
 
 
 def m61_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -107,8 +107,51 @@ def m61_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
     low = (a & _MASK32).sum(axis=axis, dtype=np.uint64)
     # high * 2^32 = (high >> 29) * 2^61 + (high & mask29) * 2^32; total < 2^63
     t = (high >> _S29) + ((high & _MASK29) << _S32) + (low >> _S61) + (low & _M61)
-    t = (t & _M61) + (t >> _S61)
-    return t - _M61 * (t >= _M61)
+    t = np.asarray((t & _M61) + (t >> _S61))
+    return np.minimum(t, t - _M61, out=t)  # t - p wraps past 2^63 when t < p
+
+
+# limbs a and c of the two operands weigh 2^(16(a + c)): pair (a, c) adds
+# into diagonal d = a + c, and times 2^(16 d) mod p is a left rotation of
+# the 61 bits by 16 d mod 61
+_DIAGONALS = np.array(
+    [[[a + c == d for d in range(7)] for c in range(4)] for a in range(4)], np.uint64
+)
+_ROTATIONS = np.array([16 * d % 61 for d in range(7)], np.uint64)
+_DOT_TERMS = 1 << 21
+
+
+def _limbs(a: np.ndarray) -> np.ndarray:
+    """(..., R, K) uint64 as (..., 4R, K) float64 16-bit limbs, low limb first."""
+    if a.strides[-1] != 8:
+        a = a.copy()  # a limb view needs whole words along K
+    limbs = a.view("<u2").reshape(*a.shape, 4)
+    limbs = np.swapaxes(limbs, -1, -2).astype(np.float64, order="C")
+    return limbs.reshape(*a.shape[:-2], 4 * a.shape[-2], a.shape[-1])
+
+
+def m61_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of canonical rows: ``(..., J, K)`` x ``(..., I, K)`` ->
+    ``(..., J, I)``, leading dimensions broadcast.
+
+    Each operand splits into four 16-bit limbs held as float64, and one
+    matmul over K sums every limb pair. A limb product is below 2^32, so a
+    sum of at most 2^21 of them stays below 2^53: every partial sum is an
+    exact integer, whatever order or library the matmul sums in. The 16
+    limb-pair sums fold back by their weights 2^(16(a + c)) mod p.
+    """
+    a = np.asarray(a, "<u8")
+    b = np.asarray(b, "<u8")
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError("m61_dot operands disagree on the summed length")
+    if a.shape[-1] > _DOT_TERMS:
+        raise ValueError("m61_dot takes at most 2**21 terms")
+    sums = np.matmul(_limbs(a), np.swapaxes(_limbs(b), -1, -2)).astype(np.uint64)
+    pairs = sums.reshape(*sums.shape[:-2], a.shape[-2], 4, b.shape[-2], 4)
+    # at most 4 pairs per diagonal: below 2^55, so canonical and rotatable
+    diagonals = np.einsum("...jaic,acd->...jid", pairs, _DIAGONALS)
+    rotated = ((diagonals << _ROTATIONS) & _M61) | (diagonals >> (_S61 - _ROTATIONS))
+    return m61_sum(rotated, axis=-1)
 
 
 def m61_pow(a: np.ndarray, e: int) -> np.ndarray:

@@ -30,9 +30,12 @@ owner counts in an epoch.
 
 Determinism: all randomness inside :func:`run_epoch` derives from
 ``config.master_seed`` through four named child streams (privatize, slots,
-key material, verification). Keys are drawn write by write, the
-verification stream one array per 256-owner chunk, so that chunk size is
-part of the crypto stream contract. The crypto-free mode consumes the
+key material, verification). Both crypto streams are drawn per 256-owner
+chunk, so that chunk size is part of the crypto stream contract: the keys
+stream in ``fss_gen_batch``'s order (the seeds of all the chunk's writes,
+zero-seed redraws, selection matrices, then the correction words, each
+padded to a multiple of 4 bytes), the verification stream as share and
+blinding arrays. The crypto-free mode consumes the
 first two streams identically, skips the other two and submits its plan
 as one chunk, so its reconstructed databases, and therefore counts and
 estimates, are bit-identical to the full run; it exists to make large
@@ -58,8 +61,8 @@ from .errors import (
     ProtocolAbortError,
 )
 from .field import BitString
-from .privwrite import FssKey, FssParams, PointFunction, fss_evaluate_batch, fss_gen
-from .privwrite import fss_evaluate_share  # noqa: F401 the benchmark's trace wraps this name
+from .privwrite import FssKey, FssParams, fss_evaluate_batch, fss_gen_batch
+from .privwrite import fss_evaluate_share, fss_gen  # noqa: F401 the benchmark's trace wraps them
 
 _CHUNK_OWNERS = 256
 _ABSENT = -1
@@ -463,11 +466,9 @@ class EpochCollector:
 
     def _verify(self, chunk: SubmissionChunk) -> np.ndarray:
         """Per-write verdicts of the square-blinded unit-vector check."""
-        parties = self.config.parties
-        blinded = [
-            verify.blind_square_batch(chunk.blinding, chunk.indicator_shares[i], parties)
-            for i in range(parties)
-        ]
+        blinded = verify.blind_square_batch(
+            chunk.blinding, chunk.indicator_shares, self.config.parties
+        )
         return verify.check_batch(verify.aggregate_batch(blinded), "square")
 
     def finalize(self) -> EpochResult:
@@ -520,11 +521,9 @@ def build_chunk(
         if two_row_owners:
             raise ValueError("two-row writers need the verification layer")
         return SubmissionChunk(owners, writes, None, None, None)
-    messages = config.messages
-    keys = tuple(
-        tuple(fss_gen(PointFunction(a=slot, b=messages[value]), config.fss, keys_rng))
-        for slot, value in zip(writes.slot.tolist(), writes.value.tolist())
-    )
+    table = config.messages
+    messages = [table[value] for value in writes.value.tolist()]
+    keys = fss_gen_batch(writes.slot, messages, config.fss, keys_rng)
     # a real write marks its slot; a two-row attacker's first write marks its
     # slot and the next one
     real = np.flatnonzero(writes.value < len(config.value_ids))
@@ -571,6 +570,10 @@ def run_epoch(
     bounds = np.searchsorted(plan.owner, owner_starts).tolist()
     collector = EpochCollector(config, crypto=crypto)
     for start, stop in zip(bounds, bounds[1:]):
+        # free the previous chunk's arrays before building the next; the last
+        # stays alive through finalize (freeing it first doubled the minor
+        # page faults of short crypto-free epochs)
+        chunk = None
         chunk = build_chunk(
             plan[start:stop],
             config,

@@ -65,6 +65,7 @@ __all__ = [
     "unit_write",
     "it_gen",
     "fss_gen",
+    "fss_gen_batch",
     "fss_evaluate_batch",
     "fss_evaluate_share",
     "fss_eval_naive",
@@ -218,71 +219,110 @@ def it_gen(pf: PointFunction, n: int, m: int, parties: int, rng: np.random.Gener
     return shares
 
 
+# bounds the transient memory of a sub-batch: the evaluator's expansion
+# bytes if every seed were held, and key generation's correction words;
+# 1 MiB ran fastest of 0.5 to 4 MiB at n = 12, mu = 128 and 4096
+_BATCH_BYTES = 1 << 20
+
+
 def _selection_matrices(
-    parties: int, rows: int, columns: int, odd_row: int, rng: np.random.Generator
+    parties: int, odd_rows: np.ndarray, rows: int, columns: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """One uniform binary matrix per database row, with every column of the
-    ``odd_row`` matrix holding an odd number of ones and every other matrix
-    even ones. The first ``parties - 1`` matrix rows are uniform and the last
-    completes each column's parity, which samples uniformly from that set."""
-    top = rng.integers(0, 2, size=(rows, parties - 1, columns), dtype=np.uint8)
-    last = top.sum(axis=1, dtype=np.uint8) & np.uint8(1)
-    last[odd_row] ^= np.uint8(1)
-    return np.concatenate([top, last[:, None, :]], axis=1)
+    """One uniform binary matrix per database row of each write, shaped
+    ``(writes, rows, parties, columns)``: every column of write ``w``'s
+    ``odd_rows[w]`` matrix holds an odd number of ones and every other
+    matrix's even ones. The first ``parties - 1`` matrix rows are uniform
+    and the last completes each column's parity, which samples uniformly
+    from that set."""
+    count = odd_rows.size
+    top = rng.integers(0, 2, size=(count, rows, parties - 1, columns), dtype=np.uint8)
+    last = top.sum(axis=2, dtype=np.uint8) & np.uint8(1)
+    last[np.arange(count), odd_rows] ^= np.uint8(1)
+    return np.concatenate([top, last[:, :, None, :]], axis=2)
 
 
 def _zero_pad(words: np.ndarray, params: FssParams) -> np.ndarray:
-    """Zero the pad bits of each ``(2**(p-1), row_bytes)`` word row in place."""
-    words[:, -1] &= np.uint8((0xFF << (8 * params.row_bytes - params.row_bits)) & 0xFF)
+    """Zero the pad bits of each ``row_bytes`` word on the last axis in place."""
+    words[..., -1] &= np.uint8((0xFF << (8 * params.row_bytes - params.row_bits)) & 0xFF)
     return words
 
 
 def fss_gen(pf: PointFunction, params: FssParams, rng: np.random.Generator) -> list[FssKey]:
-    """Split a point function into ``parties`` compressed keys.
+    """Split a point function into ``parties`` compressed keys: a batch of one."""
+    return list(fss_gen_batch([pf.a], [pf.b], params, rng)[0])
+
+
+def fss_gen_batch(
+    slots, messages, params: FssParams, rng: np.random.Generator
+) -> tuple[tuple[FssKey, ...], ...]:
+    """Split each write, ``messages[w]`` at ``slots[w]``, into ``parties``
+    compressed keys; returns one tuple of party keys per write.
 
     The written slot is addressed as ``(gamma, delta) = divmod(a, mu)``: high
     part selects the row, low part the position within it. Correction words
     are chosen so the XOR of all of them with the written row's expansions
     equals the one-hot row image; ordinary rows cancel because each of their
     seed slots is held by an even number of parties.
+
+    The batch makes one generator call each for the seeds of every write,
+    the zero-seed redraws, the selection matrices and the drawn correction
+    words, in that order, and one PRG call for every written row. Words are
+    drawn with each row padded to a multiple of 4 bytes and cut back to
+    ``row_bytes``, which yields the bytes, and leaves the generator state,
+    of one ``rng.bytes`` call per word: a batch of one consumes the stream
+    as a write-by-write loop would.
     """
-    if not 0 <= pf.a < params.domain_size:
+    slots = np.asarray(slots, np.int64).reshape(-1)
+    messages = [int(b) for b in messages]
+    if len(messages) != slots.size:
+        raise ValueError("every write needs one slot and one message")
+    if slots.size and not 0 <= slots.min() <= slots.max() < params.domain_size:
         raise ValueError("write slot out of range")
-    if not 0 <= pf.b < (1 << params.m):
+    if any(not 0 <= b < (1 << params.m) for b in messages):
         raise ValueError("message does not fit in m bits")
-    gamma, delta = divmod(pf.a, params.mu)
-    spr, nbytes = params.seeds_per_row, params.row_bytes
+    count, spr, nbytes, m = slots.size, params.seeds_per_row, params.row_bytes, params.m
+    gamma, delta = np.divmod(slots, params.mu)
 
-    seeds = np.frombuffer(rng.bytes(SEED_BYTES * params.nu * spr), np.uint8)
-    seeds = seeds.reshape(params.nu, spr, SEED_BYTES).copy()
+    seeds = np.frombuffer(rng.bytes(SEED_BYTES * count * params.nu * spr), np.uint8)
+    seeds = seeds.reshape(count, params.nu, spr, SEED_BYTES).copy()
     lanes = seeds.view(np.uint64)
-    for row, j in zip(*np.nonzero((lanes[..., 0] | lanes[..., 1]) == 0)):
-        seed = _ZERO_SEED
-        while seed == _ZERO_SEED:
-            seed = rng.bytes(SEED_BYTES)
-        seeds[row, j] = np.frombuffer(seed, np.uint8)
-    held = _selection_matrices(params.parties, params.nu, spr, gamma, rng)
+    zero = np.nonzero((lanes[..., 0] | lanes[..., 1]) == 0)
+    while zero[0].size:
+        redrawn = np.frombuffer(rng.bytes(SEED_BYTES * zero[0].size), np.uint8)
+        seeds[zero] = redrawn.reshape(-1, SEED_BYTES)
+        still = (lanes[zero][:, 0] | lanes[zero][:, 1]) == 0
+        zero = tuple(axis[still] for axis in zero)
+    held = _selection_matrices(params.parties, gamma, params.nu, spr, rng)
 
-    words = np.empty((spr, nbytes), np.uint8)
-    drawn = b"".join([rng.bytes(nbytes) for _ in range(spr - 1)])
-    words[:-1] = np.frombuffer(drawn, np.uint8).reshape(spr - 1, nbytes)
-    words[-1] = np.bitwise_xor.reduce(_prg_rows(seeds[gamma], nbytes), axis=0)
-    words[-1] ^= np.bitwise_xor.reduce(words[:-1], axis=0)
-    # XOR in the row image: message b at bits [delta * m, (delta + 1) * m)
-    start, stop = delta * params.m, (delta + 1) * params.m
-    first, last = start // 8, (stop + 7) // 8
-    image = (pf.b << (8 * last - stop)).to_bytes(last - first, "big")
-    words[-1, first:last] ^= np.frombuffer(image, np.uint8)
-    wire_words = _zero_pad(words, params).tobytes()
+    # each write's last word before its drawn words are XORed in: the
+    # written row's expansions and the row image, message b at bits
+    # [delta * m, (delta + 1) * m)
+    last = np.bitwise_xor.reduce(
+        _prg_rows(seeds[np.arange(count), gamma], nbytes).reshape(count, spr, nbytes), axis=1
+    )
+    for word, start, b in zip(last, (delta * m).tolist(), messages):
+        first, stop = start // 8, -(-(start + m) // 8)
+        image = (b << (8 * stop - start - m)).to_bytes(stop - first, "big")
+        word[first:stop] ^= np.frombuffer(image, np.uint8)
 
+    padded = -(-nbytes // 4) * 4
+    drawn = np.frombuffer(rng.bytes(count * (spr - 1) * padded), np.uint8)
+    drawn = drawn.reshape(count, spr - 1, padded)[..., :nbytes]
     # party i holds the seeds its selection-matrix row marks, zero elsewhere
-    party_seeds = seeds * held.transpose(1, 0, 2)[..., None]
-    return [FssKey(params, i, s.tobytes(), wire_words) for i, s in enumerate(party_seeds)]
-
-
-# a sub-batch's expansion bytes if every seed were held: bounds transient
-# memory; 1 MiB ran fastest of 0.5 to 4 MiB at n = 12, mu = 128 and 4096
-_BATCH_BYTES = 1 << 20
+    party_seeds = seeds[:, None] * held.transpose(0, 2, 1, 3)[..., None]
+    party_seeds = party_seeds.reshape(count, params.parties, -1)
+    # the wire words, _BATCH_BYTES of them at a time
+    keys = []
+    step = max(1, _BATCH_BYTES // (spr * nbytes))
+    for part in (slice(first, first + step) for first in range(0, count, step)):
+        words = np.concatenate((drawn[part], last[part, None]), axis=1)
+        words[:, -1] ^= np.bitwise_xor.reduce(drawn[part], axis=1)
+        _zero_pad(words, params)
+        keys += [
+            tuple(FssKey(params, i, s.tobytes(), wire) for i, s in enumerate(write_seeds))
+            for write_seeds, wire in zip(party_seeds[part], [w.tobytes() for w in words])
+        ]
+    return tuple(keys)
 
 
 def _batch_bits(keys: list[FssKey], groups, ngroups: int) -> np.ndarray:

@@ -59,6 +59,63 @@ def test_m61_sum_matches_python_sum():
     assert field.m61_sum(top, axis=0).tolist() == [2 * (M61 - 1) % M61] * 5000
 
 
+@pytest.mark.parametrize("terms", [1, 7, 8, 9])
+def test_m61_sum_of_few_large_terms(terms):
+    # short sums of the largest terms, as the fold in m61_dot makes them
+    top = np.full((terms, 3), M61 - 1, dtype=np.uint64)
+    top[:, 1] = M61 - 2
+    top[:, 2] = 1 << 60
+    want = [terms * int(x) % M61 for x in top[0].tolist()]
+    assert field.m61_sum(top, axis=0).tolist() == want
+
+
+def dot_reference(a, b):
+    """(..., J, K) x (..., I, K) dot products mod p in Python ints."""
+    a, b = np.broadcast_arrays(a[..., :, None, :], b[..., None, :, :])
+    products = a.astype(object) * b.astype(object)
+    return (products.sum(axis=-1) % M61).astype(np.uint64)
+
+
+def test_m61_dot_matches_python_ints():
+    rng = np.random.default_rng(12)
+    for j, i, k in ((1, 1, 1), (3, 4, 5), (2, 7, 300), (5, 3, 4096)):
+        a = rng.integers(0, M61, (j, k), dtype=np.uint64)
+        b = rng.integers(0, M61, (i, k), dtype=np.uint64)
+        # the edges of the limb split, in both operands
+        a.flat[: len(_EDGES)] = _EDGES[: a.size]
+        b.flat[-len(_EDGES) :] = _EDGES[-b.size :]
+        assert np.array_equal(field.m61_dot(a, b), dot_reference(a, b))
+
+
+def test_m61_dot_broadcasts_leading_dimensions():
+    rng = np.random.default_rng(13)
+    a = rng.integers(0, M61, (2, 1, 3, 6), dtype=np.uint64)
+    b = rng.integers(0, M61, (4, 2, 6), dtype=np.uint64)
+    got = field.m61_dot(a, b)
+    assert got.shape == (2, 4, 3, 2)
+    assert np.array_equal(got, dot_reference(a, b))
+    # operands whose rows are not contiguous words
+    stretched = np.broadcast_to(b[..., :1], b.shape)
+    assert np.array_equal(field.m61_dot(a, stretched), dot_reference(a, stretched))
+    assert np.array_equal(field.m61_dot(np.asfortranarray(a), b), got)
+
+
+def test_m61_dot_is_exact_at_the_largest_length():
+    # every 16-bit limb of p - 1 is near its top, so each limb-pair sum is
+    # nearly 2^21 * 2^32 = 2^53; (p - 1)^2 = 1 (mod p), so the dot is K mod p
+    k = 1 << 21
+    top = np.full((1, k), M61 - 1, dtype=np.uint64)
+    assert field.m61_dot(top, top).tolist() == [[k % M61]]
+
+
+def test_m61_dot_rejects_longer_rows():
+    wide = np.broadcast_to(np.uint64(1), (1, (1 << 21) + 1))
+    with pytest.raises(ValueError, match="2\\*\\*21"):
+        field.m61_dot(wide, wide)
+    with pytest.raises(ValueError):
+        field.m61_dot(np.ones((2, 3), np.uint64), np.ones((2, 4), np.uint64))
+
+
 def test_m61_pow_matches_scalar():
     rng = np.random.default_rng(11)
     a = rng.integers(0, M61, 64, dtype=np.uint64)

@@ -399,6 +399,70 @@ def test_fss_gen_validates_point():
         pw.fss_gen(pw.PointFunction(0, 4), params, rng)
 
 
+# mu = 100 gives 213-byte words, which are not whole 4-byte draws
+BATCH_GEOMETRIES = [(None, 3), (1024, 3), (100, 3), (100, 2), (None, 4)]
+
+
+@pytest.mark.parametrize("mu,parties", BATCH_GEOMETRIES)
+def test_fss_gen_batch_keys_reconstruct_each_write(mu, parties):
+    params = pw.FssParams(n=10, parties=parties, m=17, mu=mu)
+    rng = np.random.default_rng(31)
+    # writes in many rows, two in one row, a null write and the last slot
+    slots = [700, 0, 701, 1023, 5, 512]
+    messages = [0x1ABCD, 1, 0, (1 << 17) - 1, 0x15555, 2]
+    keys = pw.fss_gen_batch(slots, messages, params, rng)
+    assert len(keys) == len(slots)
+    for write_keys, slot, message in zip(keys, slots, messages):
+        assert [k.party_index for k in write_keys] == list(range(parties))
+        assert full_reconstruction(write_keys) == pw.unit_write(slot, message, 1024, 17)
+
+
+@pytest.mark.parametrize("mu,parties", BATCH_GEOMETRIES)
+def test_fss_gen_batch_draws_seeds_selections_then_words(mu, parties):
+    # the keys stream of a batch: every write's seeds in one draw, then the
+    # selection matrices, then each write's drawn words, each as one bytes
+    # call of its own would give them
+    params = pw.FssParams(n=10, parties=parties, m=17, mu=mu)
+    slots, messages = [3, 900, 450], [7, 0, 0x1FFFF]
+    rng = np.random.default_rng(32)
+    keys = pw.fss_gen_batch(slots, messages, params, rng)
+    reference = np.random.default_rng(32)
+    nu, spr, nbytes = params.nu, params.seeds_per_row, params.row_bytes
+    seeds = reference.bytes(len(slots) * nu * spr * 16)
+    reference.integers(0, 2, size=(len(slots), nu, parties - 1, spr), dtype=np.uint8)
+    pad = (0xFF << (8 * nbytes - params.row_bits)) & 0xFF  # the pad bits read 0
+    for w, write_keys in enumerate(keys):
+        drawn = [reference.bytes(nbytes) for _ in range(spr - 1)]
+        drawn = b"".join(word[:-1] + bytes([word[-1] & pad]) for word in drawn)
+        assert write_keys[0].words[: len(drawn)] == drawn
+        assert all(k.words is write_keys[0].words for k in write_keys)
+        own = np.frombuffer(seeds, np.uint8).reshape(len(slots), nu * spr, 16)[w]
+        for key in write_keys:
+            held = np.frombuffer(key.seeds, np.uint8).reshape(nu * spr, 16)
+            assert np.all((held == own).all(axis=1) | (held == 0).all(axis=1))
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_fss_gen_is_a_batch_of_one():
+    params = pw.FssParams(n=10, parties=3, m=17, mu=100)
+    rng, batch_rng = np.random.default_rng(33), np.random.default_rng(33)
+    for slot, message in ((700, 0x1ABCD), (99, 0), (1023, 1)):
+        single = pw.fss_gen(pw.PointFunction(slot, message), params, rng)
+        (batch,) = pw.fss_gen_batch([slot], [message], params, batch_rng)
+        assert [pw.key_serialize(k) for k in single] == [pw.key_serialize(k) for k in batch]
+        assert rng.bit_generator.state == batch_rng.bit_generator.state
+
+
+def test_fss_gen_batch_validates_every_write():
+    params = pw.FssParams(n=4, parties=2, m=2)
+    rng = np.random.default_rng(0)
+    for slots, messages in (([0, 16], [1, 1]), ([3, -1], [1, 1]), ([0, 1], [1, 4]), ([0], [-1])):
+        with pytest.raises(ValueError):
+            pw.fss_gen_batch(slots, messages, params, rng)
+    with pytest.raises(ValueError):
+        pw.fss_gen_batch([0, 1], [1], params, rng)
+
+
 def test_it_and_fss_reconstruct_identical_databases():
     rng = np.random.default_rng(77)
     n, m, parties = 6, 5, 3

@@ -412,6 +412,25 @@ def test_blinding_kernels_match_python_ints(rows, columns, parties):
     assert [tuple(row) for row in general.tolist()] == expected
 
 
+@pytest.mark.parametrize("parties", [2, 3, 5])
+@pytest.mark.parametrize("columns", [64, 4096])
+def test_stacked_square_blinding_equals_per_party_calls(columns, parties):
+    rng = np.random.default_rng(columns + parties)
+    rows = 2 * block_rows(columns) + 1
+    base = with_edges(rng, (rows, columns))
+    shares = with_edges(rng, (parties, rows, columns))
+    stacked = verify.blind_square_batch(base, shares, parties)
+    assert stacked.shape == (parties, rows, parties)
+    matrices = np.stack([base] * parties, axis=1)
+    for j in range(1, parties):
+        matrices[:, j] = m61_mul(matrices[:, j - 1], base)
+    for i in range(parties):
+        assert np.array_equal(stacked[i], verify.blind_square_batch(base, shares[i], parties))
+        assert np.array_equal(stacked[i], verify.blind_batch(matrices, shares[i]))
+    with pytest.raises(DimensionError):
+        verify.blind_square_batch(base, shares[:, :, :-1], parties)
+
+
 @pytest.mark.parametrize("parties", [1, 2, 3, 5])
 @pytest.mark.parametrize("rows,columns", list(straddling_shapes()))
 def test_additive_share_batch_keeps_the_verify_stream(rows, columns, parties):
