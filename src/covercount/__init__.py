@@ -2,7 +2,7 @@
 
 The package is organized as a pipeline:
 
-- :mod:`covercount.field` -- prime-field scalars and packed bitstrings.
+- :mod:`covercount.field` -- array arithmetic mod 2^61 - 1 and bitstrings.
 - :mod:`covercount.mechanisms` -- local privatization (randomized response and
   the two-round sampling mechanisms), their estimators, leakage calculators,
   and grid discretization.

@@ -48,11 +48,6 @@ _S32 = np.uint64(32)
 _S61 = np.uint64(61)
 
 
-def m61_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    t = np.asarray(a, np.uint64) + np.asarray(b, np.uint64)
-    return np.where(t >= _M61, t - _M61, t)
-
-
 def m61_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, np.uint64)
     b = np.asarray(b, np.uint64)
@@ -65,8 +60,6 @@ def m61_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def m61_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, np.uint64)
     b = np.asarray(b, np.uint64)
-    if a.shape != b.shape:
-        a, b = np.broadcast_arrays(a, b)
     a1 = a >> _S31
     a0 = a & _MASK31
     b1 = b >> _S31
@@ -208,14 +201,6 @@ class BitString:
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"BitString is immutable ({name})")
-
-    @classmethod
-    def random(cls, length: int, rng: np.random.Generator) -> "BitString":
-        nbytes = (length + 7) // 8
-        if nbytes == 0:
-            return cls(0, 0)
-        raw = rng.bytes(nbytes)
-        return cls(int.from_bytes(raw, "big") >> (nbytes * 8 - length), length)
 
     @classmethod
     def from_bytes(cls, data: bytes, length: int) -> "BitString":

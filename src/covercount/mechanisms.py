@@ -562,8 +562,10 @@ class GridSpec:
     id_bits: int
 
     def __post_init__(self):
-        if self.cell_miles <= 0:
-            raise ValueError("cell_miles must be positive")
+        if not (math.isfinite(self.origin_lat) and math.isfinite(self.origin_lon)):
+            raise ValueError("the grid origin must be finite")
+        if not 0 < self.cell_miles < math.inf:  # also rejects NaN
+            raise ValueError("cell_miles must be positive and finite")
         if self.id_bits < 2 or self.id_bits % 2:
             raise ValueError("id_bits must be even and at least 2")
 
@@ -578,10 +580,11 @@ def discretize(lat: float, lon: float, grid: GridSpec) -> int:
     east_miles = (lon - grid.origin_lon) * _MILES_PER_DEGREE * math.cos(
         math.radians(grid.origin_lat)
     )
-    row = math.floor(north_miles / grid.cell_miles)
-    col = math.floor(east_miles / grid.cell_miles)
+    # compared before flooring, so an infinite or NaN coordinate is out too
+    row = north_miles / grid.cell_miles
+    col = east_miles / grid.cell_miles
     if not (0 <= row < grid.side and 0 <= col < grid.side):
         raise OutOfGridError(
             f"({lat}, {lon}) falls outside the {grid.side}x{grid.side} grid"
         )
-    return row_major_index(row, col, grid.side)
+    return row_major_index(math.floor(row), math.floor(col), grid.side)

@@ -211,7 +211,7 @@ def it_gen(pf: PointFunction, n: int, m: int, parties: int, rng: np.random.Gener
     if not 0 <= pf.a < n_slots:
         raise ValueError("write slot out of range")
     total = n_slots * m
-    shares = [BitString.random(total, rng) for _ in range(parties - 1)]
+    shares = [BitString.from_bytes(rng.bytes((total + 7) // 8), total) for _ in range(parties - 1)]
     acc = unit_write(pf.a, pf.b, n_slots, m)
     for share in shares:
         acc ^= share

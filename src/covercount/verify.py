@@ -48,8 +48,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionError, IncompleteSubmissionError
-from .field import MODULUS, m61_add, m61_dot, m61_mul, m61_pow, m61_sub
-from .field import m61_sum  # noqa: F401 the benchmark's trace wraps this name
+from .field import MODULUS, m61_dot, m61_mul, m61_pow, m61_sub, m61_sum
 
 KINDS = ("square", "product", "inverse")
 
@@ -235,6 +234,16 @@ def additive_share_batch(
     return out
 
 
+def _square_rows(base: np.ndarray, parties: int) -> np.ndarray:
+    """(..., columns) -> (..., parties, columns): row j is the elementwise
+    (j + 1)-th power of ``base``."""
+    out = np.empty((*base.shape[:-1], parties, base.shape[-1]), np.uint64)
+    out[..., 0, :] = base
+    for j in range(1, parties):
+        out[..., j, :] = m61_mul(out[..., j - 1, :], base)
+    return out
+
+
 def make_blinding_batch(
     kind: str, columns: int, parties: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -242,13 +251,10 @@ def make_blinding_batch(
     _check_kind(kind)
     if parties < 2:
         raise ValueError("parties must be at least 2")
-    out = np.empty((count, parties, columns), np.uint64)
     if kind == "square":
         base = rng.integers(1, MODULUS, size=(count, columns), dtype=np.uint64)
-        out[:, 0] = base
-        for j in range(1, parties):
-            out[:, j] = m61_mul(out[:, j - 1], base)
-        return out
+        return _square_rows(base, parties)
+    out = np.empty((count, parties, columns), np.uint64)
     free = rng.integers(1, MODULUS, size=(count, parties - 1, columns), dtype=np.uint64)
     out[:, :-1] = free
     prod = free[:, 0].copy()
@@ -272,35 +278,26 @@ def blind_batch(matrices: np.ndarray, shares: np.ndarray) -> np.ndarray:
 
 
 def blind_square_batch(base: np.ndarray, shares: np.ndarray, parties: int) -> np.ndarray:
-    """Blind against square-kind matrices given only their base rows.
+    """Blind a (stack, count, columns) share stack against square-kind
+    matrices given by their (count, columns) base rows: (stack, count, parties).
 
-    Row j of a square matrix is the elementwise j-th power of the base row;
-    each row block builds those ``parties`` power rows once and dots them
-    with the shares. ``shares`` is one party's (count, columns) batch, giving
-    (count, parties), or a stack (stack, count, columns) of them, giving
-    (stack, count, parties). Equivalent to ``blind_batch`` on the expanded
-    matrices, share by share.
+    Each row block builds its power rows once for the whole stack; equivalent
+    to ``blind_batch`` on the expanded matrices, one share batch at a time.
     """
-    if shares.ndim not in (2, 3) or base.shape != shares.shape[-2:]:
-        raise DimensionError("base rows and shares disagree on shape")
-    stack = shares.reshape(-1, *base.shape)
-    out = np.empty((stack.shape[0], base.shape[0], parties), np.uint64)
+    if shares.ndim != 3 or base.shape != shares.shape[1:]:
+        raise DimensionError("expected a (stack, count, columns) share stack over the base rows")
+    out = np.empty((shares.shape[0], base.shape[0], parties), np.uint64)
     for rows in _row_blocks(*base.shape):
-        block = base[rows]
-        powers = np.empty((block.shape[0], parties, block.shape[1]), np.uint64)
-        powers[:, 0] = block
-        for j in range(1, parties):
-            powers[:, j] = m61_mul(powers[:, j - 1], block)
+        powers = _square_rows(base[rows], parties)
         # (rows, parties, columns) x (rows, stack, columns) -> (rows, parties, stack)
-        out[:, rows] = m61_dot(powers, stack[:, rows].swapaxes(0, 1)).transpose(2, 0, 1)
-    return out.reshape(*shares.shape[:-1], parties)
+        out[:, rows] = m61_dot(powers, shares[:, rows].swapaxes(0, 1)).transpose(2, 0, 1)
+    return out
 
 
-def aggregate_batch(blinded: Sequence[np.ndarray]) -> np.ndarray:
-    total = np.asarray(blinded[0], np.uint64)
-    for share in blinded[1:]:
-        total = m61_add(total, share)
-    return total
+def aggregate_batch(blinded: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Sum the parties' blinded outputs, a list of (count, parties) arrays
+    or their (stack, count, parties) stack, over the party axis."""
+    return m61_sum(np.asarray(blinded, np.uint64), axis=0)
 
 
 def check_batch(aggregates: np.ndarray, kind: str) -> np.ndarray:
@@ -309,12 +306,7 @@ def check_batch(aggregates: np.ndarray, kind: str) -> np.ndarray:
     s = np.asarray(aggregates, np.uint64)
     parties = s.shape[1]
     if kind == "square":
-        ok = np.ones(s.shape[0], bool)
-        power = s[:, 0]
-        for j in range(1, parties):
-            power = m61_mul(power, s[:, 0])
-            ok &= power == s[:, j]
-        return ok
+        return (_square_rows(s[:, :1], parties)[..., 0] == s).all(axis=1)
     prod = s[:, 0]
     for j in range(1, parties - 1):
         prod = m61_mul(prod, s[:, j])

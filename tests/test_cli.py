@@ -96,6 +96,9 @@ def test_normalization_resolves_fss_defaults():
         lambda raw: raw.pop("population"),
         lambda raw: raw.update(domain=[1]),
     ],
+    # strict collection wants unique ids: these are the numbered names that
+    # pytest gives duplicate lambdas, kept so test reports stay comparable
+    ids=[f"<lambda>{i}" for i in range(16)],
 )
 def test_bad_configs_are_rejected(mutate):
     raw = base_config()

@@ -26,7 +26,7 @@ from covercount import cli
 from covercount import harness as h
 from covercount import mechanisms as mech
 from covercount.errors import ConfigError, PopulationSpecError, ProtocolAbortError
-from covercount.field import m61_add
+from covercount.field import m61_sum
 from covercount.privwrite import FssParams, default_mu, default_nu, unit_write
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -689,9 +689,7 @@ def test_two_row_writer_with_several_writes_per_round_is_the_only_rejection():
     chunk = h.build_chunk(
         plan, config, derived_stream(5, 2), derived_stream(5, 3), True, frozenset({1})
     )
-    indicators = chunk.indicator_shares[0]
-    for share in chunk.indicator_shares[1:]:
-        indicators = m61_add(indicators, share)
+    indicators = m61_sum(chunk.indicator_shares, axis=0)
     reference = np.zeros((len(plan), config.db_slots), np.uint64)
     attacker_first = True
     for idx, w in enumerate(plan):

@@ -429,11 +429,21 @@ def test_discretize_out_of_grid():
     with pytest.raises(OutOfGridError):
         # beyond the northern extent: side * cell = 2 miles
         mech.discretize(40.0 + 2.1 / 69.0, -75.0, grid)
+    # non-finite coordinates, and a finite one whose distance overflows
+    for lat, lon in [(math.inf, -75.0), (1e308, -75.0), (math.nan, -75.0), (40.0, -math.inf)]:
+        with pytest.raises(OutOfGridError):
+            mech.discretize(lat, lon, grid)
 
 
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         mech.GridSpec(0.0, 0.0, cell_miles=0.0, id_bits=4)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            mech.GridSpec(0.0, 0.0, cell_miles=bad, id_bits=4)
+    for origin in ((math.inf, 0.0), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            mech.GridSpec(*origin, cell_miles=1.0, id_bits=4)
     with pytest.raises(ValueError):
         mech.GridSpec(0.0, 0.0, cell_miles=1.0, id_bits=5)
     assert mech.GridSpec(0.0, 0.0, 1.0, 16).side == 256

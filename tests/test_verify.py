@@ -15,7 +15,7 @@ import pytest
 
 from covercount import verify
 from covercount.errors import DimensionError, IncompleteSubmissionError
-from covercount.field import MODULUS, m61_add, m61_mul, m61_sum
+from covercount.field import MODULUS, m61_mul, m61_sum
 
 MIRROR = 17
 NONZERO = range(1, MIRROR)
@@ -323,10 +323,7 @@ def test_additive_share_batch_sums():
     u[np.arange(10), rng.integers(0, 6, 10)] = 1
     shares = verify.additive_share_batch(u, 3, rng)
     assert shares.shape == (3, 10, 6)
-    total = shares[0]
-    for j in (1, 2):
-        total = m61_add(total, shares[j])
-    assert np.array_equal(total, u)
+    assert np.array_equal(m61_sum(shares, axis=0), u)
 
 
 def test_make_blinding_batch_invariants():
@@ -361,10 +358,10 @@ def test_blind_square_fast_path_matches_batch():
     rng = np.random.default_rng(24)
     mats = verify.make_blinding_batch("square", 6, 4, 10, rng)
     shares = rng.integers(0, MODULUS, size=(10, 6), dtype=np.uint64)
-    fast = verify.blind_square_batch(mats[:, 0, :].copy(), shares, 4)
+    fast = verify.blind_square_batch(mats[:, 0, :].copy(), shares[None], 4)[0]
     assert np.array_equal(fast, verify.blind_batch(mats, shares))
     with pytest.raises(DimensionError):
-        verify.blind_square_batch(np.zeros((10, 5), np.uint64), shares, 4)
+        verify.blind_square_batch(np.zeros((10, 5), np.uint64), shares[None], 4)
 
 
 EDGE_VALUES = np.array([0, 1, MODULUS - 1], np.uint64)
@@ -406,7 +403,7 @@ def test_blinding_kernels_match_python_ints(rows, columns, parties):
         )
         matrices[k] = entries
         expected.append(verify.blind(verify.BlindingMatrix("square", entries), share))
-    square = verify.blind_square_batch(base, shares, parties)
+    square = verify.blind_square_batch(base, shares[None], parties)[0]
     assert [tuple(row) for row in square.tolist()] == expected
     general = verify.blind_batch(matrices, shares)
     assert [tuple(row) for row in general.tolist()] == expected
@@ -425,10 +422,21 @@ def test_stacked_square_blinding_equals_per_party_calls(columns, parties):
     for j in range(1, parties):
         matrices[:, j] = m61_mul(matrices[:, j - 1], base)
     for i in range(parties):
-        assert np.array_equal(stacked[i], verify.blind_square_batch(base, shares[i], parties))
+        alone = verify.blind_square_batch(base, shares[i : i + 1], parties)[0]
+        assert np.array_equal(stacked[i], alone)
         assert np.array_equal(stacked[i], verify.blind_batch(matrices, shares[i]))
     with pytest.raises(DimensionError):
         verify.blind_square_batch(base, shares[:, :, :-1], parties)
+    with pytest.raises(DimensionError):
+        verify.blind_square_batch(base, shares[0], parties)  # one party's 2-D batch
+    # the party-axis sum of these outputs and of rows of p - 1 and of zeros,
+    # stacked or as a list of per-party arrays
+    extremes = np.zeros((parties, 2, parties), np.uint64)
+    extremes[:, 0] = MODULUS - 1
+    for blinded in (stacked, extremes):
+        want = (blinded.astype(object).sum(axis=0) % MODULUS).tolist()
+        assert verify.aggregate_batch(blinded).tolist() == want
+        assert verify.aggregate_batch(list(blinded)).tolist() == want
 
 
 @pytest.mark.parametrize("parties", [1, 2, 3, 5])
