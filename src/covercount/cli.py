@@ -14,7 +14,8 @@ Subcommands:
 Everything is deterministic under ``--seed``: trial seeds are derived from
 the master seed, outputs carry no timestamps, and keys are sorted, so a
 fixed config reproduces its output files byte for byte. Exit codes: 0 on
-success, 2 for configuration problems, 3 for a protocol abort.
+success, 2 for configuration problems (a geometry too large to allocate
+among them), 3 for a protocol abort.
 """
 
 from __future__ import annotations
@@ -705,6 +706,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (CoverCountError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, OverflowError) as exc:  # a geometry too large to allocate
+        print(f"error: the experiment could not be allocated: {exc}", file=sys.stderr)
         return 2
 
 

@@ -18,6 +18,8 @@ Everything here is simulation-grade: no constant-time guarantees are made.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import LengthError
@@ -181,6 +183,7 @@ def unpack_fields(bits: np.ndarray, width: int) -> np.ndarray:
     return np.packbits(fields, axis=-1).view(">u8")[..., 0].astype(np.uint64)
 
 
+@dataclass(frozen=True, slots=True)
 class BitString:
     """Immutable bit sequence with an explicit length.
 
@@ -189,18 +192,14 @@ class BitString:
     are a single int so XOR runs at native speed.
     """
 
-    __slots__ = ("value", "length")
+    value: int
+    length: int
 
-    def __init__(self, value: int, length: int):
-        if length < 0:
+    def __post_init__(self):
+        if self.length < 0:
             raise ValueError("length must be non-negative")
-        if value < 0 or value >> length:
+        if self.value < 0 or self.value >> self.length:
             raise ValueError("value does not fit in the stated length")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "length", length)
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"BitString is immutable ({name})")
 
     @classmethod
     def from_bytes(cls, data: bytes, length: int) -> "BitString":
@@ -215,14 +214,6 @@ class BitString:
 
     def __len__(self) -> int:
         return self.length
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BitString):
-            return NotImplemented
-        return self.length == other.length and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.length))
 
     def __xor__(self, other: "BitString") -> "BitString":
         if not isinstance(other, BitString):
@@ -247,6 +238,3 @@ class BitString:
             raise ValueError(f"a field does not fit in {width} bits")
         bits = np.unpackbits(fields.astype(">u8").view(np.uint8)).reshape(-1, 64)
         return cls.from_bytes(np.packbits(bits[:, 64 - width :]).tobytes(), fields.size * width)
-
-    def __repr__(self) -> str:
-        return f"BitString({self.value:#x}, {self.length})"

@@ -51,6 +51,7 @@ __all__ = [
     "TwoRoundMultiParams",
     "CalibratedParams",
     "TwoRoundResponse",
+    "Rounds",
     "GridSpec",
     "rr_privatize",
     "rr_privatize_population",
@@ -108,11 +109,6 @@ def _binary_truths(truths: np.ndarray) -> np.ndarray:
     return truths
 
 
-def _binary_claims(*rounds: np.ndarray) -> np.ndarray:
-    """Per-round bool answers as a (rounds, owners, 1) claim matrix."""
-    return np.stack(rounds)[:, :, None]
-
-
 @dataclass(frozen=True)
 class RrParams:
     """Randomized response coins.
@@ -135,7 +131,7 @@ class RrParams:
         _check_prob("pi2", self.pi2)
 
     def claims(self, truths, value_ids, rng) -> np.ndarray:
-        return _binary_claims(rr_privatize_population(_binary_truths(truths), self, rng))
+        return rr_privatize_population(_binary_truths(truths), self, rng)[None, :, None]
 
     def estimate(self, counts, total) -> list[float]:
         return [rr_estimate(counts[0][0], total, self)]
@@ -173,8 +169,7 @@ class TwoRoundBinaryParams:
             raise ValueError("die probabilities must sum to 1")
 
     def claims(self, truths, value_ids, rng) -> np.ndarray:
-        rounds = two_round_binary_population(_binary_truths(truths), self, rng)
-        return _binary_claims(rounds.round1, rounds.round2)
+        return two_round_binary_population(_binary_truths(truths), self, rng).claims[..., None]
 
     def estimate(self, counts, total) -> list[float]:
         return [two_round_estimate(counts[0][0], counts[1][0], self.pi_s)]
@@ -237,8 +232,7 @@ class CalibratedParams:
             raise ValueError("truthful-No rates must match across rounds")
 
     def claims(self, truths, value_ids, rng) -> np.ndarray:
-        rounds = calibrated_population(_binary_truths(truths), self, rng)
-        return _binary_claims(rounds.round1, rounds.round2)
+        return calibrated_population(_binary_truths(truths), self, rng).claims[..., None]
 
     def estimate(self, counts, total) -> list[float]:
         return [calibrated_estimate(counts[0][0], counts[1][0], self)]
@@ -264,6 +258,24 @@ class TwoRoundResponse:
     round1: int | frozenset
     round2: int | frozenset | None
     sampled: bool | None = None
+
+
+class Rounds(NamedTuple):
+    """A two-round population draw: ``claims`` stacks both rounds' bool
+    claims as (round, owner), or (round, owner, value) for the multi-value
+    kind, with abstainers unclaimed in round two; ``sampled`` flags the die's
+    truthful side, and is None for calibrated, whose rounds are independent."""
+
+    claims: np.ndarray
+    sampled: np.ndarray | None
+
+    @property
+    def round1(self) -> np.ndarray:
+        return self.claims[0]
+
+    @property
+    def round2(self) -> np.ndarray:
+        return self.claims[1]
 
 
 # ---------------------------------------------------------------------------
@@ -356,24 +368,15 @@ def two_round_binary(
     return TwoRoundResponse(round1=chaff, round2=chaff, sampled=False)
 
 
-class BinaryRounds(NamedTuple):
-    """Vectorized binary responses as bool arrays: abstainers have
-    ``round2`` False and are flagged by ``sampled``."""
-
-    round1: np.ndarray
-    round2: np.ndarray
-    sampled: np.ndarray
-
-
 def two_round_binary_population(
     truths: np.ndarray, params: TwoRoundBinaryParams, rng: np.random.Generator
-) -> BinaryRounds:
+) -> Rounds:
     truths = np.asarray(truths)
     u = rng.random(len(truths))
     sampled = u < params.pi_s
     chaff = (~sampled) & (u < params.pi_s + params.pi_yes)
     # chaff excludes the sampled owners, who abstain in round two
-    return BinaryRounds(np.where(sampled, truths == 1, chaff), chaff, sampled)
+    return Rounds(np.stack((np.where(sampled, truths == 1, chaff), chaff)), sampled)
 
 
 def two_round_estimate(sum1: float, sum2: float, pi_s: float) -> float:
@@ -425,28 +428,12 @@ def two_round_multi(
     return TwoRoundResponse(round1=round1, round2=round2, sampled=sampled)
 
 
-class MultiRounds(NamedTuple):
-    """Vectorized multi-value responses: ``claims`` holds both rounds'
-    owner x domain claim matrices as one (round, owner, value) array."""
-
-    claims: np.ndarray
-    sampled: np.ndarray
-
-    @property
-    def round1(self) -> np.ndarray:
-        return self.claims[0]
-
-    @property
-    def round2(self) -> np.ndarray:
-        return self.claims[1]
-
-
 def two_round_multi_population(
     truths: np.ndarray,
     domain: Sequence[int],
     params: TwoRoundMultiParams,
     rng: np.random.Generator,
-) -> MultiRounds:
+) -> Rounds:
     """Vectorized ``two_round_multi``; draw-for-draw identical to the loop.
 
     ``truths`` may contain -1 (or any value outside the domain codes used
@@ -468,7 +455,7 @@ def two_round_multi_population(
     claims[0] |= withdrawn
     # round one claims every withdrawn truth, so XOR drops exactly those
     np.logical_xor(claims[0], withdrawn, out=claims[1])
-    return MultiRounds(claims, sampled)
+    return Rounds(claims, sampled)
 
 
 def two_round_epsilon_multi(params: TwoRoundMultiParams) -> float:
@@ -509,19 +496,14 @@ def calibrated_privatize(
     return TwoRoundResponse(round1=int(u1 < r1), round2=int(u2 < r2), sampled=None)
 
 
-class CalibratedRounds(NamedTuple):
-    round1: np.ndarray
-    round2: np.ndarray
-
-
 def calibrated_population(
     truths: np.ndarray, params: CalibratedParams, rng: np.random.Generator
-) -> CalibratedRounds:
+) -> Rounds:
     truths = np.asarray(truths)
     u = rng.random((len(truths), 2))
     r1 = np.where(truths == 1, params.pi_s_yes_1, params.pi_s_no_1)
     r2 = np.where(truths == 1, params.pi_s_yes_2, params.pi_s_no_2)
-    return CalibratedRounds(u[:, 0] < r1, u[:, 1] < r2)
+    return Rounds(np.stack((u[:, 0] < r1, u[:, 1] < r2)), None)
 
 
 def calibrated_estimate(sum1: float, sum2: float, params: CalibratedParams) -> float:

@@ -7,8 +7,12 @@ fixed point under dump/reload.
 """
 
 import csv
+import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +23,8 @@ from covercount import mechanisms as mech
 from covercount.errors import ConfigError, ProtocolAbortError
 from covercount.privwrite import FssParams, default_nu, key_size_bytes
 
-CONFIGS = Path(__file__).parent.parent / "configs"
+ROOT = Path(__file__).parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def base_config(**overrides):
@@ -389,6 +394,61 @@ def test_protocol_abort_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_experiment", boom)
     assert cli.main(["simulate", "--config", config]) == 3
     assert "abort" in capsys.readouterr().err
+
+
+def test_unallocatable_geometry_exits_2(tmp_path, capsys):
+    # 300 parties ask numpy for 2^299 correction words per write; the size
+    # overflows before anything is allocated
+    args = ["simulate", "--config", str(CONFIGS / "epoch_crypto_small.json")]
+    assert cli.main([*args, "--override", "epoch.parties=300", "--out-dir", str(tmp_path)]) == 2
+    assert "could not be allocated" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
+    config = write_config(tmp_path, base_config(mode="cryptofree"))
+
+    def boom(*args, **kwargs):
+        raise MemoryError("Unable to allocate 128. GiB")
+
+    monkeypatch.setattr(cli.h, "run_epoch", boom)
+    assert cli.main(["simulate", "--config", config, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "could not be allocated" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+# -- the installed command -----------------------------------------------------
+
+
+def run_module(*args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "covercount.cli", *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_module_command_matches_in_process_run(tmp_path):
+    config = str(CONFIGS / "epoch_crypto_small.json")
+    proc = run_module("simulate", "--config", config, "--out-dir", str(tmp_path / "sub"))
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(["simulate", "--config", config, "--out-dir", str(tmp_path / "in")]) == 0
+    for name in ("trials.csv", "summary.json"):
+        assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "in" / name).read_bytes()
+
+    missing = run_module("simulate", "--config", str(tmp_path / "nope.json"))
+    assert missing.returncode == 2
+    assert missing.stderr.startswith("error:")
+
+
+def test_console_script_is_the_entrypoint():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["name"] == "covercount"
+    module, _, attr = project["scripts"]["covercount"].partition(":")
+    target = getattr(importlib.import_module(module), attr)
+    assert target is cli.entrypoint and callable(target)
 
 
 # -- datasets ------------------------------------------------------------------

@@ -4,6 +4,9 @@ The vectorized Mersenne-61 helpers must agree elementwise with Python's own
 int arithmetic, on edge values and on random draws.
 """
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -200,6 +203,11 @@ def test_bitstring_immutable_and_hashable():
     with pytest.raises(AttributeError):
         b.value = 6
     assert len({b, BitString(5, 4), BitString(5, 5)}) == 2
+    assert hash(b) == hash((5, 4))
+    for copied in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b)):
+        assert copied == b and hash(copied) == hash(b)
+        with pytest.raises(AttributeError):
+            copied.length = 5
 
 
 bits_strategy = st.integers(1, 200).flatmap(

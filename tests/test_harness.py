@@ -716,7 +716,7 @@ def test_attackers_require_the_verification_layer():
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP item 1: identical binary Yes writes that share a slot XOR "
+    reason="ROADMAP item 2(a): identical binary Yes writes that share a slot XOR "
     "to zero, so round one loses more writes and the estimate is biased low",
 )
 def test_shipped_cryptofree_config_is_unbiased():

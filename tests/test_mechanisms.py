@@ -400,6 +400,37 @@ def test_calibrated_estimate_guards_divisor():
     assert mech.calibrated_estimate(10, 5, params) == pytest.approx(5 / 0.3)
 
 
+# -- the shared two-round draw ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        mech.TwoRoundBinaryParams(0.45, 0.2, 0.35),
+        mech.TwoRoundMultiParams(pi_s=0.3, pi_v=0.4),
+        mech.CalibratedParams(0.5, 0.2, 0.1, 0.1),
+    ],
+    ids=lambda params: params.kind,
+)
+def test_two_round_claims_are_the_draw(params):
+    value_ids = [1] if params.binary else [1, 2, 3]
+    truths = np.random.default_rng(3).choice([0, 1] if params.binary else [-1, 1, 2, 3], 400)
+    rng = np.random.default_rng(41)
+    if params.kind == "two_round_multi":
+        rounds = mech.two_round_multi_population(truths, value_ids, params, rng)
+    elif params.kind == "two_round_binary":
+        rounds = mech.two_round_binary_population(truths, params, rng)
+    else:
+        rounds = mech.calibrated_population(truths, params, rng)
+    assert isinstance(rounds, mech.Rounds)
+    claims = params.claims(truths, value_ids, np.random.default_rng(41))
+    assert claims.dtype == bool and claims.shape == (2, 400, len(value_ids))
+    np.testing.assert_array_equal(claims, rounds.claims[..., None] if params.binary else rounds.claims)
+    np.testing.assert_array_equal(rounds.round1, rounds.claims[0])
+    np.testing.assert_array_equal(rounds.round2, rounds.claims[1])
+    assert (rounds.sampled is None) == (params.kind == "calibrated")
+
+
 # -- grid discretization --------------------------------------------------------
 
 
