@@ -19,7 +19,8 @@ of parties.
 Databases are anonymous mailboxes: a write XORs ``ID || checksum`` into a
 uniformly chosen slot. In both modes a round database is a ``(2**n,)``
 uint64 array of slot messages, so a message has at most 64 bits;
-``BitString`` carries only the released databases. Counting tallies the
+``BitString`` carries only the released databases, packed from the
+nonzero slots when first read. Counting tallies the
 slots equal to each value's message: two distinct messages in one slot XOR
 into garbage, surfaced as ``collision_drops``, and two identical messages
 cancel to an empty slot. Owners with nothing to claim in a round still
@@ -47,8 +48,8 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-import zlib
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -140,11 +141,15 @@ class EpochConfig:
 
 
 def checksum(value_id: int, epoch_id: int, checksum_bits: int) -> int:
-    """Truncated CRC-32 of the value ID and epoch, stored beside the ID by
-    :func:`encode_message`. IDs from 2**32 up pack as 8 bytes, not 4."""
+    """Truncated 8-byte BLAKE2b of the value ID and epoch, stored beside the
+    ID by :func:`encode_message`. IDs from 2**32 up pack as 8 bytes, not 4.
+
+    A hash, not a CRC: a CRC is affine over XOR, so the messages of an odd
+    number of distinct IDs XOR to the message of the XOR of those IDs, and
+    count as that ID when it is in the domain."""
     layout = "<IQ" if value_id < (1 << 32) else "<QQ"
-    crc = zlib.crc32(struct.pack(layout, value_id, epoch_id))
-    return crc & ((1 << checksum_bits) - 1)
+    digest = hashlib.blake2b(struct.pack(layout, value_id, epoch_id), digest_size=8).digest()
+    return int.from_bytes(digest, "little") & ((1 << checksum_bits) - 1)
 
 
 def encode_message(value_id: int, config: EpochConfig) -> int:
@@ -344,8 +349,9 @@ class SubmissionChunk:
     slot indicator, ``(parties, writes, db_slots)``; ``blinding`` holds the
     base rows ``(writes, db_slots)`` of the square blinding matrices, whose
     row j is the base row's j-th power. ``keys`` is one FSS key per party
-    per write, and ``owner_ids`` the sorted distinct owners of the writes.
-    A crypto-free chunk carries the planned writes only.
+    per write, and ``owner_ids`` the contiguous owner range of the writes,
+    each owner with at least one write. A crypto-free chunk carries the
+    planned writes only.
     """
 
     owner_ids: np.ndarray
@@ -372,15 +378,29 @@ class EpochDiagnostics:
 class EpochResult:
     """Outcome of one epoch. When ``halted`` the released section is empty:
     below the participation threshold nothing is published, though the
-    diagnostics keep exact numbers for the operator."""
+    diagnostics keep exact numbers for the operator.
+
+    The reconstructed ``slot_shape`` = (rounds, 2**n) slot array is kept
+    sparse, as the flat index and message of each nonzero slot, and packed
+    into ``databases`` on first read."""
 
     halted: bool
     epoch_id: int
     k_threshold: int
-    databases: tuple[BitString, ...]
     counts: tuple[dict[int, int], ...]
     estimates: dict[int, float]
     diagnostics: EpochDiagnostics
+    slot_shape: tuple[int, int]
+    message_bits: int
+    nonzero_slots: np.ndarray = field(repr=False, compare=False)
+    nonzero_messages: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def databases(self) -> tuple[BitString, ...]:
+        """The released round databases; none when halted."""
+        slots = np.zeros(self.slot_shape, np.uint64)
+        slots.ravel()[self.nonzero_slots] = self.nonzero_messages
+        return tuple(BitString.from_fields(s, self.message_bits) for s in slots)
 
     def released(self) -> dict | None:
         """The public view: counts and estimates, participation only as a
@@ -413,8 +433,8 @@ class EpochCollector:
     verdicts, and the dedup ledger. The databases are one ``(parties or 1,
     rounds, 2**n)`` uint64 slot array: a crypto run XORs party i's batch
     evaluation of each chunk into ``[i]``, a crypto-free run XORs each
-    accepted write's message into its slot of ``[0]``, and ``finalize``
-    reconstructs either the same way."""
+    accepted non-null write's message into its slot of ``[0]``, and
+    ``finalize`` reconstructs either the same way."""
 
     def __init__(self, config: EpochConfig, crypto: bool = True):
         self.config = config
@@ -429,17 +449,21 @@ class EpochCollector:
 
     def submit(self, chunk: SubmissionChunk) -> None:
         owners = chunk.owner_ids
-        if owners.size and owners[-1] >= self._seen.size:
-            grown = np.zeros(max(int(owners[-1]) + 1, 2 * self._seen.size), bool)
+        if not owners.size:
+            return
+        start, stop = int(owners[0]), int(owners[-1]) + 1
+        if stop > self._seen.size:
+            grown = np.zeros(max(stop, 2 * self._seen.size), bool)
             grown[: self._seen.size] = self._seen
             self._seen = grown
-        keep = ~self._seen[owners]
-        self._seen[owners] = True
+        seen = self._seen[start:stop]
+        keep = ~seen
+        seen[:] = True
         self._duplicates += owners.size - int(keep.sum())
         if not keep.any():
             return
         writes = chunk.writes
-        owner_of_write = np.searchsorted(owners, writes.owner)
+        owner_of_write = writes.owner - start
         if self.crypto:
             rejected = np.zeros(owners.size, bool)
             rejected[owner_of_write[~self._verify(chunk)]] = True
@@ -457,11 +481,12 @@ class EpochCollector:
                     acc ^= fss_evaluate_batch([keys[i] for i in index], rounds, self.config.rounds)
             return
         # crypto-free: unbuffered, so writes that share a slot all land; a
-        # null write's message is zero
+        # null write's message is zero, so only real writes need XORing
+        real = np.flatnonzero(accepted & (writes.value < len(self.config.value_ids)))
         np.bitwise_xor.at(
             self._acc[0],
-            (writes.round_index[accepted], writes.slot[accepted]),
-            self._messages[writes.value[accepted]],
+            (writes.round_index[real], writes.slot[real]),
+            self._messages[writes.value[real]],
         )
 
     def _verify(self, chunk: SubmissionChunk) -> np.ndarray:
@@ -483,20 +508,28 @@ class EpochCollector:
             duplicate_submissions=self._duplicates,
             writes_per_round=tuple(self._writes_per_round.tolist()),
         )
-        common = dict(
-            epoch_id=config.epoch_id, k_threshold=config.k_threshold, diagnostics=diagnostics
-        )
-        if accepted < config.k_threshold:
-            return EpochResult(halted=True, databases=(), counts=(), estimates={}, **common)
-        slots = reconstruct(self._acc)
-        messages = dict(zip(config.value_ids, config.messages))
-        counts, drops = zip(*[count_values(s, messages) for s in slots])
-        diagnostics.collision_drops = drops
-        table = [[c.get(v, 0) for v in config.value_ids] for c in counts]
-        estimates = dict(zip(config.value_ids, config.mech.estimate(table, accepted)))
-        databases = tuple(BitString.from_fields(s, config.message_bits) for s in slots)
+        halted = accepted < config.k_threshold
+        if halted:
+            slots, counts, estimates = np.zeros((0, config.db_slots), np.uint64), (), {}
+        else:
+            slots = reconstruct(self._acc)
+            messages = dict(zip(config.value_ids, config.messages))
+            counts, drops = zip(*[count_values(s, messages) for s in slots])
+            diagnostics.collision_drops = drops
+            table = [[c.get(v, 0) for v in config.value_ids] for c in counts]
+            estimates = dict(zip(config.value_ids, config.mech.estimate(table, accepted)))
+        nonzero = np.flatnonzero(slots)
         return EpochResult(
-            halted=False, databases=databases, counts=counts, estimates=estimates, **common
+            halted=halted,
+            epoch_id=config.epoch_id,
+            k_threshold=config.k_threshold,
+            counts=counts,
+            estimates=estimates,
+            diagnostics=diagnostics,
+            slot_shape=slots.shape,
+            message_bits=config.message_bits,
+            nonzero_slots=nonzero,
+            nonzero_messages=slots.ravel()[nonzero],
         )
 
 
@@ -515,8 +548,15 @@ def build_chunk(
     write's indicator vector, the shape verification exists to catch. Their
     key material is left untouched; a rejected submission never reaches the
     accumulators anyway.
+
+    Raises ``ValueError`` unless the writes come from a contiguous owner
+    range in owner order, as every slice of a plan between owner starts does.
     """
-    owners, first = np.unique(writes.owner, return_index=True)
+    # 1 where a write starts the next owner's writes
+    steps = np.diff(writes.owner, prepend=writes.owner[:1] - 1)
+    if ((steps != 0) & (steps != 1)).any():
+        raise ValueError("a chunk's writes must cover a contiguous owner range in order")
+    owners = np.arange(writes.owner[0], writes.owner[-1] + 1) if len(writes) else writes.owner
     if not crypto:
         if two_row_owners:
             raise ValueError("two-row writers need the verification layer")
@@ -527,7 +567,7 @@ def build_chunk(
     # a real write marks its slot; a two-row attacker's first write marks its
     # slot and the next one
     real = np.flatnonzero(writes.value < len(config.value_ids))
-    attack = first[np.isin(owners, list(two_row_owners))]
+    attack = np.flatnonzero(steps)[np.isin(owners, list(two_row_owners))]
     rows = np.concatenate((real, attack, attack))
     columns = np.concatenate(
         (writes.slot[real], writes.slot[attack], (writes.slot[attack] + 1) % config.db_slots)

@@ -104,7 +104,7 @@ class Mechanism(Protocol):
 
 def _binary_truths(truths: np.ndarray) -> np.ndarray:
     truths = np.asarray(truths)
-    if not np.isin(truths, (0, 1)).all():
+    if not ((truths == 0) | (truths == 1)).all():
         raise InvalidTruthError("binary mechanisms need 0/1 truths")
     return truths
 

@@ -25,9 +25,20 @@ from scipy import stats
 from covercount import cli
 from covercount import harness as h
 from covercount import mechanisms as mech
-from covercount.errors import ConfigError, PopulationSpecError, ProtocolAbortError
-from covercount.field import m61_sum
-from covercount.privwrite import FssParams, default_mu, default_nu, unit_write
+from covercount.errors import (
+    ConfigError,
+    InvalidTruthError,
+    PopulationSpecError,
+    ProtocolAbortError,
+)
+from covercount.field import BitString, m61_sum
+from covercount.privwrite import (
+    FssParams,
+    default_mu,
+    default_nu,
+    fss_evaluate_batch,
+    unit_write,
+)
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -62,7 +73,7 @@ def derived_stream(master_seed, index):
     epoch_id=st.integers(0, 2**64 - 1),
     bits=st.integers(1, 32),
 )
-def test_checksum_is_a_truncated_crc(value_id, epoch_id, bits):
+def test_checksum_is_truncated(value_id, epoch_id, bits):
     c = h.checksum(value_id, epoch_id, bits)
     assert 0 <= c < (1 << bits)
     assert c == h.checksum(value_id, epoch_id, 32) & ((1 << bits) - 1)
@@ -105,13 +116,8 @@ def test_count_values_collision_of_distinct_messages_is_dropped():
     assert drops == 1
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="CHANGES.md FOUND note on harness.checksum: the truncated CRC-32 is "
-    "affine over XOR, so the messages of 1, 2 and 4 XOR to the message of 7",
-)
 def test_odd_collision_onto_a_domain_id_is_a_drop():
+    # a CRC would read the garbage of 1, 2 and 4 as a write of 7
     config = binary_config(
         mech=mech.TwoRoundMultiParams(pi_s=0.2, pi_v=0.5), id_bits=3, domain=(1, 2, 4, 7)
     )
@@ -425,7 +431,7 @@ def test_wide_row_crypto_epoch_digest():
     result = h.run_epoch(pop, config, crypto=True, attackers=[5, 140, 300])
     assert result.diagnostics.rejected_owner_ids == (5, 140, 300)
     digest = hashlib.sha256(result.to_json_bytes()).hexdigest()
-    assert digest == "3c5da2661a0de5594921b34ec0cf504b996d30380b5c20c6f145e6192d59260f"
+    assert digest == "242db40340281749f6237e8e51aec2c8ead2873db9af44da30cb77026d3b6b41"
 
 
 def test_crypto_and_crypto_free_agree_exactly():
@@ -597,6 +603,82 @@ def test_duplicate_crypto_submissions_are_ignored():
     assert second.counts == first.counts
     assert second.diagnostics.duplicate_submissions == len(chunk.owner_ids) == 30
     assert second.diagnostics.rejected_owner_ids == (4,)
+
+
+def test_build_chunk_needs_a_contiguous_owner_range():
+    config = binary_config()
+    owner = np.array([0, 1, 2, 3, 4, 6, 7, 8, 9])
+    zeros = np.zeros_like(owner)
+    gapped = h.WritePlan(owner, zeros, zeros, zeros, config.value_ids)
+    with pytest.raises(ValueError, match="contiguous owner range"):
+        h.build_chunk(gapped, config, None, None, crypto=False)
+    chunk = h.build_chunk(gapped[:0], config, None, None, crypto=False)
+    assert chunk.owner_ids.size == 0
+
+
+def test_null_writes_are_counted_but_leave_the_databases_empty():
+    config = binary_config()
+    owner = np.repeat(np.arange(5), 2)
+    null = np.full(owner.size, len(config.value_ids))
+    slot = np.zeros(owner.size, np.int64)  # all in one slot: nothing to cancel
+    plan = h.WritePlan(owner, np.tile([0, 1], 5), null, slot, config.value_ids)
+    collector = h.EpochCollector(config, crypto=False)
+    collector.submit(h.build_chunk(plan, config, None, None, crypto=False))
+    result = collector.finalize()
+    assert not result.halted
+    assert result.diagnostics.writes_per_round == (5, 5)
+    assert all(db.value == 0 for db in result.databases)
+    assert result.counts == ({}, {})
+
+
+@pytest.mark.parametrize("crypto", [False, True])
+def test_databases_are_the_reconstructed_slots_packed_once(crypto):
+    config = binary_config(master_seed=13)
+    pop = h.generate_population({"total": 40, "yes": 12}, np.random.default_rng(2))
+    claims = config.mech.claims(pop, config.value_ids, derived_stream(13, 0))
+    plan = h.plan_writes(claims, config, derived_stream(13, 1))
+    chunk = h.build_chunk(plan, config, derived_stream(13, 2), derived_stream(13, 3), crypto)
+    collector = h.EpochCollector(config, crypto=crypto)
+    collector.submit(chunk)
+    result = collector.finalize()
+
+    if crypto:
+        accumulators = [
+            fss_evaluate_batch(list(keys), plan.round_index, config.rounds)
+            for keys in zip(*chunk.keys)
+        ]
+    else:
+        accumulators = [np.zeros((config.rounds, config.db_slots), np.uint64)]
+        messages = config.messages
+        for w_round, w_slot, w_value in zip(plan.round_index, plan.slot, plan.value):
+            accumulators[0][w_round, w_slot] ^= np.uint64(messages[w_value])
+    eager = tuple(
+        BitString.from_fields(s, config.message_bits) for s in h.reconstruct(accumulators)
+    )
+    assert any(db.value for db in eager)
+    assert result.databases == eager
+    assert result.databases is result.databases
+
+
+@pytest.mark.parametrize(
+    "truths, valid",
+    [
+        ([0, 1], True),
+        ([True, False], True),
+        ([0.0, 1.0], True),
+        ([2], False),
+        ([-1], False),
+        ([0.5], False),
+        ([math.nan], False),
+    ],
+)
+def test_binary_truths_accept_exactly_zero_and_one(truths, valid):
+    assert np.isin(truths, (0, 1)).all() == valid
+    if valid:
+        assert np.array_equal(mech._binary_truths(np.array(truths)), truths)
+    else:
+        with pytest.raises(InvalidTruthError):
+            mech._binary_truths(np.array(truths))
 
 
 def test_below_threshold_halts_without_release():
