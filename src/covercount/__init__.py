@@ -6,8 +6,8 @@ The package is organized as a pipeline:
 - :mod:`covercount.mechanisms` -- local privatization (randomized response and
   the two-round sampling mechanisms), their estimators, leakage calculators,
   and grid discretization.
-- :mod:`covercount.privwrite` -- non-attributable database writes: the plain
-  XOR-sharing scheme and the seed-compressed point-function sharing scheme.
+- :mod:`covercount.privwrite` -- non-attributable database writes through
+  seed-compressed point-function shares.
 - :mod:`covercount.verify` -- blinded-share verification that each write is a
   unit vector.
 - :mod:`covercount.harness` -- end-to-end epoch simulation.

@@ -13,10 +13,10 @@ verbatim, so the round difference isolates the sampled truthful count
 exactly. Estimator noise then depends only on the truthful subpopulation,
 not the total population.
 
-Scalar functions consume one ``rng.random(...)`` block per owner in a
-documented order; the ``*_population`` variants draw the same uniforms in the
-same order, so a vectorized simulation is draw-for-draw identical to the
-scalar loop under the same generator state.
+Each ``*_population`` draw takes one ``rng.random(...)`` block for the
+whole population and states in its docstring which uniform decides what;
+that order is part of the seeded stream contract. The per-owner reference
+loops that the tests compare each draw against live in ``tests/reference.py``.
 
 Each params class is also the mechanism's interface to the rest of the
 pipeline (:class:`Mechanism`): ``claims`` turns a population's truths into a
@@ -50,22 +50,16 @@ __all__ = [
     "TwoRoundBinaryParams",
     "TwoRoundMultiParams",
     "CalibratedParams",
-    "TwoRoundResponse",
     "Rounds",
     "GridSpec",
-    "rr_privatize",
     "rr_privatize_population",
     "rr_estimate",
-    "rr_noise_stddev",
     "rr_epsilon",
-    "two_round_binary",
     "two_round_binary_population",
     "two_round_estimate",
-    "two_round_multi",
     "two_round_multi_population",
     "two_round_epsilon_binary",
     "two_round_epsilon_multi",
-    "calibrated_privatize",
     "calibrated_population",
     "calibrated_estimate",
     "row_major_index",
@@ -131,7 +125,7 @@ class RrParams:
         _check_prob("pi2", self.pi2)
 
     def claims(self, truths, value_ids, rng) -> np.ndarray:
-        return rr_privatize_population(_binary_truths(truths), self, rng)[None, :, None]
+        return rr_privatize_population(truths, self, rng)[None, :, None]
 
     def estimate(self, counts, total) -> list[float]:
         return [rr_estimate(counts[0][0], total, self)]
@@ -169,7 +163,7 @@ class TwoRoundBinaryParams:
             raise ValueError("die probabilities must sum to 1")
 
     def claims(self, truths, value_ids, rng) -> np.ndarray:
-        return two_round_binary_population(_binary_truths(truths), self, rng).claims[..., None]
+        return two_round_binary_population(truths, self, rng).claims[..., None]
 
     def estimate(self, counts, total) -> list[float]:
         return [two_round_estimate(counts[0][0], counts[1][0], self.pi_s)]
@@ -232,7 +226,7 @@ class CalibratedParams:
             raise ValueError("truthful-No rates must match across rounds")
 
     def claims(self, truths, value_ids, rng) -> np.ndarray:
-        return calibrated_population(_binary_truths(truths), self, rng).claims[..., None]
+        return calibrated_population(truths, self, rng).claims[..., None]
 
     def estimate(self, counts, total) -> list[float]:
         return [calibrated_estimate(counts[0][0], counts[1][0], self)]
@@ -242,22 +236,6 @@ MECHANISMS: dict[str, type] = {
     cls.kind: cls
     for cls in (RrParams, TwoRoundBinaryParams, TwoRoundMultiParams, CalibratedParams)
 }
-
-
-@dataclass(frozen=True)
-class TwoRoundResponse:
-    """What one owner uploads.
-
-    ``round1``/``round2`` are bits for the binary mechanisms and frozensets
-    of claimed values for the multi-value mechanism. ``round2 is None`` marks
-    an explicit abstention. ``sampled`` records the die outcome where the
-    rounds are coupled by one; it is ``None`` for the calibrated mechanism,
-    whose rounds are drawn independently.
-    """
-
-    round1: int | frozenset
-    round2: int | frozenset | None
-    sampled: bool | None = None
 
 
 class Rounds(NamedTuple):
@@ -283,20 +261,13 @@ class Rounds(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def rr_privatize(truth: int, params: RrParams, rng: np.random.Generator) -> int:
-    """One owner's randomized-response answer. Consumes one uniform."""
-    if truth not in (0, 1):
-        raise InvalidTruthError(f"binary truth expected, got {truth!r}")
-    u = rng.random()
-    threshold = params.yes_rate if truth else params.chaff_yes_rate
-    return int(u < threshold)
-
-
 def rr_privatize_population(
     truths: np.ndarray, params: RrParams, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized ``rr_privatize``; draw-for-draw identical to the loop."""
-    truths = np.asarray(truths)
+    """One answer per owner from one ``rng.random(owners)`` block, in owner
+    order: an owner answers 1 when its uniform falls below ``yes_rate`` for a
+    truthful Yes, or below ``chaff_yes_rate`` for a No."""
+    truths = _binary_truths(truths)
     u = rng.random(len(truths))
     thresholds = np.where(truths == 1, params.yes_rate, params.chaff_yes_rate)
     return u < thresholds
@@ -315,25 +286,6 @@ def rr_estimate(private_sum: float, total: int, params: RrParams) -> float:
     return (private_sum - params.chaff_yes_rate * total) / params.pi1
 
 
-class NoiseStddev(NamedTuple):
-    exact: float
-    approximate: float
-
-
-def rr_noise_stddev(params: RrParams, total: int) -> NoiseStddev:
-    """Standard deviation of the chaff noise on the privatized sum.
-
-    The chaff is Binomial(total, q) with q the chaff-yes rate, so the exact
-    value is sqrt(total * q * (1 - q)); the companion field drops the
-    (1 - q) factor, the rounder figure usually quoted.
-    """
-    q = params.chaff_yes_rate
-    return NoiseStddev(
-        exact=math.sqrt(total * q * (1.0 - q)),
-        approximate=math.sqrt(total * q),
-    )
-
-
 def rr_epsilon(params: RrParams) -> float:
     """Log-ratio of the answer-1 likelihoods between the two truths:
     ln((pi1 + (1-pi1)*pi2) / ((1-pi1)*pi2))."""
@@ -350,28 +302,14 @@ def rr_epsilon(params: RrParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def two_round_binary(
-    truth: int, params: TwoRoundBinaryParams, rng: np.random.Generator
-) -> TwoRoundResponse:
-    """One owner's coupled two-round answer. Consumes one uniform.
-
-    A single die roll drives both rounds: truthful owners answer their truth
-    in round one and abstain in round two; chaff owners repeat the same
-    random answer in both rounds.
-    """
-    if truth not in (0, 1):
-        raise InvalidTruthError(f"binary truth expected, got {truth!r}")
-    u = rng.random()
-    if u < params.pi_s:
-        return TwoRoundResponse(round1=truth, round2=None, sampled=True)
-    chaff = int(u < params.pi_s + params.pi_yes)
-    return TwoRoundResponse(round1=chaff, round2=chaff, sampled=False)
-
-
 def two_round_binary_population(
     truths: np.ndarray, params: TwoRoundBinaryParams, rng: np.random.Generator
 ) -> Rounds:
-    truths = np.asarray(truths)
+    """Both rounds from one ``rng.random(owners)`` block, one die per owner
+    in owner order: below ``pi_s`` the owner is sampled, answers its truth in
+    round one and abstains in round two; below ``pi_s + pi_yes`` it claims
+    Yes in both rounds; otherwise it claims No in both."""
+    truths = _binary_truths(truths)
     u = rng.random(len(truths))
     sampled = u < params.pi_s
     chaff = (~sampled) & (u < params.pi_s + params.pi_yes)
@@ -403,41 +341,20 @@ def two_round_epsilon_binary(params: TwoRoundBinaryParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def two_round_multi(
-    truth: int | None,
-    domain: Sequence[int],
-    params: TwoRoundMultiParams,
-    rng: np.random.Generator,
-) -> TwoRoundResponse:
-    """One owner's claimed-value sets. Consumes ``1 + len(domain)`` uniforms.
-
-    Round one claims every domain value independently with probability
-    ``pi_v``, plus the truth when the owner is sampled. Round two repeats
-    round one except a sampled owner withdraws the truth. Owners whose truth
-    is not in the queried domain (``truth is None``) contribute chaff only.
-    """
-    domain = list(domain)
-    if truth is not None and truth not in domain:
-        raise InvalidTruthError(f"truth {truth!r} is not in the queried domain")
-    u_sample = rng.random()
-    includes = rng.random(len(domain))
-    sampled = bool(u_sample < params.pi_s) and truth is not None
-    claims = {v for v, u in zip(domain, includes) if u < params.pi_v}
-    round1 = frozenset(claims | {truth}) if sampled else frozenset(claims)
-    round2 = frozenset(round1 - {truth}) if sampled else round1
-    return TwoRoundResponse(round1=round1, round2=round2, sampled=sampled)
-
-
 def two_round_multi_population(
     truths: np.ndarray,
     domain: Sequence[int],
     params: TwoRoundMultiParams,
     rng: np.random.Generator,
 ) -> Rounds:
-    """Vectorized ``two_round_multi``; draw-for-draw identical to the loop.
+    """Both rounds' claims from one ``rng.random((owners, 1 + K))`` block,
+    K = ``len(domain)``, one row per owner in owner order. Column 0 is the
+    owner's sampling draw (below ``pi_s``); column 1 + j is its chaff draw
+    for ``domain[j]`` (below ``pi_v``). Round one claims the chaff values
+    plus a sampled owner's truth; round two repeats round one without it.
 
-    ``truths`` may contain -1 (or any value outside the domain codes used
-    here) only as -1, meaning "not in the queried domain".
+    A truth outside the domain is accepted only as -1, meaning "not in the
+    queried domain"; such an owner contributes chaff only.
     """
     domain = list(domain)
     truths = np.asarray(truths)
@@ -480,26 +397,13 @@ def two_round_epsilon_multi(params: TwoRoundMultiParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def calibrated_privatize(
-    truth: int, params: CalibratedParams, rng: np.random.Generator
-) -> TwoRoundResponse:
-    """One owner's two independently drawn answers. Consumes two uniforms,
-    round one first."""
-    if truth not in (0, 1):
-        raise InvalidTruthError(f"binary truth expected, got {truth!r}")
-    u1 = rng.random()
-    u2 = rng.random()
-    if truth:
-        r1, r2 = params.pi_s_yes_1, params.pi_s_yes_2
-    else:
-        r1, r2 = params.pi_s_no_1, params.pi_s_no_2
-    return TwoRoundResponse(round1=int(u1 < r1), round2=int(u2 < r2), sampled=None)
-
-
 def calibrated_population(
     truths: np.ndarray, params: CalibratedParams, rng: np.random.Generator
 ) -> Rounds:
-    truths = np.asarray(truths)
+    """Two independent answers per owner from one ``rng.random((owners, 2))``
+    block, in owner order: column 0 decides round one and column 1 round
+    two, each against the rate for the owner's truth."""
+    truths = _binary_truths(truths)
     u = rng.random((len(truths), 2))
     r1 = np.where(truths == 1, params.pi_s_yes_1, params.pi_s_no_1)
     r2 = np.where(truths == 1, params.pi_s_yes_2, params.pi_s_no_2)

@@ -5,19 +5,14 @@ of a database with ``2**n`` slots. Each of ``p`` servers receives a share;
 XORing every server's expansion reconstructs the write, while any ``p - 1``
 shares look random.
 
-Two encodings are provided:
-
-- ``it_gen`` -- the information-theoretic warm-up. Each share is a full-length
-  random bitstring; the last is the running XOR of the others with the write
-  folded in. Simple, and linear in the database size per share.
-
-- ``fss_gen`` / ``fss_evaluate_share`` -- the compressed scheme. The database
-  is viewed as ``nu`` rows of ``mu`` slots. Every row carries ``2**(p-1)``
-  PRG seeds; a party holds a seed when its row of that row's selection matrix
-  has a 1 in the seed's column. Selection matrices for ordinary rows have
-  even-parity columns, so expansions cancel across parties; the written row's
-  matrix has odd-parity columns, leaving the correction words XORed with the
-  row expansion, which generation constrains to equal the write.
+The shares are compressed point-function keys (``fss_gen`` /
+``fss_evaluate_share``). The database is viewed as ``nu`` rows of ``mu``
+slots. Every row carries ``2**(p-1)`` PRG seeds; a party holds a seed when
+its row of that row's selection matrix has a 1 in the seed's column.
+Selection matrices for ordinary rows have even-parity columns, so expansions
+cancel across parties; the written row's matrix has odd-parity columns,
+leaving the correction words XORed with the row expansion, which generation
+constrains to equal the write.
 
 A key holds its wire body as bytes (``FssKey``). ``fss_evaluate_batch``, the
 one evaluator, expands the held seeds of many keys in one PRG call and XORs
@@ -63,7 +58,6 @@ __all__ = [
     "default_mu",
     "default_nu",
     "unit_write",
-    "it_gen",
     "fss_gen",
     "fss_gen_batch",
     "fss_evaluate_batch",
@@ -203,20 +197,6 @@ class FssKey:
         seeds = self.seeds
         slots = iter([seeds[i : i + SEED_BYTES] for i in range(0, len(seeds), SEED_BYTES)])
         return tuple(zip(*[slots] * self.params.seeds_per_row))
-
-
-def it_gen(pf: PointFunction, n: int, m: int, parties: int, rng: np.random.Generator) -> list[BitString]:
-    """Full-length XOR shares of a write into a ``2**n``-slot database."""
-    n_slots = 1 << n
-    if not 0 <= pf.a < n_slots:
-        raise ValueError("write slot out of range")
-    total = n_slots * m
-    shares = [BitString.from_bytes(rng.bytes((total + 7) // 8), total) for _ in range(parties - 1)]
-    acc = unit_write(pf.a, pf.b, n_slots, m)
-    for share in shares:
-        acc ^= share
-    shares.append(acc)
-    return shares
 
 
 # bounds the transient memory of a sub-batch: the evaluator's expansion

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from covercount import mechanisms as mech
+from covercount import privwrite as pw
 from covercount.errors import (
     DegenerateCalibrationError,
     InfiniteLeakageError,
@@ -20,19 +21,45 @@ from covercount.errors import (
     UndefinedLeakageError,
 )
 
+import reference
+
 
 class QueuedUniformRng:
-    """Deterministic stand-in: .random() pops scalars, .random(k) pops arrays."""
+    """Deterministic stand-in: each .random(size) pops the next block."""
 
-    def __init__(self, values):
-        self._values = list(values)
+    def __init__(self, blocks):
+        self._blocks = list(blocks)
 
-    def random(self, size=None):
-        if size is None:
-            return self._values.pop(0)
-        out = self._values.pop(0)
-        assert len(out) == size
-        return np.asarray(out, dtype=float)
+    def random(self, size):
+        out = np.asarray(self._blocks.pop(0), dtype=float)
+        assert out.shape == np.empty(size).shape
+        return out
+
+
+# -- public names and truth validation -----------------------------------------
+
+
+@pytest.mark.parametrize("module", [mech, pw], ids=lambda module: module.__name__)
+def test_public_names_resolve(module):
+    namespace = {}
+    exec(f"from {module.__name__} import *", namespace)
+    assert len(set(module.__all__)) == len(module.__all__)
+    assert set(module.__all__) <= namespace.keys()
+
+
+@pytest.mark.parametrize(
+    "draw, params",
+    [
+        (mech.rr_privatize_population, mech.RrParams(0.85, 0.3)),
+        (mech.two_round_binary_population, mech.TwoRoundBinaryParams(0.45, 0.2, 0.35)),
+        (mech.calibrated_population, mech.CalibratedParams(0.5, 0.2, 0.1, 0.1)),
+    ],
+    ids=["rr", "two_round_binary", "calibrated"],
+)
+def test_binary_draws_reject_non_binary_truths(draw, params):
+    for truths in ([2, -1, 0, 1], [0, 1, 2], [-1]):
+        with pytest.raises(InvalidTruthError):
+            draw(np.array(truths), params, np.random.default_rng(0))
 
 
 # -- randomized response -------------------------------------------------------
@@ -41,13 +68,15 @@ class QueuedUniformRng:
 def test_rr_degenerate_always_truthful():
     params = mech.RrParams(pi1=1.0, pi2=0.7)
     rng = np.random.default_rng(0)
-    assert all(mech.rr_privatize(1, params, rng) == 1 for _ in range(50))
-    assert all(mech.rr_privatize(0, params, rng) == 0 for _ in range(50))
+    assert mech.rr_privatize_population(np.ones(50, dtype=int), params, rng).all()
+    assert not mech.rr_privatize_population(np.zeros(50, dtype=int), params, rng).any()
 
 
 def test_rr_rejects_non_binary_truth():
     with pytest.raises(InvalidTruthError):
-        mech.rr_privatize(2, mech.RrParams(0.5, 0.5), np.random.default_rng(0))
+        mech.rr_privatize_population(
+            np.array([2]), mech.RrParams(0.5, 0.5), np.random.default_rng(0)
+        )
 
 
 def test_rr_population_matches_scalar_loop():
@@ -55,7 +84,7 @@ def test_rr_population_matches_scalar_loop():
     truths = np.array([1, 0, 1, 1, 0, 0, 1, 0] * 25)
     vec = mech.rr_privatize_population(truths, params, np.random.default_rng(42))
     rng = np.random.default_rng(42)
-    loop = [mech.rr_privatize(int(t), params, rng) for t in truths]
+    loop = [reference.rr_privatize(int(t), params, rng) for t in truths]
     assert vec.tolist() == loop
 
 
@@ -94,11 +123,11 @@ def test_rr_estimate_unbiased():
 
 def test_rr_noise_stddev_frozen_values():
     params = mech.RrParams(pi1=0.85, pi2=0.3)
-    at_1e4 = mech.rr_noise_stddev(params, 10_000)
+    at_1e4 = reference.rr_noise_stddev(params, 10_000)
     assert at_1e4.exact == pytest.approx(math.sqrt(10_000 * 0.045 * 0.955), rel=1e-12)
     assert at_1e4.approximate == pytest.approx(math.sqrt(450.0), rel=1e-12)
     assert round(at_1e4.approximate, 1) == 21.2
-    at_1e6 = mech.rr_noise_stddev(params, 1_000_000)
+    at_1e6 = reference.rr_noise_stddev(params, 1_000_000)
     assert round(at_1e6.approximate) == 212
     # noise grows with sqrt(total)
     assert at_1e6.exact == pytest.approx(10 * at_1e4.exact, rel=1e-12)
@@ -128,19 +157,23 @@ def test_rr_epsilon_monotone_in_pi1():
 
 def test_binary_degenerate_sampling():
     params = mech.TwoRoundBinaryParams(pi_s=1.0, pi_yes=0.0, pi_no=0.0)
-    resp = mech.two_round_binary(1, params, np.random.default_rng(0))
-    assert resp == mech.TwoRoundResponse(round1=1, round2=None, sampled=True)
+    rng = np.random.default_rng(0)
+    rounds = mech.two_round_binary_population(np.ones(20, dtype=int), params, rng)
+    assert rounds.sampled.all()
+    assert rounds.round1.all() and not rounds.round2.any()
 
 
 def test_binary_coupling_invariants():
     params = mech.TwoRoundBinaryParams(pi_s=0.45, pi_yes=0.2, pi_no=0.35)
     rng = np.random.default_rng(5)
-    for _ in range(500):
-        resp = mech.two_round_binary(int(rng.integers(0, 2)), params, rng)
-        if resp.sampled:
-            assert resp.round2 is None
-        else:
-            assert resp.round1 == resp.round2
+    truths = rng.integers(0, 2, size=500)
+    rounds = mech.two_round_binary_population(truths, params, rng)
+    sampled = rounds.sampled
+    assert sampled.any() and not sampled.all()
+    # sampled owners answer their truth, then abstain; chaff repeats
+    np.testing.assert_array_equal(rounds.round1[sampled], truths[sampled] == 1)
+    assert not rounds.round2[sampled].any()
+    np.testing.assert_array_equal(rounds.round1[~sampled], rounds.round2[~sampled])
 
 
 def test_binary_population_matches_scalar_loop():
@@ -149,7 +182,7 @@ def test_binary_population_matches_scalar_loop():
     vec = mech.two_round_binary_population(truths, params, np.random.default_rng(9))
     rng = np.random.default_rng(9)
     for i, t in enumerate(truths):
-        resp = mech.two_round_binary(int(t), params, rng)
+        resp = reference.two_round_binary(int(t), params, rng)
         assert vec.sampled[i] == resp.sampled
         assert vec.round1[i] == resp.round1
         assert vec.round2[i] == (0 if resp.round2 is None else resp.round2)
@@ -210,57 +243,63 @@ def test_binary_params_must_sum_to_one():
 # -- two-round multi-value -----------------------------------------------------
 
 
+def claimed(domain, row):
+    return {v for v, claim in zip(domain, row) if claim}
+
+
 def test_multi_worked_example():
     # truth 8 sampled; chaff picks 1, 2, 4, 5 out of domain 1..9
     domain = list(range(1, 10))
     pi_s, pi_v = 0.45, 0.4
     includes = [0.1, 0.2, 0.9, 0.05, 0.3, 0.99, 0.8, 0.7, 0.6]  # < 0.4 at 1,2,4,5
-    rng = QueuedUniformRng([0.01, includes])
-    resp = mech.two_round_multi(8, domain, mech.TwoRoundMultiParams(pi_s, pi_v), rng)
-    assert resp.sampled
-    assert resp.round1 == frozenset({1, 2, 4, 5, 8})
-    assert resp.round2 == frozenset({1, 2, 4, 5})
+    rng = QueuedUniformRng([[[0.01, *includes]]])
+    params = mech.TwoRoundMultiParams(pi_s, pi_v)
+    rounds = mech.two_round_multi_population(np.array([8]), domain, params, rng)
+    assert rounds.sampled.tolist() == [True]
+    assert claimed(domain, rounds.round1[0]) == {1, 2, 4, 5, 8}
+    assert claimed(domain, rounds.round2[0]) == {1, 2, 4, 5}
 
 
 def test_multi_sampled_truth_also_randomly_claimed():
     # the truth withdrawn in round two even when chaff claimed it as well
     domain = [3, 8]
-    rng = QueuedUniformRng([0.0, [0.0, 0.0]])  # sampled; both values chaff-claimed
-    resp = mech.two_round_multi(8, domain, mech.TwoRoundMultiParams(0.2, 0.5), rng)
-    assert resp.round1 == frozenset({3, 8})
-    assert resp.round2 == frozenset({3})
+    rng = QueuedUniformRng([[[0.0, 0.0, 0.0]]])  # sampled; both values chaff-claimed
+    params = mech.TwoRoundMultiParams(0.2, 0.5)
+    rounds = mech.two_round_multi_population(np.array([8]), domain, params, rng)
+    assert claimed(domain, rounds.round1[0]) == {3, 8}
+    assert claimed(domain, rounds.round2[0]) == {3}
 
 
 def test_multi_unsampled_rounds_identical():
     params = mech.TwoRoundMultiParams(pi_s=0.1, pi_v=0.4)
     domain = [1, 2, 3]
     rng = np.random.default_rng(17)
-    for _ in range(300):
-        resp = mech.two_round_multi(2, domain, params, rng)
-        if not resp.sampled:
-            assert resp.round1 == resp.round2
-        else:
-            assert 2 in resp.round1
-            assert resp.round2 == resp.round1 - {2}
+    rounds = mech.two_round_multi_population(np.full(300, 2), domain, params, rng)
+    sampled = rounds.sampled
+    assert sampled.any() and not sampled.all()
+    # a sampled owner claims its truth 2 in round one and withdraws only it
+    assert rounds.round1[sampled, 1].all()
+    expected_round2 = rounds.round1.copy()
+    expected_round2[sampled, 1] = False
+    np.testing.assert_array_equal(rounds.round2, expected_round2)
 
 
 def test_multi_absent_truth_contributes_chaff_only():
     params = mech.TwoRoundMultiParams(pi_s=0.9, pi_v=0.3)
     rng = np.random.default_rng(19)
-    for _ in range(100):
-        resp = mech.two_round_multi(None, [1, 2], params, rng)
-        assert not resp.sampled
-        assert resp.round1 == resp.round2
+    rounds = mech.two_round_multi_population(np.full(100, -1), [1, 2], params, rng)
+    assert not rounds.sampled.any()
+    assert rounds.round1.any()
+    np.testing.assert_array_equal(rounds.round1, rounds.round2)
 
 
 def test_multi_rejects_truth_outside_domain():
     params = mech.TwoRoundMultiParams(pi_s=0.1, pi_v=0.4)
-    with pytest.raises(InvalidTruthError):
-        mech.two_round_multi(7, [1, 2, 3], params, np.random.default_rng(0))
-    with pytest.raises(InvalidTruthError):
-        mech.two_round_multi_population(
-            np.array([1, 7]), [1, 2, 3], params, np.random.default_rng(0)
-        )
+    for truths in ([1, 7], [7], [-2, 1]):
+        with pytest.raises(InvalidTruthError):
+            mech.two_round_multi_population(
+                np.array(truths), [1, 2, 3], params, np.random.default_rng(0)
+            )
 
 
 def test_multi_population_matches_scalar_loop():
@@ -270,7 +309,7 @@ def test_multi_population_matches_scalar_loop():
     vec = mech.two_round_multi_population(truths, domain, params, np.random.default_rng(23))
     rng = np.random.default_rng(23)
     for i, t in enumerate(truths):
-        resp = mech.two_round_multi(None if t == -1 else int(t), domain, params, rng)
+        resp = reference.two_round_multi(None if t == -1 else int(t), domain, params, rng)
         got1 = {v for j, v in enumerate(domain) if vec.round1[i, j]}
         got2 = {v for j, v in enumerate(domain) if vec.round2[i, j]}
         assert got1 == resp.round1
@@ -356,7 +395,7 @@ def test_calibrated_population_matches_scalar_loop():
     vec = mech.calibrated_population(truths, params, np.random.default_rng(37))
     rng = np.random.default_rng(37)
     for i, t in enumerate(truths):
-        resp = mech.calibrated_privatize(int(t), params, rng)
+        resp = reference.calibrated_privatize(int(t), params, rng)
         assert resp.sampled is None
         assert (vec.round1[i], vec.round2[i]) == (resp.round1, resp.round2)
 
@@ -387,7 +426,9 @@ def test_calibrated_validation():
     with pytest.raises(ValueError):
         mech.CalibratedParams(0.5, 0.2, 0.1, 0.2)  # No rates differ
     with pytest.raises(InvalidTruthError):
-        mech.calibrated_privatize(5, mech.CalibratedParams(0.5, 0.2, 0.1, 0.1), np.random.default_rng(0))
+        mech.calibrated_population(
+            np.array([5]), mech.CalibratedParams(0.5, 0.2, 0.1, 0.1), np.random.default_rng(0)
+        )
 
 
 def test_calibrated_estimate_guards_divisor():

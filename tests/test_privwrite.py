@@ -18,6 +18,8 @@ from covercount import privwrite as pw
 from covercount.errors import ParseError
 from covercount.field import BitString
 
+from reference import it_gen
+
 
 class QueuedBytesRng:
     """Stand-in for a Generator that hands out pre-chosen byte strings."""
@@ -101,7 +103,7 @@ def test_prg_rejects_bad_seed_length():
         pw._prg_rows(np.zeros(8, np.uint8), 8)
 
 
-# -- information-theoretic scheme ---------------------------------------------
+# -- unit writes and the information-theoretic reference -----------------------
 
 
 def test_unit_write_places_message():
@@ -117,7 +119,7 @@ def test_it_gen_two_party_worked_example():
     # slot 2 of 4, one-bit messages: e = 0010. With the first share rigged to
     # 1011 the second must be 1001.
     rng = QueuedBytesRng([b"\xb0"])  # 1011 packed MSB-first in a nibble
-    shares = pw.it_gen(pw.PointFunction(2, 1), n=2, m=1, parties=2, rng=rng)
+    shares = it_gen(pw.PointFunction(2, 1), n=2, m=1, parties=2, rng=rng)
     assert shares[0] == BitString(0b1011, 4)
     assert shares[1] == BitString(0b1001, 4)
 
@@ -129,14 +131,14 @@ def test_it_gen_reconstructs(parties):
         n, m = int(rng.integers(1, 7)), int(rng.integers(1, 9))
         a = int(rng.integers(0, 1 << n))
         b = int(rng.integers(0, 1 << m))
-        shares = pw.it_gen(pw.PointFunction(a, b), n, m, parties, rng)
+        shares = it_gen(pw.PointFunction(a, b), n, m, parties, rng)
         assert len(shares) == parties
         assert xor_all(shares) == pw.unit_write(a, b, 1 << n, m)
 
 
 def test_it_gen_null_write_reconstructs_zero():
     rng = np.random.default_rng(9)
-    shares = pw.it_gen(pw.PointFunction(3, 0), 4, 8, 3, rng)
+    shares = it_gen(pw.PointFunction(3, 0), 4, 8, 3, rng)
     assert xor_all(shares) == BitString(0, 16 * 8)
 
 
@@ -473,7 +475,7 @@ def test_it_and_fss_reconstruct_identical_databases():
     db_it = BitString(0, (1 << n) * m)
     db_fss = BitString(0, (1 << n) * m)
     for a, b in writes:
-        for share in pw.it_gen(pw.PointFunction(a, b), n, m, parties, rng):
+        for share in it_gen(pw.PointFunction(a, b), n, m, parties, rng):
             db_it ^= share
         for key in pw.fss_gen(pw.PointFunction(a, b), params, rng):
             db_fss ^= pw.fss_evaluate_share(key)
