@@ -15,7 +15,7 @@ Everything is deterministic under ``--seed``: trial seeds are derived from
 the master seed, outputs carry no timestamps, and keys are sorted, so a
 fixed config reproduces its output files byte for byte. Exit codes: 0 on
 success, 2 for configuration problems (a geometry too large to allocate
-among them), 3 for a protocol abort.
+among them).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from . import harness as h
 from . import mechanisms as mech
 from . import verify
-from .errors import CoverCountError, ConfigError, ProtocolAbortError
+from .errors import CoverCountError, ConfigError
 from .privwrite import (
     FssParams,
     PointFunction,
@@ -259,8 +259,8 @@ def load_dataset(path: str, experiment: Experiment) -> np.ndarray:
     """Read ``owner_id,value`` rows into a truth array.
 
     Owner IDs must be unique. For the multi-value mechanism, values outside
-    the queried domain become chaff-only owners; the binary mechanisms
-    require 0/1 values.
+    the queried domain become chaff-only owners; the binary mechanisms'
+    population draws reject any value but 0 and 1.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -281,14 +281,13 @@ def load_dataset(path: str, experiment: Experiment) -> np.ndarray:
             values[row["owner_id"]] = int(row["value"])
     if not values:
         raise ConfigError(f"{path} contains no rows")
-    truths = np.array(list(values.values()), dtype=np.int64)
     config = experiment.epoch
-    if (truths < 0).any() or (truths >= (1 << config.id_bits)).any():
+    # checked as Python ints: a value of 2**63 or more does not fit int64
+    if max(values.values()) >= (1 << config.id_bits):
         raise ConfigError(f"dataset values must fit {config.id_bits} id bits")
+    truths = np.array(list(values.values()), dtype=np.int64)
     if not config.mech.binary:
         truths = np.where(np.isin(truths, config.value_ids), truths, -1)
-    elif not np.isin(truths, (0, 1)).all():
-        raise ConfigError("binary mechanisms need 0/1 dataset values")
     return truths
 
 
@@ -701,9 +700,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ProtocolAbortError as exc:
-        print(f"abort: {exc}", file=sys.stderr)
-        return 3
     except (CoverCountError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,10 +25,6 @@ class UndefinedLeakageError(CoverCountError):
     """Leakage is undefined for the given parameters (precondition violated)."""
 
 
-class DegenerateCalibrationError(CoverCountError):
-    """The calibrated estimator divisor is zero or negative."""
-
-
 class DimensionError(CoverCountError):
     """Vector or matrix dimensions do not match."""
 
@@ -39,10 +35,6 @@ class ParseError(CoverCountError):
 
 class IncompleteSubmissionError(CoverCountError):
     """An owner submission is missing per-party material."""
-
-
-class ProtocolAbortError(CoverCountError):
-    """Reconstruction cannot proceed (missing party or mismatched accumulators)."""
 
 
 class ConfigError(CoverCountError):

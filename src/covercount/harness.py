@@ -50,17 +50,13 @@ import json
 import struct
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import mechanisms as mech
 from . import verify
-from .errors import (
-    ConfigError,
-    PopulationSpecError,
-    ProtocolAbortError,
-)
+from .errors import ConfigError, PopulationSpecError
 from .field import BitString
 from .privwrite import FssKey, FssParams, fss_evaluate_batch, fss_gen_batch
 from .privwrite import fss_evaluate_share, fss_gen  # noqa: F401 the benchmark's trace wraps them
@@ -78,7 +74,8 @@ class EpochConfig:
     key geometry ``fss`` is built from these fields and ``parties``, so each
     is stated once and ``dataclasses.replace`` rebuilds it. ``domain`` lists
     the claimable value IDs for the multi-value mechanism; the binary
-    mechanisms write ID 1 for a Yes.
+    mechanisms write ID 1 for a Yes. ``messages``, built once like ``fss``,
+    is the read-only uint64 message of each plan value index (null: 0).
     """
 
     parties: int
@@ -92,6 +89,7 @@ class EpochConfig:
     epoch_id: int = 0
     master_seed: int = 0
     fss: FssParams = field(init=False)
+    messages: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.parties < 2:
@@ -117,6 +115,14 @@ class EpochConfig:
             raise ConfigError("domain is only meaningful for the multi mechanism")
         fss = FssParams(n=self.n, parties=self.parties, m=self.message_bits, mu=self.mu)
         object.__setattr__(self, "fss", fss)
+        messages = np.array([encode_message(v, self) for v in self.value_ids] + [0], np.uint64)
+        if not messages[:-1].all():  # only ID 0 can, when its checksum is 0
+            raise ConfigError(
+                f"domain value 0 encodes to the empty message at epoch_id {self.epoch_id},"
+                " so its writes could never be counted"
+            )
+        messages.flags.writeable = False
+        object.__setattr__(self, "messages", messages)
 
     @property
     def db_slots(self) -> int:
@@ -133,11 +139,6 @@ class EpochConfig:
     @property
     def value_ids(self) -> tuple[int, ...]:
         return (1,) if self.mech.binary else tuple(self.domain)
-
-    @property
-    def messages(self) -> list[int]:
-        """The encoded message of each plan value index; a null write's is 0."""
-        return [encode_message(v, self) for v in self.value_ids] + [0]
 
 
 def checksum(value_id: int, epoch_id: int, checksum_bits: int) -> int:
@@ -179,15 +180,6 @@ def count_values(slots: np.ndarray, messages: dict[int, int]) -> tuple[dict[int,
         elif value:
             drops += hit
     return counts, drops
-
-
-def reconstruct(party_accumulators: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """XOR the parties' accumulators, a list or one stacked array, into the round databases."""
-    if len(party_accumulators) == 0:
-        raise ProtocolAbortError("no party accumulators to combine")
-    if len({acc.shape for acc in party_accumulators}) > 1:
-        raise ProtocolAbortError("party accumulators differ in shape")
-    return np.bitwise_xor.reduce(party_accumulators)
 
 
 def check_keys(block, allowed: set, where: str, error: type[ConfigError] = ConfigError) -> None:
@@ -430,18 +422,17 @@ class EpochResult:
 
 class EpochCollector:
     """Aggregator state over one epoch: the round databases, verification
-    verdicts, and the dedup ledger. The databases are one ``(parties or 1,
-    rounds, 2**n)`` uint64 slot array: a crypto run XORs party i's batch
-    evaluation of each chunk into ``[i]``, a crypto-free run XORs each
-    accepted non-null write's message into its slot of ``[0]``, and
-    ``finalize`` reconstructs either the same way."""
+    verdicts, and the dedup ledger. The databases are one ``(parties,
+    rounds, 2**n)`` uint64 slot array, and each chunk decides how it is
+    collected: party i XORs its batch evaluation of a keyed chunk's verified
+    writes into ``[i]``, and a keyless (crypto-free) chunk's accepted
+    non-null messages are XORed into their slots of ``[0]`` as plaintext.
+    ``finalize`` XORs the parties' layers into the round databases."""
 
-    def __init__(self, config: EpochConfig, crypto: bool = True):
+    def __init__(self, config: EpochConfig):
         self.config = config
-        self.crypto = crypto
         rounds = config.rounds
-        self._acc = np.zeros((config.parties if crypto else 1, rounds, config.db_slots), np.uint64)
-        self._messages = np.array(config.messages, np.uint64)
+        self._acc = np.zeros((config.parties, rounds, config.db_slots), np.uint64)
         self._seen = np.zeros(0, bool)  # indexed by owner ID
         self._rejected: list[int] = []
         self._duplicates = 0
@@ -464,29 +455,28 @@ class EpochCollector:
             return
         writes = chunk.writes
         owner_of_write = writes.owner - start
-        if self.crypto:
+        keyed = chunk.keys is not None
+        if keyed:
             rejected = np.zeros(owners.size, bool)
             rejected[owner_of_write[~self._verify(chunk)]] = True
             self._rejected.extend(owners[rejected & keep].tolist())
             keep &= ~rejected
         accepted = keep[owner_of_write]
-        self._writes_per_round += np.bincount(
-            writes.round_index[accepted], minlength=self.config.rounds
-        )
-        if self.crypto:
+        rounds = writes.round_index[accepted]
+        self._writes_per_round += [np.count_nonzero(rounds == r) for r in range(self.config.rounds)]
+        if keyed:
             index = np.flatnonzero(accepted).tolist()
             if index:
-                rounds = writes.round_index[accepted]
                 for acc, keys in zip(self._acc, zip(*chunk.keys)):
                     acc ^= fss_evaluate_batch([keys[i] for i in index], rounds, self.config.rounds)
             return
-        # crypto-free: unbuffered, so writes that share a slot all land; a
-        # null write's message is zero, so only real writes need XORing
+        # a keyless chunk is plaintext, XORed unbuffered so that writes sharing
+        # a slot all land; a null write's message is 0, so only real ones need it
         real = np.flatnonzero(accepted & (writes.value < len(self.config.value_ids)))
         np.bitwise_xor.at(
             self._acc[0],
             (writes.round_index[real], writes.slot[real]),
-            self._messages[writes.value[real]],
+            self.config.messages[writes.value[real]],
         )
 
     def _verify(self, chunk: SubmissionChunk) -> np.ndarray:
@@ -512,8 +502,8 @@ class EpochCollector:
         if halted:
             slots, counts, estimates = np.zeros((0, config.db_slots), np.uint64), (), {}
         else:
-            slots = reconstruct(self._acc)
-            messages = dict(zip(config.value_ids, config.messages))
+            slots = np.bitwise_xor.reduce(self._acc)
+            messages = dict(zip(config.value_ids, config.messages.tolist()))
             counts, drops = zip(*[count_values(s, messages) for s in slots])
             diagnostics.collision_drops = drops
             table = [[c.get(v, 0) for v in config.value_ids] for c in counts]
@@ -538,7 +528,6 @@ def build_chunk(
     config: EpochConfig,
     keys_rng: np.random.Generator | None,
     verify_rng: np.random.Generator | None,
-    crypto: bool,
     two_row_owners: frozenset[int] = frozenset(),
 ) -> SubmissionChunk:
     """Craft the submissions for a batch of owners from their slice of the
@@ -547,7 +536,8 @@ def build_chunk(
     Owners listed in ``two_row_owners`` claim two slots in their first
     write's indicator vector, the shape verification exists to catch. Their
     key material is left untouched; a rejected submission never reaches the
-    accumulators anyway.
+    accumulators anyway. Without a ``keys_rng`` (crypto-free) the chunk
+    carries the planned writes only, and two-row owners are a ``ValueError``.
 
     Raises ``ValueError`` unless the writes come from a contiguous owner
     range in owner order, as every slice of a plan between owner starts does.
@@ -557,13 +547,11 @@ def build_chunk(
     if ((steps != 0) & (steps != 1)).any():
         raise ValueError("a chunk's writes must cover a contiguous owner range in order")
     owners = np.arange(writes.owner[0], writes.owner[-1] + 1) if len(writes) else writes.owner
-    if not crypto:
+    if keys_rng is None:
         if two_row_owners:
             raise ValueError("two-row writers need the verification layer")
         return SubmissionChunk(owners, writes, None, None, None)
-    table = config.messages
-    messages = [table[value] for value in writes.value.tolist()]
-    keys = fss_gen_batch(writes.slot, messages, config.fss, keys_rng)
+    keys = fss_gen_batch(writes.slot, config.messages[writes.value], config.fss, keys_rng)
     # a real write marks its slot; a two-row attacker's first write marks its
     # slot and the next one
     real = np.flatnonzero(writes.value < len(config.value_ids))
@@ -608,19 +596,13 @@ def run_epoch(
     step = _CHUNK_OWNERS if crypto else population.size
     owner_starts = np.arange(0, population.size + step, step)
     bounds = np.searchsorted(plan.owner, owner_starts).tolist()
-    collector = EpochCollector(config, crypto=crypto)
+    keys_rng, verify_rng = (rngs["keys"], rngs["verify"]) if crypto else (None, None)
+    collector = EpochCollector(config)
     for start, stop in zip(bounds, bounds[1:]):
         # free the previous chunk's arrays before building the next; the last
         # stays alive through finalize (freeing it first doubled the minor
         # page faults of short crypto-free epochs)
         chunk = None
-        chunk = build_chunk(
-            plan[start:stop],
-            config,
-            rngs["keys"],
-            rngs["verify"],
-            crypto,
-            two_row,
-        )
+        chunk = build_chunk(plan[start:stop], config, keys_rng, verify_rng, two_row)
         collector.submit(chunk)
     return collector.finalize()

@@ -36,7 +36,6 @@ from typing import ClassVar, NamedTuple, Protocol, Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateCalibrationError,
     InfiniteLeakageError,
     InvalidTruthError,
     OutOfGridError,
@@ -411,11 +410,9 @@ def calibrated_population(
 
 
 def calibrated_estimate(sum1: float, sum2: float, params: CalibratedParams) -> float:
-    """Round difference rescaled by the truthful-Yes rate gap."""
-    divisor = params.pi_s_yes_1 - params.pi_s_yes_2
-    if divisor <= 0.0:
-        raise DegenerateCalibrationError("round-one Yes rate must exceed round two's")
-    return (sum1 - sum2) / divisor
+    """Round difference rescaled by the truthful-Yes rate gap, which
+    :class:`CalibratedParams` requires to be positive."""
+    return (sum1 - sum2) / (params.pi_s_yes_1 - params.pi_s_yes_2)
 
 
 # ---------------------------------------------------------------------------

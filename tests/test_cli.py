@@ -20,7 +20,7 @@ import pytest
 
 from covercount import cli
 from covercount import mechanisms as mech
-from covercount.errors import ConfigError, ProtocolAbortError
+from covercount.errors import ConfigError
 from covercount.privwrite import FssParams, default_nu, key_size_bytes
 
 ROOT = Path(__file__).parent.parent
@@ -208,6 +208,21 @@ def test_messages_wider_than_64_bits_exit_2(tmp_path, capsys):
     assert cli.load_config(path, ["epoch.id_bits=48"]).epoch.message_bits == 64
 
 
+def test_domain_value_with_an_empty_message_exits_2(tmp_path, capsys):
+    # at this epoch ID 0's checksum, and so its whole message, is 0: its
+    # writes would read as empty slots and value 0 would never be counted
+    raw = base_config(mode="cryptofree", trials=2)
+    raw["mechanism"] = {"kind": "two_round_multi", "pi_s": 0.5, "pi_v": 0.6}
+    raw["domain"] = [0, 1]
+    raw["epoch"].update(id_bits=2, epoch_id=43447)
+    raw["population"] = {"total": 2000, "groups": {"0": 300, "1": 300}}
+    args = ["simulate", "--config", write_config(tmp_path, raw), "--out-dir", str(tmp_path)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert "domain value 0" in err and "epoch_id 43447" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_non_object_config_exits_2_with_or_without_overrides(tmp_path, capsys):
     path = write_config(tmp_path, [1, 2])
     for overrides in ([], ["--override", "trials=3"]):
@@ -385,17 +400,6 @@ def test_simulate_bad_config_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_protocol_abort_exit_code(tmp_path, monkeypatch, capsys):
-    config = write_config(tmp_path, base_config())
-
-    def boom(*args, **kwargs):
-        raise ProtocolAbortError("a party went missing")
-
-    monkeypatch.setattr(cli, "run_experiment", boom)
-    assert cli.main(["simulate", "--config", config]) == 3
-    assert "abort" in capsys.readouterr().err
-
-
 def test_unallocatable_geometry_exits_2(tmp_path, capsys):
     # 300 parties ask numpy for 2^299 correction words per write; the size
     # overflows before anything is allocated
@@ -503,6 +507,15 @@ def test_dataset_rejects_duplicates_bad_header_and_wide_values(tmp_path):
     ):
         with pytest.raises(ConfigError, match=r"owners\.csv line 3"):
             cli.load_dataset(dataset_file(tmp_path, rows), exp)
+
+
+def test_dataset_value_beyond_int64_names_the_id_bits(tmp_path, capsys):
+    raw = base_config(trials=1)
+    del raw["population"]
+    raw["dataset"] = dataset_file(tmp_path, ["a,1", "b,99999999999999999999"])
+    args = ["simulate", "--config", write_config(tmp_path, raw), "--out-dir", str(tmp_path)]
+    assert cli.main(args) == 2
+    assert "error: dataset values must fit 1 id bits" in capsys.readouterr().err
 
 
 def test_dataset_drives_simulation(tmp_path):

@@ -29,7 +29,6 @@ from covercount.errors import (
     ConfigError,
     InvalidTruthError,
     PopulationSpecError,
-    ProtocolAbortError,
 )
 from covercount.field import BitString, m61_sum
 from covercount.privwrite import (
@@ -141,38 +140,6 @@ def test_count_values_matches_multiset_without_collisions(ids):
     assert counts == expected
 
 
-# -- Reconstruction ------------------------------------------------------------
-
-
-def test_reconstruct_xors_party_accumulators():
-    rng = np.random.default_rng(3)
-    db = rng.integers(0, 256, size=(2, 1, 64), dtype=np.uint8)
-    shares = [rng.integers(0, 256, size=db.shape, dtype=np.uint8) for _ in range(2)]
-    parties = [shares[0], shares[1], shares[0] ^ shares[1] ^ db]
-    assert np.array_equal(h.reconstruct(parties), db)
-    # the collector's form: one array stacking the parties
-    assert np.array_equal(h.reconstruct(np.stack(parties)), db)
-
-
-def test_reconstruct_rejects_mismatched_lengths():
-    with pytest.raises(ProtocolAbortError):
-        h.reconstruct([np.zeros((2, 1, 512), np.uint8), np.zeros((3, 1, 512), np.uint8)])
-
-
-@pytest.mark.parametrize("other", [(2, 1, 1), (2, 2, 512)])
-def test_reconstruct_rejects_mismatched_shapes(other):
-    # same round count, so these used to XOR by broadcasting
-    with pytest.raises(ProtocolAbortError):
-        h.reconstruct([np.zeros((2, 1, 512), np.uint8), np.zeros(other, np.uint8)])
-
-
-def test_reconstruct_rejects_no_parties():
-    with pytest.raises(ProtocolAbortError):
-        h.reconstruct([])
-    with pytest.raises(ProtocolAbortError):
-        h.reconstruct(np.zeros((0, 2, 256), np.uint64))
-
-
 # -- Populations ---------------------------------------------------------------
 
 
@@ -248,6 +215,12 @@ def test_config_domain_rules():
         binary_config(mech=multi, id_bits=3, domain=(1, 8))  # 8 needs 4 bits
     with pytest.raises(ConfigError):
         binary_config(domain=(1,))  # binary mechanism takes no domain
+    # ID 0's message is its checksum alone, which is 0 at this epoch, so its
+    # writes would read as empty slots
+    assert h.checksum(0, 43447, 16) == 0
+    with pytest.raises(ConfigError, match="domain value 0 .*epoch_id 43447"):
+        binary_config(mech=multi, id_bits=2, domain=(0, 1), epoch_id=43447)
+    assert binary_config(mech=multi, id_bits=2, domain=(0, 1), epoch_id=43446).messages[0]
     cfg = binary_config(mech=multi, id_bits=3, domain=(1, 5, 2))
     assert cfg.value_ids == (1, 5, 2)
 
@@ -265,6 +238,17 @@ def test_config_checksum_and_epoch_ranges():
     assert binary_config(id_bits=32, checksum_bits=32).message_bits == 64
     with pytest.raises(ConfigError, match="at most 64"):
         binary_config(id_bits=33, checksum_bits=32)
+
+
+def test_config_holds_its_message_table():
+    multi = mech.TwoRoundMultiParams(pi_s=0.2, pi_v=0.5)
+    config = binary_config(mech=multi, id_bits=3, domain=(1, 5, 2))
+    assert config.messages.dtype == np.uint64
+    # one message per value index, then the null write's 0
+    assert config.messages.tolist() == [h.encode_message(v, config) for v in (1, 5, 2)] + [0]
+    with pytest.raises(ValueError):
+        config.messages[0] = 0
+    assert replace(config, master_seed=3).messages.tolist() == config.messages.tolist()
 
 
 def test_config_derives_its_key_geometry():
@@ -558,11 +542,11 @@ def test_duplicate_submissions_are_ignored():
         derived_stream(config.master_seed, 0),
     )
     plan = h.plan_writes(claims, config, derived_stream(config.master_seed, 1))
-    chunk = h.build_chunk(plan, config, None, None, crypto=False)
+    chunk = h.build_chunk(plan, config, None, None)
 
-    once = h.EpochCollector(config, crypto=False)
+    once = h.EpochCollector(config)
     once.submit(chunk)
-    twice = h.EpochCollector(config, crypto=False)
+    twice = h.EpochCollector(config)
     twice.submit(chunk)
     twice.submit(chunk)
 
@@ -587,13 +571,12 @@ def test_duplicate_crypto_submissions_are_ignored():
         config,
         derived_stream(config.master_seed, 2),
         derived_stream(config.master_seed, 3),
-        crypto=True,
         two_row_owners=frozenset({4}),
     )
 
-    once = h.EpochCollector(config, crypto=True)
+    once = h.EpochCollector(config)
     once.submit(chunk)
-    twice = h.EpochCollector(config, crypto=True)
+    twice = h.EpochCollector(config)
     twice.submit(chunk)
     twice.submit(chunk)
 
@@ -605,14 +588,47 @@ def test_duplicate_crypto_submissions_are_ignored():
     assert second.diagnostics.rejected_owner_ids == (4,)
 
 
+def test_the_collector_follows_the_chunk():
+    # one collector per mode, neither told which: a keyed chunk is verified
+    # and evaluated, a keyless one XORed in as plaintext
+    config = binary_config(master_seed=13)
+    pop = h.generate_population({"total": 40, "yes": 12}, np.random.default_rng(2))
+    claims = config.mech.claims(pop, config.value_ids, derived_stream(13, 0))
+    plan = h.plan_writes(claims, config, derived_stream(13, 1))
+    # an attacker with a real write, so that rejecting it shows in the databases
+    attacker = int(plan.owner[plan.value < len(config.value_ids)][0])
+    keyed = h.EpochCollector(config)
+    keyed.submit(
+        h.build_chunk(
+            plan, config, derived_stream(13, 2), derived_stream(13, 3), frozenset({attacker})
+        )
+    )
+    attacked = keyed.finalize()
+    keyless = h.EpochCollector(config)
+    keyless.submit(h.build_chunk(plan, config, None, None))
+    plain = keyless.finalize()
+
+    assert attacked.diagnostics.rejected_owner_ids == (attacker,)
+    assert plain.diagnostics.rejected_owner_ids == ()
+    assert plain.diagnostics.accepted == 40
+    # 40 owners make one chunk in either mode, as in run_epoch
+    full = h.run_epoch(pop, config, crypto=True, attackers=[attacker])
+    free = h.run_epoch(pop, config, crypto=False)
+    assert attacked.databases == full.databases
+    assert plain.databases == free.databases
+    assert attacked.to_json_bytes() == full.to_json_bytes()
+    assert plain.to_json_bytes() == free.to_json_bytes()
+    assert attacked.databases != plain.databases
+
+
 def test_build_chunk_needs_a_contiguous_owner_range():
     config = binary_config()
     owner = np.array([0, 1, 2, 3, 4, 6, 7, 8, 9])
     zeros = np.zeros_like(owner)
     gapped = h.WritePlan(owner, zeros, zeros, zeros, config.value_ids)
     with pytest.raises(ValueError, match="contiguous owner range"):
-        h.build_chunk(gapped, config, None, None, crypto=False)
-    chunk = h.build_chunk(gapped[:0], config, None, None, crypto=False)
+        h.build_chunk(gapped, config, None, None)
+    chunk = h.build_chunk(gapped[:0], config, None, None)
     assert chunk.owner_ids.size == 0
 
 
@@ -622,8 +638,8 @@ def test_null_writes_are_counted_but_leave_the_databases_empty():
     null = np.full(owner.size, len(config.value_ids))
     slot = np.zeros(owner.size, np.int64)  # all in one slot: nothing to cancel
     plan = h.WritePlan(owner, np.tile([0, 1], 5), null, slot, config.value_ids)
-    collector = h.EpochCollector(config, crypto=False)
-    collector.submit(h.build_chunk(plan, config, None, None, crypto=False))
+    collector = h.EpochCollector(config)
+    collector.submit(h.build_chunk(plan, config, None, None))
     result = collector.finalize()
     assert not result.halted
     assert result.diagnostics.writes_per_round == (5, 5)
@@ -637,8 +653,9 @@ def test_databases_are_the_reconstructed_slots_packed_once(crypto):
     pop = h.generate_population({"total": 40, "yes": 12}, np.random.default_rng(2))
     claims = config.mech.claims(pop, config.value_ids, derived_stream(13, 0))
     plan = h.plan_writes(claims, config, derived_stream(13, 1))
-    chunk = h.build_chunk(plan, config, derived_stream(13, 2), derived_stream(13, 3), crypto)
-    collector = h.EpochCollector(config, crypto=crypto)
+    streams = (derived_stream(13, 2), derived_stream(13, 3)) if crypto else (None, None)
+    chunk = h.build_chunk(plan, config, *streams)
+    collector = h.EpochCollector(config)
     collector.submit(chunk)
     result = collector.finalize()
 
@@ -653,7 +670,8 @@ def test_databases_are_the_reconstructed_slots_packed_once(crypto):
         for w_round, w_slot, w_value in zip(plan.round_index, plan.slot, plan.value):
             accumulators[0][w_round, w_slot] ^= np.uint64(messages[w_value])
     eager = tuple(
-        BitString.from_fields(s, config.message_bits) for s in h.reconstruct(accumulators)
+        BitString.from_fields(s, config.message_bits)
+        for s in np.bitwise_xor.reduce(accumulators)
     )
     assert any(db.value for db in eager)
     assert result.databases == eager
@@ -769,7 +787,7 @@ def test_two_row_writer_with_several_writes_per_round_is_the_only_rejection():
     # the shares add up to one indicator per write: the attacker's first
     # write marks two adjacent slots, every other real write its own slot
     chunk = h.build_chunk(
-        plan, config, derived_stream(5, 2), derived_stream(5, 3), True, frozenset({1})
+        plan, config, derived_stream(5, 2), derived_stream(5, 3), frozenset({1})
     )
     indicators = m61_sum(chunk.indicator_shares, axis=0)
     reference = np.zeros((len(plan), config.db_slots), np.uint64)

@@ -14,7 +14,6 @@ import pytest
 from covercount import mechanisms as mech
 from covercount import privwrite as pw
 from covercount.errors import (
-    DegenerateCalibrationError,
     InfiniteLeakageError,
     InvalidTruthError,
     OutOfGridError,
@@ -429,16 +428,6 @@ def test_calibrated_validation():
         mech.calibrated_population(
             np.array([5]), mech.CalibratedParams(0.5, 0.2, 0.1, 0.1), np.random.default_rng(0)
         )
-
-
-def test_calibrated_estimate_guards_divisor():
-    params = mech.CalibratedParams(0.5, 0.2, 0.1, 0.1)
-    bad = object.__new__(mech.CalibratedParams)
-    object.__setattr__(bad, "pi_s_yes_1", 0.2)
-    object.__setattr__(bad, "pi_s_yes_2", 0.2)
-    with pytest.raises(DegenerateCalibrationError):
-        mech.calibrated_estimate(10, 5, bad)
-    assert mech.calibrated_estimate(10, 5, params) == pytest.approx(5 / 0.3)
 
 
 # -- the shared two-round draw ----------------------------------------------------
