@@ -427,12 +427,14 @@ class EpochCollector:
     collected: party i XORs its batch evaluation of a keyed chunk's verified
     writes into ``[i]``, and a keyless (crypto-free) chunk's accepted
     non-null messages are XORed into their slots of ``[0]`` as plaintext.
-    ``finalize`` XORs the parties' layers into the round databases."""
+    ``finalize`` XORs the layers a chunk wrote into the round databases, so
+    a crypto-free epoch reduces layer 0 only."""
 
     def __init__(self, config: EpochConfig):
         self.config = config
         rounds = config.rounds
         self._acc = np.zeros((config.parties, rounds, config.db_slots), np.uint64)
+        self._layers = 0  # leading layers of _acc that a chunk has written
         self._seen = np.zeros(0, bool)  # indexed by owner ID
         self._rejected: list[int] = []
         self._duplicates = 0
@@ -467,12 +469,14 @@ class EpochCollector:
         if keyed:
             index = np.flatnonzero(accepted).tolist()
             if index:
+                self._layers = self.config.parties
                 for acc, keys in zip(self._acc, zip(*chunk.keys)):
                     acc ^= fss_evaluate_batch([keys[i] for i in index], rounds, self.config.rounds)
             return
         # a keyless chunk is plaintext, XORed unbuffered so that writes sharing
         # a slot all land; a null write's message is 0, so only real ones need it
         real = np.flatnonzero(accepted & (writes.value < len(self.config.value_ids)))
+        self._layers = max(self._layers, 1)
         np.bitwise_xor.at(
             self._acc[0],
             (writes.round_index[real], writes.slot[real]),
@@ -502,7 +506,7 @@ class EpochCollector:
         if halted:
             slots, counts, estimates = np.zeros((0, config.db_slots), np.uint64), (), {}
         else:
-            slots = np.bitwise_xor.reduce(self._acc)
+            slots = np.bitwise_xor.reduce(self._acc[: self._layers])
             messages = dict(zip(config.value_ids, config.messages.tolist()))
             counts, drops = zip(*[count_values(s, messages) for s in slots])
             diagnostics.collision_drops = drops

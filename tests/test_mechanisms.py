@@ -316,6 +316,48 @@ def test_multi_population_matches_scalar_loop():
         assert vec.sampled[i] == resp.sampled
 
 
+def test_multi_blocked_draw_matches_scalar_loop_across_blocks():
+    # two whole owner blocks plus an odd remainder, an unsorted domain, every
+    # domain value and -1 among the truths
+    params = mech.TwoRoundMultiParams(pi_s=0.3, pi_v=0.4)
+    domain = [5, 1, 8, 2]
+    owners = 2 * mech._BLOCK_OWNERS + 77
+    truths = np.resize([8, -1, 1, 5, 2, -1, 2], owners)
+    rng = np.random.default_rng(41)
+    rounds = mech.two_round_multi_population(truths, domain, params, rng)
+    assert rounds.claims.shape == (2, owners, len(domain))
+    ref_rng = np.random.default_rng(41)
+    for i, t in enumerate(truths.tolist()):
+        resp = reference.two_round_multi(None if t == -1 else t, domain, params, ref_rng)
+        assert claimed(domain, rounds.round1[i]) == resp.round1
+        assert claimed(domain, rounds.round2[i]) == resp.round2
+        assert rounds.sampled[i] == resp.sampled
+    # the blocks leave the generator where one (owners, 1 + K) block would
+    single = np.random.default_rng(41)
+    single.random((owners, 1 + len(domain)))
+    assert rng.random() == single.random()
+
+
+def test_multi_validation_spans_blocks_and_draws_nothing():
+    params = mech.TwoRoundMultiParams(pi_s=0.3, pi_v=0.4)
+    domain = np.array([5, 1, 8, 2])
+    truths = np.resize([8, -1, 1, 5, 2], mech._BLOCK_OWNERS + 9)
+    truths[-3] = 6  # between the domain members 5 and 8
+    truths[-1] = -3  # negative but not -1
+    rng = np.random.default_rng(43)
+    state = rng.bit_generator.state
+    for passed in (domain, domain.tolist()):
+        with pytest.raises(InvalidTruthError) as err:
+            mech.two_round_multi_population(truths, passed, params, rng)
+        assert str(err.value) == "truths [-3, 6] are not in the queried domain"
+    assert rng.bit_generator.state == state
+    np.testing.assert_array_equal(domain, [5, 1, 8, 2])
+    # a duplicate domain value, which only a direct call can pass, raises too
+    with pytest.raises(ValueError, match="distinct"):
+        mech.two_round_multi_population(truths[:5], [5, 1, 5], params, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_multi_round_difference_counts_sampled_truths_exactly():
     params = mech.TwoRoundMultiParams(pi_s=0.1, pi_v=0.4)
     domain = [0, 1, 2, 3, 4]
