@@ -35,12 +35,17 @@ key material, verification). Both crypto streams are drawn per 256-owner
 chunk, so that chunk size is part of the crypto stream contract: the keys
 stream in ``fss_gen_batch``'s order (the seeds of all the chunk's writes,
 zero-seed redraws, selection matrices, then the correction words, each
-padded to a multiple of 4 bytes), the verification stream as share and
-blinding arrays. The crypto-free mode consumes the
-first two streams identically, skips the other two and submits its plan
-as one chunk, so its reconstructed databases, and therefore counts and
-estimates, are bit-identical to the full run; it exists to make large
-sweeps affordable.
+padded to a multiple of 4 bytes), every byte draw as uint32 words viewed as
+bytes, the same as one ``bytes`` call; the verification stream as the drawn
+share layers, then the blinding base rows, each drawn in row blocks with
+the values of one whole-array draw. ``build_chunk`` writes each indicator
+straight into the last share layer, which ``verify.fill_shares`` turns into
+the indicator minus the drawn shares, so a chunk's arrays are written once
+and nothing chunk-sized is built beside them. The crypto-free mode
+consumes the first two streams identically, skips the other two and
+submits its plan as one chunk, so its reconstructed databases, and
+therefore counts and estimates, are bit-identical to the full run; it
+exists to make large sweeps affordable.
 """
 
 from __future__ import annotations
@@ -556,20 +561,17 @@ def build_chunk(
             raise ValueError("two-row writers need the verification layer")
         return SubmissionChunk(owners, writes, None, None, None)
     keys = fss_gen_batch(writes.slot, config.messages[writes.value], config.fss, keys_rng)
-    # a real write marks its slot; a two-row attacker's first write marks its
-    # slot and the next one
+    # the indicators go straight into the last share layer: a real write
+    # marks its slot, a two-row attacker's first write its slot and the next
+    shares = np.zeros((config.parties, len(writes), config.db_slots), np.uint64)
+    indicators = shares[-1]
     real = np.flatnonzero(writes.value < len(config.value_ids))
+    indicators[real, writes.slot[real]] = 1
     attack = np.flatnonzero(steps)[np.isin(owners, list(two_row_owners))]
-    rows = np.concatenate((real, attack, attack))
-    columns = np.concatenate(
-        (writes.slot[real], writes.slot[attack], (writes.slot[attack] + 1) % config.db_slots)
-    )
-    indicators = np.zeros((len(writes), config.db_slots), np.uint64)
-    indicators[rows, columns] = 1
-    shares = verify.additive_share_batch(indicators, config.parties, verify_rng)
-    blinding = verify_rng.integers(
-        1, verify.MODULUS, size=indicators.shape, dtype=np.uint64
-    )
+    indicators[attack, writes.slot[attack]] = 1
+    indicators[attack, (writes.slot[attack] + 1) % config.db_slots] = 1
+    verify.fill_shares(shares, verify_rng)
+    blinding = verify.square_bases(len(writes), config.db_slots, verify_rng)
     return SubmissionChunk(owners, writes, keys, shares, blinding)
 
 

@@ -200,8 +200,9 @@ class FssKey:
 
 
 # bounds the transient memory of a sub-batch: the evaluator's expansion
-# bytes if every seed were held, and key generation's correction words;
-# 1 MiB ran fastest of 0.5 to 4 MiB at n = 12, mu = 128 and 4096
+# bytes if every seed were held, and key generation's correction words and
+# written-row expansions; 1 MiB ran fastest of 0.5 to 4 MiB at n = 12,
+# mu = 128 and 4096
 _BATCH_BYTES = 1 << 20
 
 
@@ -232,6 +233,18 @@ def fss_gen(pf: PointFunction, params: FssParams, rng: np.random.Generator) -> l
     return list(fss_gen_batch([pf.a], [pf.b], params, rng)[0])
 
 
+def _stream_bytes(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The bytes of ``rng.bytes(count)`` as a writable uint8 array, leaving
+    the same generator state. ``Generator.bytes`` draws ``ceil(count / 4)``
+    uint32 words, one for ``count`` 0, and copies their little-endian bytes
+    out three times (an astype, a ``tobytes`` and a slice); this views the
+    words in place. ``count`` passes through ``np.intp`` as ``bytes``' own
+    argument does, so a draw beyond the address space raises
+    ``OverflowError``, not numpy's ``ValueError`` for an oversized array."""
+    words = rng.integers(0, 1 << 32, size=max(1, -(-np.intp(count) // 4)), dtype=np.uint32)
+    return words.astype("<u4", copy=False).view(np.uint8)[:count]
+
+
 def fss_gen_batch(
     slots, messages, params: FssParams, rng: np.random.Generator
 ) -> tuple[tuple[FssKey, ...], ...]:
@@ -244,13 +257,15 @@ def fss_gen_batch(
     equals the one-hot row image; ordinary rows cancel because each of their
     seed slots is held by an even number of parties.
 
-    The batch makes one generator call each for the seeds of every write,
-    the zero-seed redraws, the selection matrices and the drawn correction
-    words, in that order, and one PRG call for every written row. Words are
-    drawn with each row padded to a multiple of 4 bytes and cut back to
-    ``row_bytes``, which yields the bytes, and leaves the generator state,
-    of one ``rng.bytes`` call per word: a batch of one consumes the stream
-    as a write-by-write loop would.
+    The batch draws the seeds of every write, the zero-seed redraws, the
+    selection matrices and the correction words, in that order; each byte
+    draw is uint32 words viewed in place, the bytes and generator state of
+    one ``rng.bytes`` call. Words are drawn with each row padded to a
+    multiple of 4 bytes and cut back to ``row_bytes``, which yields the
+    bytes, and leaves the generator state, of one ``rng.bytes`` call per
+    word: a batch of one consumes the stream as a write-by-write loop
+    would. The words are drawn, the written rows expanded and the wire
+    words built in sub-batches of about ``_BATCH_BYTES``.
     """
     slots = np.asarray(slots, np.int64).reshape(-1)
     messages = [int(b) for b in messages]
@@ -263,44 +278,45 @@ def fss_gen_batch(
     count, spr, nbytes, m = slots.size, params.seeds_per_row, params.row_bytes, params.m
     gamma, delta = np.divmod(slots, params.mu)
 
-    seeds = np.frombuffer(rng.bytes(SEED_BYTES * count * params.nu * spr), np.uint8)
-    seeds = seeds.reshape(count, params.nu, spr, SEED_BYTES).copy()
+    seeds = _stream_bytes(rng, SEED_BYTES * count * params.nu * spr)
+    seeds = seeds.reshape(count, params.nu, spr, SEED_BYTES)
     lanes = seeds.view(np.uint64)
     zero = np.nonzero((lanes[..., 0] | lanes[..., 1]) == 0)
     while zero[0].size:
-        redrawn = np.frombuffer(rng.bytes(SEED_BYTES * zero[0].size), np.uint8)
-        seeds[zero] = redrawn.reshape(-1, SEED_BYTES)
+        seeds[zero] = _stream_bytes(rng, SEED_BYTES * zero[0].size).reshape(-1, SEED_BYTES)
         still = (lanes[zero][:, 0] | lanes[zero][:, 1]) == 0
         zero = tuple(axis[still] for axis in zero)
     held = _selection_matrices(params.parties, gamma, params.nu, spr, rng)
 
-    # each write's last word before its drawn words are XORed in: the
-    # written row's expansions and the row image, message b at bits
-    # [delta * m, (delta + 1) * m)
-    last = np.bitwise_xor.reduce(
-        _prg_rows(seeds[np.arange(count), gamma], nbytes).reshape(count, spr, nbytes), axis=1
-    )
-    for word, start, b in zip(last, (delta * m).tolist(), messages):
-        first, stop = start // 8, -(-(start + m) // 8)
-        image = (b << (8 * stop - start - m)).to_bytes(stop - first, "big")
-        word[first:stop] ^= np.frombuffer(image, np.uint8)
-
-    padded = -(-nbytes // 4) * 4
-    drawn = np.frombuffer(rng.bytes(count * (spr - 1) * padded), np.uint8)
-    drawn = drawn.reshape(count, spr - 1, padded)[..., :nbytes]
-    # party i holds the seeds its selection-matrix row marks, zero elsewhere
-    party_seeds = seeds[:, None] * held.transpose(0, 2, 1, 3)[..., None]
-    party_seeds = party_seeds.reshape(count, params.parties, -1)
-    # the wire words, _BATCH_BYTES of them at a time
     keys = []
+    padded = -(-nbytes // 4) * 4
     step = max(1, _BATCH_BYTES // (spr * nbytes))
-    for part in (slice(first, first + step) for first in range(0, count, step)):
-        words = np.concatenate((drawn[part], last[part, None]), axis=1)
-        words[:, -1] ^= np.bitwise_xor.reduce(drawn[part], axis=1)
+    for first in range(0, count, step):
+        part = np.arange(first, min(first + step, count))
+        # a write's words are whole uint32s, so the sub-batches' draws are
+        # the bytes of one
+        drawn = _stream_bytes(rng, part.size * (spr - 1) * padded)
+        drawn = drawn.reshape(part.size, spr - 1, padded)[..., :nbytes]
+        # the last word: the written row's expansions, the row image (message
+        # b at bits [delta * m, (delta + 1) * m)) and the drawn words
+        words = np.empty((part.size, spr, nbytes), np.uint8)
+        words[:, :-1] = drawn
+        expansions = _prg_rows(seeds[part, gamma[part]], nbytes).reshape(part.size, spr, nbytes)
+        last = words[:, -1]
+        np.bitwise_xor.reduce(expansions, axis=1, out=last)
+        last ^= np.bitwise_xor.reduce(drawn, axis=1)
+        starts = (delta[part] * m).tolist()
+        for word, start, b in zip(last, starts, messages[first : first + step]):
+            start_byte, stop = start // 8, -(-(start + m) // 8)
+            image = (b << (8 * stop - start - m)).to_bytes(stop - start_byte, "big")
+            word[start_byte:stop] ^= np.frombuffer(image, np.uint8)
         _zero_pad(words, params)
+        # party i holds the seeds its selection-matrix row marks, zero elsewhere
+        party_seeds = seeds[part, None] * held[part].transpose(0, 2, 1, 3)[..., None]
+        party_seeds = party_seeds.reshape(part.size, params.parties, -1)
         keys += [
             tuple(FssKey(params, i, s.tobytes(), wire) for i, s in enumerate(write_seeds))
-            for write_seeds, wire in zip(party_seeds[part], [w.tobytes() for w in words])
+            for write_seeds, wire in zip(party_seeds, [w.tobytes() for w in words])
         ]
     return tuple(keys)
 

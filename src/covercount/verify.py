@@ -198,6 +198,8 @@ CHECKS = {"square": check_square, "product": check_product, "inverse": check_inv
 # element). Timed on 512 rows of 4,096 columns at p = 3 (2 shared cores,
 # medians of 9), blinding took 219 ms at 2^13 and 2^14 and 263 to 538 ms
 # at 2^12 and 2^15 to 2^19; sharing took 80 to 85 ms from 2^13 to 2^16.
+# The share and blinding draws take the same row blocks, so a draw holds
+# one block beside the array it fills.
 # ---------------------------------------------------------------------------
 
 _BLOCK_ELEMENTS = 1 << 14
@@ -208,30 +210,54 @@ def _row_blocks(rows: int, columns: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, rows, step))
 
 
+def _draw_rows(out: np.ndarray, low: int, rng: np.random.Generator) -> np.ndarray:
+    """Fill ``out``, (rows, columns) uint64, with uniform elements of
+    ``[low, MODULUS)``, one row block at a time. A bounded uint64 draw takes
+    its elements in order, so the values and the generator state are those
+    of one whole-array draw."""
+    for rows in _row_blocks(*out.shape):
+        block = out[rows]
+        block[...] = rng.integers(low, MODULUS, size=block.shape, dtype=np.uint64)
+    return out
+
+
+def fill_shares(shares: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Turn ``shares``, a (parties, owners, columns) uint64 array whose last
+    layer holds the vectors u, into additive shares of u, in place.
+
+    Layers 0..parties-2 are drawn from ``rng`` one after another, the values
+    and generator state of one (parties - 1, owners, columns) draw; then one
+    pass over row blocks turns the last layer into u minus their sum.
+    """
+    for layer in shares[:-1]:
+        _draw_rows(layer, 0, rng)
+    last = shares[-1]
+    for rows in _row_blocks(*last.shape):
+        block = last[rows]
+        for share in shares[:-1, rows]:
+            block[...] = m61_sub(block, share)
+    return shares
+
+
 def additive_share_batch(
     u_hats: np.ndarray, parties: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Additive shares of each row, (parties, owners, columns).
-
-    Shares 0..parties-2 are drawn from ``rng`` one (owners, columns) array
-    after another, which consumes the stream exactly as one
-    (parties - 1, owners, columns) draw; the last share is u minus their sum.
-    """
+    """Additive shares of each row, (parties, owners, columns): the rows
+    copied into the last layer, then shared by :func:`fill_shares`."""
     if parties < 1:
         raise ValueError("parties must be at least 1")
     u = np.asarray(u_hats, np.uint64)
     if u.ndim != 2:
         raise DimensionError("expected an (owners, columns) array")
     out = np.empty((parties, *u.shape), np.uint64)
-    for j in range(parties - 1):
-        out[j] = rng.integers(0, MODULUS, size=u.shape, dtype=np.uint64)
-    last = out[-1]
-    for rows in _row_blocks(*u.shape):
-        block = last[rows]
-        block[...] = u[rows]
-        for share in out[:-1, rows]:
-            block[...] = m61_sub(block, share)
-    return out
+    out[-1] = u
+    return fill_shares(out, rng)
+
+
+def square_bases(count: int, columns: int, rng: np.random.Generator) -> np.ndarray:
+    """The (count, columns) base rows of ``count`` square blinding matrices,
+    uniform in ``[1, MODULUS)``, drawn in row blocks."""
+    return _draw_rows(np.empty((count, columns), np.uint64), 1, rng)
 
 
 def _square_rows(base: np.ndarray, parties: int) -> np.ndarray:
@@ -252,8 +278,7 @@ def make_blinding_batch(
     if parties < 2:
         raise ValueError("parties must be at least 2")
     if kind == "square":
-        base = rng.integers(1, MODULUS, size=(count, columns), dtype=np.uint64)
-        return _square_rows(base, parties)
+        return _square_rows(square_bases(count, columns, rng), parties)
     out = np.empty((count, parties, columns), np.uint64)
     free = rng.integers(1, MODULUS, size=(count, parties - 1, columns), dtype=np.uint64)
     out[:, :-1] = free

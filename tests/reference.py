@@ -6,8 +6,11 @@ generator's uniforms (or bytes) in the order its docstring states. The
 ``*_population`` draws in :mod:`covercount.mechanisms` must match these loops
 draw for draw under the same generator state, and ``it_gen``'s full-length
 XOR shares must reconstruct the same database as the compressed keys of
-:mod:`covercount.privwrite`. None of this is library code: it exists so that
-every such comparison runs against code the library does not share.
+:mod:`covercount.privwrite`. ``dense_chunk`` builds a crypto submission
+chunk the dense way, write by write with ``rng.bytes`` keys, for
+``harness.build_chunk`` to match byte for byte. None of this is library
+code: it exists so that every such comparison runs against code the
+library does not share.
 """
 
 from __future__ import annotations
@@ -18,15 +21,19 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+from covercount import verify
 from covercount.errors import InvalidTruthError
-from covercount.field import BitString
+from covercount.field import MODULUS, BitString
+from covercount.harness import EpochConfig, WritePlan, encode_message
 from covercount.mechanisms import (
     CalibratedParams,
     RrParams,
     TwoRoundBinaryParams,
     TwoRoundMultiParams,
 )
-from covercount.privwrite import PointFunction, unit_write
+from covercount.privwrite import PRG_FIXED_KEY, FssParams, PointFunction, unit_write
 
 
 @dataclass(frozen=True)
@@ -144,3 +151,91 @@ def it_gen(pf: PointFunction, n: int, m: int, parties: int, rng: np.random.Gener
         acc ^= share
     shares.append(acc)
     return shares
+
+
+def _expand(seed: bytes, nbytes: int) -> int:
+    """A seed's fixed-key PRG expansion, ``nbytes`` bytes as a big-endian
+    int: block i is AES_k(s ^ i) ^ (s ^ i), with the counter i XORed into
+    the seed's low little-endian 64-bit word."""
+    blocks = -(-nbytes // 16)
+    inputs = np.tile(np.frombuffer(seed, "<u8"), (blocks, 1))
+    inputs[:, 0] ^= np.arange(blocks, dtype="<u8")
+    plain = inputs.tobytes()
+    cipher = Cipher(algorithms.AES(PRG_FIXED_KEY), modes.ECB()).encryptor().update(plain)
+    out = int.from_bytes(plain, "big") ^ int.from_bytes(cipher, "big")
+    return out >> (8 * (16 * blocks - nbytes))
+
+
+def keys_by_bytes(
+    slots: Sequence[int], messages: Sequence[int], params: FssParams, rng: np.random.Generator
+) -> list[tuple[tuple[bytes, ...], bytes]]:
+    """Each write's party seed bodies and wire words, from the keys stream
+    in ``fss_gen_batch``'s order: one ``rng.bytes`` call for every seed,
+    the selection matrices, one ``rng.bytes`` call for every drawn word
+    (each row padded to a multiple of 4 bytes). A zero seed, which
+    ``fss_gen_batch`` redraws, has chance 2^-128, so none is expected."""
+    count, nu, spr, parties = len(slots), params.nu, params.seeds_per_row, params.parties
+    nbytes, pad = params.row_bytes, 8 * params.row_bytes - params.row_bits
+    seeds = rng.bytes(16 * count * nu * spr)
+    assert bytes(16) not in {seeds[i : i + 16] for i in range(0, len(seeds), 16)}
+    top = rng.integers(0, 2, size=(count, nu, parties - 1, spr), dtype=np.uint8)
+    padded = -(-nbytes // 4) * 4
+    drawn = rng.bytes(count * (spr - 1) * padded)
+    keys = []
+    for w, (slot, message) in enumerate(zip(slots, messages)):
+        gamma, delta = divmod(int(slot), params.mu)
+        at = 16 * w * nu * spr
+        rows = [
+            [seeds[at + 16 * (row * spr + j) : at + 16 * (row * spr + j + 1)] for j in range(spr)]
+            for row in range(nu)
+        ]
+        # the last party's row completes each column to even parity, odd in row gamma
+        last = (top[w].sum(axis=1) + (np.arange(nu) == gamma)[:, None]) % 2
+        held = np.concatenate((top[w], last[:, None]), axis=1)  # (nu, parties, spr)
+        party_seeds = tuple(
+            b"".join(
+                rows[row][j] if held[row, i, j] else bytes(16)
+                for row in range(nu)
+                for j in range(spr)
+            )
+            for i in range(parties)
+        )
+        starts = [(w * (spr - 1) + j) * padded for j in range(spr - 1)]
+        words = [int.from_bytes(drawn[start : start + nbytes], "big") for start in starts]
+        final = int(message) << (8 * nbytes - (delta + 1) * params.m)
+        for word in words + [_expand(seed, nbytes) for seed in rows[gamma]]:
+            final ^= word
+        wire = b"".join((word >> pad << pad).to_bytes(nbytes, "big") for word in words + [final])
+        keys.append((party_seeds, wire))
+    return keys
+
+
+def dense_chunk(
+    writes: WritePlan,
+    config: EpochConfig,
+    keys_rng: np.random.Generator,
+    verify_rng: np.random.Generator,
+    two_row_owners: frozenset[int],
+) -> tuple[list[tuple[tuple[bytes, ...], bytes]], np.ndarray, np.ndarray]:
+    """A crypto chunk's keys (as :func:`keys_by_bytes`), indicator shares
+    and blinding base rows, built the dense way: a ``(writes, slots)``
+    indicator matrix, written write by write, shared by
+    ``verify.additive_share_batch``, then one whole-array blinding draw. A
+    real write marks its slot; a two-row owner's first write marks its slot
+    and the next one."""
+    records = list(writes)
+    messages = [0 if w.value_id is None else encode_message(w.value_id, config) for w in records]
+    keys = keys_by_bytes([w.slot for w in records], messages, config.fss, keys_rng)
+    indicators = np.zeros((len(records), config.db_slots), np.uint64)
+    first = {}
+    for index, write in enumerate(records):
+        first.setdefault(write.owner_id, index)
+        if write.value_id is not None:
+            indicators[index, write.slot] = 1
+    for owner in two_row_owners:
+        if owner in first:
+            slot = records[first[owner]].slot
+            indicators[first[owner], [slot, (slot + 1) % config.db_slots]] = 1
+    shares = verify.additive_share_batch(indicators, config.parties, verify_rng)
+    blinding = verify_rng.integers(1, MODULUS, size=indicators.shape, dtype=np.uint64)
+    return keys, shares, blinding

@@ -13,6 +13,7 @@ the run share a slot.
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -38,6 +39,8 @@ from covercount.privwrite import (
     fss_evaluate_batch,
     unit_write,
 )
+
+import reference
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -630,6 +633,56 @@ def test_build_chunk_needs_a_contiguous_owner_range():
         h.build_chunk(gapped, config, None, None)
     chunk = h.build_chunk(gapped[:0], config, None, None)
     assert chunk.owner_ids.size == 0
+
+
+def wide_chunk_plan(mu):
+    """The plan of a 256-owner crypto chunk at n = 12 and p = 3, one row of
+    4,096 slots (``mu=4096``) or the default split (``None``), and one
+    two-row attacker whose first write is real."""
+    config = binary_config(n=12, mu=mu)
+    population = (np.arange(256) % 12 == 0).astype(np.int64)
+    claims = config.mech.claims(population, config.value_ids, np.random.default_rng(1))
+    plan = h.plan_writes(claims, config, np.random.default_rng(2))
+    first = np.searchsorted(plan.owner, np.arange(256))
+    attacker = int(np.flatnonzero(plan.value[first] < len(config.value_ids))[0])
+    return config, plan, frozenset({attacker})
+
+
+@pytest.mark.parametrize("mu", [4096, None])
+def test_chunk_matches_the_dense_reference(mu):
+    # the indicators written into the last share layer, the row-block draws
+    # and the uint32 key-stream draws give the bytes and stream states of an
+    # indicator matrix through additive_share_batch, one blinding draw and
+    # rng.bytes keys
+    config, plan, attackers = wide_chunk_plan(mu)
+    streams = (derived_stream(3, 2), derived_stream(3, 3))
+    chunk = h.build_chunk(plan, config, *streams, attackers)
+    reference_streams = (derived_stream(3, 2), derived_stream(3, 3))
+    keys, shares, blinding = reference.dense_chunk(plan, config, *reference_streams, attackers)
+    assert np.array_equal(chunk.indicator_shares, shares)
+    assert np.array_equal(chunk.blinding, blinding)
+    assert [tuple(key.seeds for key in write) for write in chunk.keys] == [s for s, _ in keys]
+    assert [{key.words for key in write} for write in chunk.keys] == [{w} for _, w in keys]
+    for stream, reference_stream in zip(streams, reference_streams):
+        assert stream.bit_generator.state == reference_stream.bit_generator.state
+
+
+def test_crypto_chunk_peaks_near_its_own_bytes():
+    # the shares, indicators and blinding are written once, in place: no
+    # dense indicator matrix and no whole-layer draw beside the chunk
+    config, plan, attackers = wide_chunk_plan(4096)
+    streams = (derived_stream(3, 2), derived_stream(3, 3))
+    tracemalloc.start()
+    try:
+        chunk = h.build_chunk(plan, config, *streams, attackers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    words = {id(key.words): len(key.words) for write in chunk.keys for key in write}
+    seeds = sum(len(key.seeds) for write in chunk.keys for key in write)
+    size = chunk.indicator_shares.nbytes + chunk.blinding.nbytes + seeds + sum(words.values())
+    assert size > 80 * 2**20
+    assert peak <= size + 4 * 2**20
 
 
 def test_null_writes_are_counted_but_leave_the_databases_empty():

@@ -445,6 +445,27 @@ def test_fss_gen_batch_draws_seeds_selections_then_words(mu, parties):
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
+@pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 4099])
+def test_stream_bytes_are_the_bytes_of_one_bytes_call(count):
+    # Generator.bytes is uint32 words cut to length; a numpy that changes it
+    # changes every key stream
+    rng, reference = np.random.default_rng(41), np.random.default_rng(41)
+    drawn = pw._stream_bytes(rng, count)
+    assert drawn.dtype == np.uint8 and drawn.flags.writeable
+    assert drawn.tobytes() == reference.bytes(count)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert rng.bytes(7) == reference.bytes(7)
+
+
+def test_stream_bytes_beyond_the_address_space_overflow():
+    # the CLI reports an OverflowError as a geometry that cannot be allocated
+    rng = np.random.default_rng(42)
+    state = rng.bit_generator.state
+    with pytest.raises(OverflowError):
+        pw._stream_bytes(rng, 16 << 299)
+    assert rng.bit_generator.state == state
+
+
 def test_fss_gen_is_a_batch_of_one():
     params = pw.FssParams(n=10, parties=3, m=17, mu=100)
     rng, batch_rng = np.random.default_rng(33), np.random.default_rng(33)
