@@ -7,11 +7,13 @@ shape, accumulate, exchange and reconstruct the round databases, count the
 slots that hold a value's message, and feed the counts to the mechanism's
 estimator.
 
-The write plan is columnar (:class:`WritePlan`): one array each for owner,
-round, value index and slot, ordered by owner, then round, then value in
-domain order. A submission chunk is a slice of the plan, and chunk
-building, verification and accumulation read its columns; ``PlannedWrite``
-records exist only for readers that iterate a plan.
+The write plan is columnar (:class:`WritePlan`): one int32 array each for
+owner, round, value index and slot, ordered by owner, then round, then value
+in domain order. Two config bounds keep every entry in int32: ``n`` is at
+most 30 and a population holds fewer than 2**31 owners. A submission chunk
+is a slice of the plan, and chunk building, verification and accumulation
+read its columns; ``PlannedWrite`` records exist only for readers that
+iterate a plan.
 Verification uses square blinding, the one kind that accepts the all-zero
 indicator of a null write and rejects a two-slot indicator for any number
 of parties.
@@ -42,7 +44,8 @@ the values of one whole-array draw. ``build_chunk`` writes each indicator
 straight into the last share layer, which ``verify.fill_shares`` turns into
 the indicator minus the drawn shares, so a chunk's arrays are written once
 and nothing chunk-sized is built beside them. The crypto-free mode
-consumes the first two streams identically, skips the other two and
+consumes the first two streams identically, does not build the other two
+(the first children of a spawn do not depend on how many are spawned) and
 submits its plan as one chunk, so its reconstructed databases, and
 therefore counts and estimates, are bit-identical to the full run; it
 exists to make large sweeps affordable.
@@ -68,6 +71,8 @@ from .privwrite import fss_evaluate_share, fss_gen  # noqa: F401 the benchmark's
 
 _CHUNK_OWNERS = 256
 _ABSENT = -1
+_MAX_N = 30  # the write plan is int32: slots lie below 2**n, owners below 2**31
+_MAX_OWNERS = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,8 @@ class EpochConfig:
     def __post_init__(self):
         if self.parties < 2:
             raise ConfigError("at least two aggregation parties are required")
+        if self.n > _MAX_N:
+            raise ConfigError(f"n must be at most {_MAX_N}, got {self.n}: slots are drawn as int32")
         if self.k_threshold < 2:
             raise ConfigError("release threshold must be at least 2")
         if self.id_bits < 1:
@@ -176,13 +183,14 @@ def count_values(slots: np.ndarray, messages: dict[int, int]) -> tuple[dict[int,
     """
     # a zero message cannot be told from an empty slot
     ids = {message: value_id for value_id, message in messages.items() if message}
-    values, hits = np.unique(np.asarray(slots, np.uint64), return_counts=True)
+    slots = np.asarray(slots, np.uint64)
+    values, hits = np.unique(slots[slots != 0], return_counts=True)
     counts: dict[int, int] = {}
     drops = 0
     for value, hit in zip(values.tolist(), hits.tolist()):
         if value in ids:
             counts[ids[value]] = hit
-        elif value:
+        else:
             drops += hit
     return counts, drops
 
@@ -222,8 +230,8 @@ def normalize_population(spec: dict) -> dict:
     if "total" not in spec or ("yes" in spec) == ("groups" in spec):
         raise PopulationSpecError("population needs a total and exactly one of 'yes' or 'groups'")
     total = strict_int(spec["total"], "population.total", PopulationSpecError)
-    if total < 1:
-        raise PopulationSpecError("population.total must be at least 1")
+    if not 1 <= total <= _MAX_OWNERS:
+        raise PopulationSpecError(f"population.total must be in [1, 2**31 - 1], got {total}")
     if "yes" in spec:
         yes = strict_int(spec["yes"], "population.yes", PopulationSpecError)
         if not 0 <= yes <= total:
@@ -283,17 +291,21 @@ class PlannedWrite:
     value_id: int | None
 
 
-def _streams(master_seed: int) -> dict[str, np.random.Generator]:
-    children = np.random.SeedSequence(master_seed).spawn(4)
+def _streams(master_seed: int, count: int = 4) -> dict[str, np.random.Generator]:
+    """The first ``count`` named child streams; a spawned child does not
+    depend on how many are spawned."""
+    children = np.random.SeedSequence(master_seed).spawn(count)
     names = ("privatize", "slots", "keys", "verify")
     return {name: np.random.default_rng(seq) for name, seq in zip(names, children)}
 
 
 @dataclass(frozen=True, eq=False)
 class WritePlan:
-    """Every write of an epoch as columns, ordered by owner, round, then
-    value in domain order. ``value`` indexes ``value_ids``; the index
-    ``len(value_ids)`` marks the null write of an empty round.
+    """Every write of an epoch as int32 columns, ordered by owner, round,
+    then value in domain order. ``value`` indexes ``value_ids``; the index
+    ``len(value_ids)`` marks the null write of an empty round. Slots fit
+    int32 because ``EpochConfig`` bounds ``n`` at 30, owners because a
+    population holds at most 2**31 - 1 of them.
 
     A plan is a sequence of writes: slicing gives a plan of column views,
     and iterating yields one :class:`PlannedWrite` record per write."""
@@ -325,11 +337,26 @@ def plan_writes(
 ) -> WritePlan:
     """One write per claim of the (rounds, owners, values) claim matrix, or
     one null write for an empty round, each at a slot drawn from ``rng``."""
-    by_owner = claims.transpose(1, 0, 2)
-    empty = ~by_owner.any(axis=2, keepdims=True)
-    owner, round_index, value = np.nonzero(np.concatenate((by_owner, empty), axis=2))
-    slot = rng.integers(0, config.db_slots, size=owner.size)
-    return WritePlan(owner, round_index, value, slot, config.value_ids)
+    rounds, owners, values = claims.shape
+    # the (owners, rounds, values + 1) cube of writes, filled round by round:
+    # its flat nonzero indices are the plan's order
+    width = values + 1
+    cube = np.empty((owners, rounds, width), bool)
+    empty = ~claims.any(axis=2)
+    for r in range(rounds):
+        cube[:, r, :values] = claims[r]
+        cube[:, r, values] = empty[r]
+    flat = np.flatnonzero(cube)
+    # int32 arithmetic while the flat index fits it; the columns always do
+    flat = flat.astype(np.int32 if cube.size <= 2**31 else np.int64, copy=False)
+    owner_round = flat // width
+    value = flat - owner_round * width
+    owner = owner_round // rounds
+    round_index = owner_round - owner * rounds
+    # an int32 draw below 2**n <= 2**30 takes the values and generator state of the int64 one
+    slot = rng.integers(0, config.db_slots, size=flat.size, dtype=np.int32)
+    columns = (owner, round_index, value)
+    return WritePlan(*(c.astype(np.int32, copy=False) for c in columns), slot, config.value_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +495,8 @@ class EpochCollector:
             rejected[owner_of_write[~self._verify(chunk)]] = True
             self._rejected.extend(owners[rejected & keep].tolist())
             keep &= ~rejected
-        accepted = keep[owner_of_write]
+        # take gathers by an int32 index about 3x faster than indexing does
+        accepted = keep.take(owner_of_write)
         rounds = writes.round_index[accepted]
         self._writes_per_round += [np.count_nonzero(rounds == r) for r in range(self.config.rounds)]
         if keyed:
@@ -588,13 +616,14 @@ def run_epoch(
     ``ValueError`` for them in crypto-free mode, which has no verification.
     """
     population = np.asarray(population)
-    if population.size == 0:
-        raise PopulationSpecError("population must be nonempty")
+    if not 1 <= population.size <= _MAX_OWNERS:
+        raise PopulationSpecError("population must hold between 1 and 2**31 - 1 owners")
     two_row = frozenset(int(a) for a in attackers)
     out_of_range = [a for a in two_row if not 0 <= a < population.size]
     if out_of_range:
         raise ValueError(f"attacker indices out of range: {sorted(out_of_range)}")
-    rngs = _streams(config.master_seed)
+    # a crypto-free epoch never draws from the keys and verify streams
+    rngs = _streams(config.master_seed, 4 if crypto else 2)
     claims = config.mech.claims(population, config.value_ids, rngs["privatize"])
     plan = plan_writes(claims, config, rngs["slots"])
     # a crypto-free chunk draws nothing, so its plan is one chunk; every
@@ -602,7 +631,7 @@ def run_epoch(
     step = _CHUNK_OWNERS if crypto else population.size
     owner_starts = np.arange(0, population.size + step, step)
     bounds = np.searchsorted(plan.owner, owner_starts).tolist()
-    keys_rng, verify_rng = (rngs["keys"], rngs["verify"]) if crypto else (None, None)
+    keys_rng, verify_rng = rngs.get("keys"), rngs.get("verify")
     collector = EpochCollector(config)
     for start, stop in zip(bounds, bounds[1:]):
         # free the previous chunk's arrays before building the next; the last

@@ -8,9 +8,10 @@ draw for draw under the same generator state, and ``it_gen``'s full-length
 XOR shares must reconstruct the same database as the compressed keys of
 :mod:`covercount.privwrite`. ``dense_chunk`` builds a crypto submission
 chunk the dense way, write by write with ``rng.bytes`` keys, for
-``harness.build_chunk`` to match byte for byte. None of this is library
-code: it exists so that every such comparison runs against code the
-library does not share.
+``harness.build_chunk`` to match byte for byte, and ``nonzero_plan`` plans
+an epoch's writes the strided way, for ``harness.plan_writes`` to match
+column for column. None of this is library code: it exists so that every
+such comparison runs against code the library does not share.
 """
 
 from __future__ import annotations
@@ -239,3 +240,15 @@ def dense_chunk(
     shares = verify.additive_share_batch(indicators, config.parties, verify_rng)
     blinding = verify_rng.integers(1, MODULUS, size=indicators.shape, dtype=np.uint64)
     return keys, shares, blinding
+
+
+def nonzero_plan(claims: np.ndarray, config: EpochConfig, rng: np.random.Generator) -> WritePlan:
+    """An epoch's write plan with int64 columns: the ``(rounds, owners,
+    values)`` claim matrix viewed owner first, a null column appended that
+    marks each empty round, ``np.nonzero`` over that strided cube, then one
+    int64 slot draw per write."""
+    by_owner = claims.transpose(1, 0, 2)
+    empty = ~by_owner.any(axis=2, keepdims=True)
+    owner, round_index, value = np.nonzero(np.concatenate((by_owner, empty), axis=2))
+    slot = rng.integers(0, config.db_slots, size=owner.size)
+    return WritePlan(owner, round_index, value, slot, config.value_ids)

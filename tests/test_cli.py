@@ -341,11 +341,15 @@ def test_simulate_epoch_modes_agree(tmp_path):
 
 
 def test_simulate_worker_pool_matches_serial(tmp_path):
-    # statistical trials, and crypto-free epochs whose diagnostics cross the
-    # pool: the shipped multi-value config collides in every trial
-    multi = json.loads((CONFIGS / "group_counts_multi.json").read_text())
-    multi.update(mode="cryptofree", trials=3)
-    for name, raw in (("statistical", base_config(trials=3)), ("cryptofree", multi)):
+    # every shipped config in its own mode, whose summaries would fail to
+    # serialize if a numpy scalar reached them, and crypto-free epochs whose
+    # diagnostics cross the pool: the shipped multi-value config collides in
+    # every trial
+    cases = {path.stem: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))}
+    cases["epoch_crypto_small"]["trials"] = 1  # a crypto epoch is the slow case
+    multi = dict(cases["group_counts_multi"], mode="cryptofree", trials=3)
+    cases["group_counts_multi_cryptofree"] = multi
+    for name, raw in cases.items():
         config = write_config(tmp_path, raw, f"{name}.json")
         out1, out2 = tmp_path / name / "serial", tmp_path / name / "pool"
         assert cli.main(["simulate", "--config", config, "--out-dir", str(out1)]) == 0
@@ -407,6 +411,29 @@ def test_unallocatable_geometry_exits_2(tmp_path, capsys):
     assert cli.main([*args, "--override", "epoch.parties=300", "--out-dir", str(tmp_path)]) == 2
     assert "could not be allocated" in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "override, bound",
+    [("epoch.fss.n=31", "n must be at most 30"), ("population.total=2147483648", "2**31 - 1")],
+)
+def test_int32_bounds_exit_2_before_the_population_is_drawn(
+    tmp_path, monkeypatch, capsys, override, bound
+):
+    def draw(*args):
+        raise AssertionError("the population was drawn")
+
+    monkeypatch.setattr(cli.h, "generate_population", draw)
+    config = write_config(tmp_path, base_config(mode="cryptofree"))
+    args = ["simulate", "--config", config, "--override", override, "--out-dir", str(tmp_path)]
+    assert cli.main(args) == 2
+    assert bound in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+    # the largest values inside both bounds parse
+    raw = base_config()
+    raw["epoch"]["fss"]["n"] = 30
+    raw["population"]["total"] = 2**31 - 1
+    assert cli.parse_experiment(raw).epoch.db_slots == 2**30
 
 
 def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
