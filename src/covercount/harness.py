@@ -16,7 +16,12 @@ read its columns; ``PlannedWrite`` records exist only for readers that
 iterate a plan.
 Verification uses square blinding, the one kind that accepts the all-zero
 indicator of a null write and rejects a two-slot indicator for any number
-of parties.
+of parties. A crypto write sends the first ``parties - 1`` parties a seed
+in place of its indicator share, and every party a seed for the base row,
+so share privacy rests on fixed-key AES as the keys' does. The owner still
+chooses the blinding matrix through that seed: the check's aggregate still
+locates the write, a repeated base entry still passes a weighted two-slot
+indicator, and the check is not bound to the key.
 
 Databases are anonymous mailboxes: a write XORs ``ID || checksum`` into a
 uniformly chosen slot. In both modes a round database is a ``(2**n,)``
@@ -38,12 +43,15 @@ chunk, so that chunk size is part of the crypto stream contract: the keys
 stream in ``fss_gen_batch``'s order (the seeds of all the chunk's writes,
 zero-seed redraws, selection matrices, then the correction words, each
 padded to a multiple of 4 bytes), every byte draw as uint32 words viewed as
-bytes, the same as one ``bytes`` call; the verification stream as the drawn
-share layers, then the blinding base rows, each drawn in row blocks with
-the values of one whole-array draw. ``build_chunk`` writes each indicator
-straight into the last share layer, which ``verify.fill_shares`` turns into
-the indicator minus the drawn shares, so a chunk's arrays are written once
-and nothing chunk-sized is built beside them. The crypto-free mode
+bytes, the same as one ``bytes`` call; the verification stream as the
+16-byte share seeds of every write (parties 0 to ``parties - 2`` in turn),
+then one 16-byte blinding base seed per write, drawn the same way. Each seed
+expands through the fixed-key AES PRG of ``privwrite`` into the row of M61
+elements that ``verify.expand_m61`` defines. ``build_chunk`` has
+``verify.share_indicators`` write each indicator into the write's last
+vector and subtract the seeds' expansions one row block at a time, so a
+chunk's only large array is its last vectors; the collector expands the
+seeds again, block by block, to verify. The crypto-free mode
 consumes the first two streams identically, does not build the other two
 (the first children of a spawn do not depend on how many are spawned) and
 submits its plan as one chunk, so its reconstructed databases, and
@@ -179,20 +187,17 @@ def count_values(slots: np.ndarray, messages: dict[int, int]) -> tuple[dict[int,
     All-zero slots are empty mailboxes. A nonzero slot counts for a value
     only when it equals that value's message; any other nonzero slot (the
     garbage of colliding writes) is tallied in the returned drop count.
-    IDs with no slot are left out of the counts.
+    IDs with no slot are left out of the counts. Given only a round's
+    nonzero slots, it counts the same.
     """
     # a zero message cannot be told from an empty slot
-    ids = {message: value_id for value_id, message in messages.items() if message}
+    ids = {int(message): value_id for value_id, message in messages.items() if message}
     slots = np.asarray(slots, np.uint64)
-    values, hits = np.unique(slots[slots != 0], return_counts=True)
-    counts: dict[int, int] = {}
-    drops = 0
-    for value, hit in zip(values.tolist(), hits.tolist()):
-        if value in ids:
-            counts[ids[value]] = hit
-        else:
-            drops += hit
-    return counts, drops
+    found = np.sort(slots[slots != 0])
+    table = np.array(sorted(ids), np.uint64)
+    hits = np.searchsorted(found, table, "right") - np.searchsorted(found, table, "left")
+    counts = {ids[m]: hit for m, hit in zip(table.tolist(), hits.tolist()) if hit}
+    return counts, found.size - sum(counts.values())
 
 
 def check_keys(block, allowed: set, where: str, error: type[ConfigError] = ConfigError) -> None:
@@ -369,13 +374,15 @@ class SubmissionChunk:
     """A batch of owners' submissions as they arrive at the aggregators.
 
     ``writes`` is the slice of the epoch's write plan that the owners
-    submit. ``indicator_shares`` holds the additive shares of every write's
-    slot indicator, ``(parties, writes, db_slots)``; ``blinding`` holds the
-    base rows ``(writes, db_slots)`` of the square blinding matrices, whose
-    row j is the base row's j-th power. ``keys`` is one FSS key per party
-    per write, and ``owner_ids`` the contiguous owner range of the writes,
-    each owner with at least one write. A crypto-free chunk carries the
-    planned writes only.
+    submit. ``indicator_shares`` holds one record per write of additive
+    shares of its slot indicator (``verify.share_indicators``): ``seeds``,
+    the 16-byte seeds that parties 0 to ``parties - 2`` expand into their
+    shares, and ``last``, the last party's ``db_slots`` vector. ``blinding``
+    holds the ``(writes, 16)`` uint8 seeds of the square blinding base rows,
+    sent to every party; row j of a matrix is the base row's j-th power.
+    ``keys`` is one FSS key per party per write, and ``owner_ids`` the
+    contiguous owner range of the writes, each owner with at least one
+    write. A crypto-free chunk carries the planned writes only.
     """
 
     owner_ids: np.ndarray
@@ -517,11 +524,16 @@ class EpochCollector:
         )
 
     def _verify(self, chunk: SubmissionChunk) -> np.ndarray:
-        """Per-write verdicts of the square-blinded unit-vector check."""
-        blinded = verify.blind_square_batch(
-            chunk.blinding, chunk.indicator_shares, self.config.parties
-        )
-        return verify.check_batch(verify.aggregate_batch(blinded), "square")
+        """Per-write verdicts of the square-blinded unit-vector check. Each
+        row block's shares and base rows are expanded from their seeds."""
+        records, config = chunk.indicator_shares, self.config
+        aggregates = np.empty((len(records), config.parties), np.uint64)
+        for rows in verify.row_blocks(len(records), config.db_slots):
+            shares = verify.expand_shares(records[rows])
+            base = verify.expand_m61(chunk.blinding[rows], config.db_slots, 1)
+            blinded = verify.blind_square_batch(base, shares, config.parties)
+            aggregates[rows] = verify.aggregate_batch(blinded)
+        return verify.check_batch(aggregates, "square")
 
     def finalize(self) -> EpochResult:
         config = self.config
@@ -537,15 +549,22 @@ class EpochCollector:
         )
         halted = accepted < config.k_threshold
         if halted:
-            slots, counts, estimates = np.zeros((0, config.db_slots), np.uint64), (), {}
+            slots = np.zeros((0, config.db_slots), np.uint64)
         else:
             slots = np.bitwise_xor.reduce(self._acc[: self._layers])
+        # one scan for the nonzero slots, which counting splits by round
+        nonzero = np.flatnonzero(slots)
+        found = slots.ravel()[nonzero]
+        counts, estimates = (), {}
+        if not halted:
             messages = dict(zip(config.value_ids, config.messages.tolist()))
-            counts, drops = zip(*[count_values(s, messages) for s in slots])
+            ends = np.searchsorted(nonzero, config.db_slots * np.arange(config.rounds + 1))
+            ends = ends.tolist()
+            rounds = [found[a:b] for a, b in zip(ends, ends[1:])]
+            counts, drops = zip(*[count_values(r, messages) for r in rounds])
             diagnostics.collision_drops = drops
             table = [[c.get(v, 0) for v in config.value_ids] for c in counts]
             estimates = dict(zip(config.value_ids, config.mech.estimate(table, accepted)))
-        nonzero = np.flatnonzero(slots)
         return EpochResult(
             halted=halted,
             epoch_id=config.epoch_id,
@@ -556,7 +575,7 @@ class EpochCollector:
             slot_shape=slots.shape,
             message_bits=config.message_bits,
             nonzero_slots=nonzero,
-            nonzero_messages=slots.ravel()[nonzero],
+            nonzero_messages=found,
         )
 
 
@@ -589,18 +608,18 @@ def build_chunk(
             raise ValueError("two-row writers need the verification layer")
         return SubmissionChunk(owners, writes, None, None, None)
     keys = fss_gen_batch(writes.slot, config.messages[writes.value], config.fss, keys_rng)
-    # the indicators go straight into the last share layer: a real write
-    # marks its slot, a two-row attacker's first write its slot and the next
-    shares = np.zeros((config.parties, len(writes), config.db_slots), np.uint64)
-    indicators = shares[-1]
+    # a real write marks its slot, a two-row attacker's first write its slot
+    # and the next
+    slot = writes.slot
     real = np.flatnonzero(writes.value < len(config.value_ids))
-    indicators[real, writes.slot[real]] = 1
     attack = np.flatnonzero(steps)[np.isin(owners, list(two_row_owners))]
-    indicators[attack, writes.slot[attack]] = 1
-    indicators[attack, (writes.slot[attack] + 1) % config.db_slots] = 1
-    verify.fill_shares(shares, verify_rng)
-    blinding = verify.square_bases(len(writes), config.db_slots, verify_rng)
-    return SubmissionChunk(owners, writes, keys, shares, blinding)
+    ones = (
+        np.concatenate((real, attack, attack)),
+        np.concatenate((slot[real], slot[attack], (slot[attack] + 1) % config.db_slots)),
+    )
+    shares = verify.share_indicators(len(writes), ones, config.parties, config.db_slots, verify_rng)
+    bases = verify.draw_seeds(len(writes), verify_rng)
+    return SubmissionChunk(owners, writes, keys, shares, bases)
 
 
 def run_epoch(

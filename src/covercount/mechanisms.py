@@ -315,7 +315,7 @@ def two_round_binary_population(
     sampled = u < params.pi_s
     chaff = (~sampled) & (u < params.pi_s + params.pi_yes)
     # chaff excludes the sampled owners, who abstain in round two
-    return Rounds(np.stack((np.where(sampled, truths == 1, chaff), chaff)), sampled)
+    return Rounds(np.stack(((sampled & (truths == 1)) | chaff, chaff)), sampled)
 
 
 def two_round_estimate(sum1: float, sum2: float, pi_s: float) -> float:

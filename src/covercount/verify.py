@@ -30,6 +30,17 @@ dealer that distrusts owners can sample R itself and pass it in, nothing
 else changes. Free matrix entries are uniform nonzero (a zero entry would
 blank the check at that column).
 
+The epoch sends shares and base rows as seeds, as Prio does
+(Corrigan-Gibbs, Boneh, NSDI 2017): party i < p - 1 receives a 16-byte seed
+that :func:`expand_m61` turns into its share, the last party the vector u
+minus those expansions (:func:`share_indicators`), and every party the
+16-byte seed of the base row. A seed expands through the fixed-key AES PRG
+of ``privwrite``, so the shares hide u on the same assumption as the keys.
+The owner still chooses R, now through its base seed. So the published
+s_1, the base entry at the written slot, still locates a write, an owner
+who repeats a base entry can still pass a weighted two-slot indicator, and
+the check is still not bound to the key.
+
 Only 0/1 indicator vectors are verifiable this way: the square identity
 u^2 == u holds exactly for 0 and 1, which is the point of the check. The
 multi-bit payload of a write travels inside the key material and is not
@@ -49,6 +60,7 @@ import numpy as np
 
 from .errors import DimensionError, IncompleteSubmissionError
 from .field import MODULUS, m61_dot, m61_mul, m61_pow, m61_sub, m61_sum
+from .privwrite import SEED_BYTES, _prg_rows, _stream_bytes
 
 KINDS = ("square", "product", "inverse")
 
@@ -205,7 +217,8 @@ CHECKS = {"square": check_square, "product": check_product, "inverse": check_inv
 _BLOCK_ELEMENTS = 1 << 14
 
 
-def _row_blocks(rows: int, columns: int) -> Iterator[slice]:
+def row_blocks(rows: int, columns: int) -> Iterator[slice]:
+    """Slices of ``rows`` rows, about ``_BLOCK_ELEMENTS`` entries each."""
     step = max(1, _BLOCK_ELEMENTS // max(columns, 1))
     return (slice(start, start + step) for start in range(0, rows, step))
 
@@ -215,7 +228,7 @@ def _draw_rows(out: np.ndarray, low: int, rng: np.random.Generator) -> np.ndarra
     ``[low, MODULUS)``, one row block at a time. A bounded uint64 draw takes
     its elements in order, so the values and the generator state are those
     of one whole-array draw."""
-    for rows in _row_blocks(*out.shape):
+    for rows in row_blocks(*out.shape):
         block = out[rows]
         block[...] = rng.integers(low, MODULUS, size=block.shape, dtype=np.uint64)
     return out
@@ -232,7 +245,7 @@ def fill_shares(shares: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     for layer in shares[:-1]:
         _draw_rows(layer, 0, rng)
     last = shares[-1]
-    for rows in _row_blocks(*last.shape):
+    for rows in row_blocks(*last.shape):
         block = last[rows]
         for share in shares[:-1, rows]:
             block[...] = m61_sub(block, share)
@@ -297,7 +310,7 @@ def blind_batch(matrices: np.ndarray, shares: np.ndarray) -> np.ndarray:
     if matrices.shape[0] != shares.shape[0] or matrices.shape[2] != shares.shape[1]:
         raise DimensionError("matrix and share batches disagree on shape")
     out = np.empty(matrices.shape[:2], np.uint64)
-    for rows in _row_blocks(*shares.shape):
+    for rows in row_blocks(*shares.shape):
         out[rows] = m61_dot(matrices[rows], shares[rows, None])[..., 0]
     return out
 
@@ -312,7 +325,7 @@ def blind_square_batch(base: np.ndarray, shares: np.ndarray, parties: int) -> np
     if shares.ndim != 3 or base.shape != shares.shape[1:]:
         raise DimensionError("expected a (stack, count, columns) share stack over the base rows")
     out = np.empty((shares.shape[0], base.shape[0], parties), np.uint64)
-    for rows in _row_blocks(*base.shape):
+    for rows in row_blocks(*base.shape):
         powers = _square_rows(base[rows], parties)
         # (rows, parties, columns) x (rows, stack, columns) -> (rows, parties, stack)
         out[:, rows] = m61_dot(powers, shares[:, rows].swapaxes(0, 1)).transpose(2, 0, 1)
@@ -338,3 +351,89 @@ def check_batch(aggregates: np.ndarray, kind: str) -> np.ndarray:
     if kind == "product":
         return prod == s[:, -1]
     return m61_mul(prod, s[:, -1]) == 1
+
+
+# ---------------------------------------------------------------------------
+# Seed-compressed submissions (see the module docstring). A record holds one
+# write's share seeds and last vector; the collector expands each row block
+# of records and base seeds anew, as each party would.
+# ---------------------------------------------------------------------------
+
+
+def draw_seeds(count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` 16-byte seeds, (count, 16) uint8: the bytes and generator
+    state of one ``rng.bytes(16 * count)`` call."""
+    return _stream_bytes(rng, SEED_BYTES * count).reshape(count, SEED_BYTES)
+
+
+def expand_m61(seeds: np.ndarray, columns: int, low: int) -> np.ndarray:
+    """Expand each 16-byte seed of ``seeds`` into ``columns`` elements
+    uniform on ``[low, MODULUS)``, ``low`` 0 or 1: (count, columns) uint64.
+
+    The seed's PRG stream is read as little-endian uint64 words with the top
+    three bits cleared. A word equal to MODULUS or below ``low`` is skipped
+    and the row continues along the same stream, so every entry is exactly
+    uniform; a word is skipped with chance 2^-61 or 2^-60.
+    """
+    seeds = np.ascontiguousarray(seeds).reshape(-1, SEED_BYTES)
+    # whole PRG blocks, so that the words view one contiguous array
+    words = _prg_rows(seeds, 16 * -(-columns // 2)).view("<u8")
+    words &= np.uint64(MODULUS)
+    out = words[:, :columns]
+    if out.size and (out.max() == MODULUS or out.min() < low):
+        for row in np.flatnonzero(((out == MODULUS) | (out < low)).any(axis=1)):
+            out[row] = _kept_words(seeds[row], columns, low)
+    return out
+
+
+def _kept_words(seed: np.ndarray, columns: int, low: int) -> np.ndarray:
+    """The first ``columns`` words of ``seed``'s stream, read as
+    :func:`expand_m61` reads them, that lie in ``[low, MODULUS)``."""
+    length = columns
+    while True:
+        length *= 2
+        words = _prg_rows(seed, 8 * length).view("<u8")[0] & np.uint64(MODULUS)
+        kept = words[(words != MODULUS) & (words >= low)]
+        if kept.size >= columns:
+            return kept[:columns]
+
+
+def share_indicators(
+    count: int,
+    ones: tuple[np.ndarray, np.ndarray],
+    parties: int,
+    columns: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Seed-compressed additive shares of ``count`` indicator vectors of
+    ``columns`` entries, one at each (vector, column) pair of ``ones``.
+
+    Returns one record per vector: ``seeds``, the (parties - 1, 16) share
+    seeds drawn from ``rng`` (all vectors' seeds in one draw, vector by
+    vector), and ``last``, the vector minus the seeds' expansions, built
+    in place one row block at a time.
+    """
+    layout = [("seeds", np.uint8, (parties - 1, SEED_BYTES)), ("last", "<u8", (columns,))]
+    records = np.zeros(count, layout)
+    seeds = records["seeds"]
+    seeds[...] = draw_seeds(count * (parties - 1), rng).reshape(seeds.shape)
+    last = records["last"]
+    last[ones] = 1
+    for rows in row_blocks(count, columns):
+        block = last[rows]
+        for i in range(parties - 1):
+            block[...] = m61_sub(block, expand_m61(seeds[rows, i], columns, 0))
+    return records
+
+
+def expand_shares(records: np.ndarray) -> np.ndarray:
+    """The (parties, count, columns) additive shares that ``records`` of
+    :func:`share_indicators` carry: party i < parties - 1 expands its own
+    seeds to elements of ``[0, MODULUS)``, and the last party holds its
+    vector."""
+    seeds, last = records["seeds"], records["last"]
+    out = np.empty((seeds.shape[1] + 1, *last.shape), np.uint64)
+    for i, share in enumerate(out[:-1]):
+        share[...] = expand_m61(seeds[:, i], last.shape[1], 0)
+    out[-1] = last
+    return out

@@ -7,8 +7,9 @@ generator's uniforms (or bytes) in the order its docstring states. The
 draw for draw under the same generator state, and ``it_gen``'s full-length
 XOR shares must reconstruct the same database as the compressed keys of
 :mod:`covercount.privwrite`. ``dense_chunk`` builds a crypto submission
-chunk the dense way, write by write with ``rng.bytes`` keys, for
-``harness.build_chunk`` to match byte for byte, and ``nonzero_plan`` plans
+chunk the dense way, write by write with ``rng.bytes`` keys and seeds and
+a scalar PRG expansion (``m61_row``), for ``harness.build_chunk`` to match
+byte for byte, and ``nonzero_plan`` plans
 an epoch's writes the strided way, for ``harness.plan_writes`` to match
 column for column. None of this is library code: it exists so that every
 such comparison runs against code the library does not share.
@@ -24,7 +25,6 @@ import numpy as np
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from covercount import verify
 from covercount.errors import InvalidTruthError
 from covercount.field import MODULUS, BitString
 from covercount.harness import EpochConfig, WritePlan, encode_message
@@ -211,19 +211,36 @@ def keys_by_bytes(
     return keys
 
 
+def m61_row(seed: bytes, columns: int, low: int) -> np.ndarray:
+    """``columns`` elements of ``[low, MODULUS)`` read off a seed's
+    :func:`_expand` stream: each 8-byte little-endian word with its top
+    three bits cleared, skipping words equal to MODULUS or below ``low`` and
+    reading on along the stream."""
+    nbytes = 8 * columns
+    while True:
+        words = np.frombuffer(_expand(seed, nbytes).to_bytes(nbytes, "big"), "<u8") % 2**61
+        kept = words[(words != MODULUS) & (words >= low)]
+        if kept.size >= columns:
+            return kept[:columns].astype(np.uint64)
+        nbytes *= 2
+
+
 def dense_chunk(
     writes: WritePlan,
     config: EpochConfig,
     keys_rng: np.random.Generator,
     verify_rng: np.random.Generator,
     two_row_owners: frozenset[int],
-) -> tuple[list[tuple[tuple[bytes, ...], bytes]], np.ndarray, np.ndarray]:
-    """A crypto chunk's keys (as :func:`keys_by_bytes`), indicator shares
-    and blinding base rows, built the dense way: a ``(writes, slots)``
-    indicator matrix, written write by write, shared by
-    ``verify.additive_share_batch``, then one whole-array blinding draw. A
-    real write marks its slot; a two-row owner's first write marks its slot
-    and the next one."""
+) -> tuple[list[tuple[tuple[bytes, ...], bytes]], np.ndarray, np.ndarray, np.ndarray]:
+    """A crypto chunk's keys (as :func:`keys_by_bytes`), share seeds
+    ``(writes, parties - 1, 16)``, last share vectors ``(writes, slots)`` and
+    blinding base seeds ``(writes, 16)``, built the dense way: a
+    ``(writes, slots)`` indicator matrix written write by write, one
+    ``rng.bytes`` call for every share seed (write by write, party by
+    party) and one for the base seeds, and each last vector the indicator
+    minus its seeds' :func:`m61_row` rows, one seed at a time. A real write
+    marks its slot; a two-row owner's first write marks its slot and the
+    next one."""
     records = list(writes)
     messages = [0 if w.value_id is None else encode_message(w.value_id, config) for w in records]
     keys = keys_by_bytes([w.slot for w in records], messages, config.fss, keys_rng)
@@ -237,9 +254,17 @@ def dense_chunk(
         if owner in first:
             slot = records[first[owner]].slot
             indicators[first[owner], [slot, (slot + 1) % config.db_slots]] = 1
-    shares = verify.additive_share_batch(indicators, config.parties, verify_rng)
-    blinding = verify_rng.integers(1, MODULUS, size=indicators.shape, dtype=np.uint64)
-    return keys, shares, blinding
+    others = config.parties - 1
+    seeds = verify_rng.bytes(16 * others * len(records))
+    bases = verify_rng.bytes(16 * len(records))
+    last = indicators
+    for index in range(len(records)):
+        for party in range(others):
+            at = 16 * (index * others + party)
+            row = m61_row(seeds[at : at + 16], config.db_slots, 0)
+            last[index] = (last[index] + MODULUS - row) % MODULUS
+    seed_array = np.frombuffer(seeds, np.uint8).reshape(len(records), others, 16)
+    return keys, seed_array, last, np.frombuffer(bases, np.uint8).reshape(len(records), 16)
 
 
 def nonzero_plan(claims: np.ndarray, config: EpochConfig, rng: np.random.Generator) -> WritePlan:

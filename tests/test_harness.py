@@ -26,6 +26,7 @@ from scipy import stats
 from covercount import cli
 from covercount import harness as h
 from covercount import mechanisms as mech
+from covercount import verify
 from covercount.errors import (
     ConfigError,
     InvalidTruthError,
@@ -37,6 +38,8 @@ from covercount.privwrite import (
     default_mu,
     default_nu,
     fss_evaluate_batch,
+    key_serialize,
+    key_size_bytes,
     unit_write,
 )
 
@@ -701,17 +704,17 @@ def wide_chunk_plan(mu):
 
 @pytest.mark.parametrize("mu", [4096, None])
 def test_chunk_matches_the_dense_reference(mu):
-    # the indicators written into the last share layer, the row-block draws
-    # and the uint32 key-stream draws give the bytes and stream states of an
-    # indicator matrix through additive_share_batch, one blinding draw and
-    # rng.bytes keys
+    # the uint32 seed and key-stream draws and the row-block expansions give
+    # the bytes and stream states of rng.bytes seeds and keys, and the last
+    # vectors of an indicator matrix minus scalar PRG rows
     config, plan, attackers = wide_chunk_plan(mu)
     streams = (derived_stream(3, 2), derived_stream(3, 3))
     chunk = h.build_chunk(plan, config, *streams, attackers)
     reference_streams = (derived_stream(3, 2), derived_stream(3, 3))
-    keys, shares, blinding = reference.dense_chunk(plan, config, *reference_streams, attackers)
-    assert np.array_equal(chunk.indicator_shares, shares)
-    assert np.array_equal(chunk.blinding, blinding)
+    keys, seeds, last, bases = reference.dense_chunk(plan, config, *reference_streams, attackers)
+    assert np.array_equal(chunk.indicator_shares["seeds"], seeds)
+    assert np.array_equal(chunk.indicator_shares["last"], last)
+    assert np.array_equal(chunk.blinding, bases)
     assert [tuple(key.seeds for key in write) for write in chunk.keys] == [s for s, _ in keys]
     assert [{key.words for key in write} for write in chunk.keys] == [{w} for _, w in keys]
     for stream, reference_stream in zip(streams, reference_streams):
@@ -719,8 +722,9 @@ def test_chunk_matches_the_dense_reference(mu):
 
 
 def test_crypto_chunk_peaks_near_its_own_bytes():
-    # the shares, indicators and blinding are written once, in place: no
-    # dense indicator matrix and no whole-layer draw beside the chunk
+    # the share records are written once, in place, and the seeds expand
+    # one row block at a time: no dense indicator matrix, no whole-layer
+    # expansion beside the chunk
     config, plan, attackers = wide_chunk_plan(4096)
     streams = (derived_stream(3, 2), derived_stream(3, 3))
     tracemalloc.start()
@@ -732,8 +736,41 @@ def test_crypto_chunk_peaks_near_its_own_bytes():
     words = {id(key.words): len(key.words) for write in chunk.keys for key in write}
     seeds = sum(len(key.seeds) for write in chunk.keys for key in write)
     size = chunk.indicator_shares.nbytes + chunk.blinding.nbytes + seeds + sum(words.values())
-    assert size > 80 * 2**20
+    # 512 share records of 32,800 bytes (16.0 MiB) and 17.1 MiB of keys
+    assert size > 32 * 2**20
     assert peak <= size + 4 * 2**20
+
+
+@pytest.mark.parametrize("party", [0, 1])
+def test_a_tampered_share_seed_rejects_its_write(party):
+    # the check reads the shares each party expands from its own seed
+    config = binary_config(master_seed=13)
+    pop = h.generate_population({"total": 40, "yes": 12}, np.random.default_rng(2))
+    claims = config.mech.claims(pop, config.value_ids, derived_stream(13, 0))
+    plan = h.plan_writes(claims, config, derived_stream(13, 1))
+    chunk = h.build_chunk(plan, config, derived_stream(13, 2), derived_stream(13, 3))
+    owner = 7
+    chunk.indicator_shares["seeds"][np.searchsorted(plan.owner, owner), party, 0] ^= 1
+    collector = h.EpochCollector(config)
+    collector.submit(chunk)
+    assert collector.finalize().diagnostics.rejected_owner_ids == (owner,)
+
+
+def test_crypto_upload_per_write_is_keys_seeds_and_one_vector():
+    # at the shipped crypto geometry a write uploads three keys, two share
+    # seeds, the last party's vector and the base seed once per party
+    config = cli.load_config(str(CONFIGS / "epoch_crypto_small.json"), []).epoch
+    assert (config.parties, config.db_slots) == (3, 1024)
+    pop = h.generate_population({"total": 20, "yes": 4}, np.random.default_rng(0))
+    claims = config.mech.claims(pop, config.value_ids, derived_stream(0, 0))
+    plan = h.plan_writes(claims, config, derived_stream(0, 1))
+    chunk = h.build_chunk(plan, config, derived_stream(0, 2), derived_stream(0, 3))
+    key = key_size_bytes(config.fss)
+    assert all(len(key_serialize(k)) == key for write in chunk.keys for k in write)
+    uploaded = 3 * key * len(plan) + chunk.indicator_shares.nbytes + 3 * chunk.blinding.nbytes
+    per_write = 3 * key + 2 * 16 + 8 * config.db_slots + 3 * 16
+    assert per_write == 34_624
+    assert uploaded == per_write * len(plan)
 
 
 def test_null_writes_are_counted_but_leave_the_databases_empty():
@@ -888,12 +925,13 @@ def test_two_row_writer_with_several_writes_per_round_is_the_only_rejection():
     for r in range(config.rounds):
         assert honest.databases[r].value ^ attacked.databases[r].value == expected[r]
 
-    # the shares add up to one indicator per write: the attacker's first
-    # write marks two adjacent slots, every other real write its own slot
+    # the expanded seeds and the last vector add up to one indicator per
+    # write: the attacker's first write marks two adjacent slots, every
+    # other real write its own slot
     chunk = h.build_chunk(
         plan, config, derived_stream(5, 2), derived_stream(5, 3), frozenset({1})
     )
-    indicators = m61_sum(chunk.indicator_shares, axis=0)
+    indicators = m61_sum(verify.expand_shares(chunk.indicator_shares), axis=0)
     reference = np.zeros((len(plan), config.db_slots), np.uint64)
     attacker_first = True
     for idx, w in enumerate(plan):

@@ -17,6 +17,8 @@ from covercount import verify
 from covercount.errors import DimensionError, IncompleteSubmissionError
 from covercount.field import MODULUS, m61_mul, m61_sum
 
+import reference
+
 MIRROR = 17
 NONZERO = range(1, MIRROR)
 
@@ -510,3 +512,40 @@ def test_m61_sum_long_rows_used_in_blinding():
     rng = np.random.default_rng(23)
     vals = rng.integers(0, MODULUS, size=8192, dtype=np.uint64)
     assert int(m61_sum(vals, axis=0)) == int(vals.sum(dtype=object) % MODULUS)
+
+
+# -- seed-compressed shares ----------------------------------------------------
+
+
+def test_expand_m61_skips_words_out_of_range_and_reads_on(monkeypatch):
+    # synthetic PRG streams: the real PRG never yields these words in practice
+    special = np.arange(1, 65, dtype="<u8")
+    special[1] = MODULUS
+    special[3] = 0
+    special[4] = np.uint64(7 << 61) | np.uint64(MODULUS)  # clears to MODULUS
+    special[5] = np.uint64(1 << 62) | np.uint64(5)  # clears to 5
+    plain = np.arange(101, 165, dtype="<u8")
+
+    def prg_rows(seeds, nbytes):
+        streams = [special if seed[0] else plain for seed in seeds.reshape(-1, 16)]
+        return np.stack([s.view(np.uint8)[:nbytes] for s in streams])
+
+    monkeypatch.setattr(verify, "_prg_rows", prg_rows)
+    seeds = np.zeros((3, 16), np.uint8)
+    seeds[1, 0] = 1
+    words = (special & np.uint64(MODULUS)).tolist()
+    for low in (0, 1):
+        kept = [w for w in words if low <= w < MODULUS]
+        rows = verify.expand_m61(seeds, 6, low).tolist()
+        assert rows == [plain[:6].tolist(), kept[:6], plain[:6].tolist()]
+    assert kept[:6] == [1, 3, 5, 7, 8, 9]
+
+
+@pytest.mark.parametrize("columns", [1, 7, 64])
+def test_expand_m61_matches_the_scalar_reference(columns):
+    seeds = np.random.default_rng(columns).integers(0, 256, (5, 16), dtype=np.uint8)
+    for low in (0, 1):
+        rows = verify.expand_m61(seeds, columns, low)
+        expected = [reference.m61_row(seed.tobytes(), columns, low) for seed in seeds]
+        assert np.array_equal(rows, expected)
+
