@@ -176,7 +176,9 @@ def parse_experiment(raw: dict) -> Experiment:
         if key not in eblock:
             raise ConfigError(f"epoch config needs {key!r}")
     if eblock.get("blinding_kind", "square") != "square":
-        raise ConfigError("epochs verify with square blinding only")
+        raise ConfigError(
+            "epoch.blinding_kind may only be 'square': epochs verify with the challenge check"
+        )
     fblock = eblock["fss"]
     h.check_keys(fblock, {"n", "lam", "mu", "nu"}, "fss")
     if "n" not in fblock:

@@ -31,7 +31,7 @@ MODULUS = (1 << 61) - 1
 # Vectorized arithmetic mod 2^61 - 1 on uint64 arrays.
 #
 # Only the default modulus gets a fast path; the epoch harness uses it for
-# owner-side blinding where per-element Python calls would dominate. Products
+# verification, where per-element Python calls would dominate. Products
 # of 61-bit operands need 122 bits, so multiplication splits each operand at
 # bit 31 and reduces the partial products with the Mersenne identity
 # 2^61 = 1 (mod 2^61 - 1). All intermediate sums stay below 2^63.
@@ -48,6 +48,13 @@ _S31 = np.uint64(31)
 _S29 = np.uint64(29)
 _S32 = np.uint64(32)
 _S61 = np.uint64(61)
+
+
+def m61_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, np.uint64)
+    b = np.asarray(b, np.uint64)
+    t = np.asarray(a + b)          # below 2^62
+    return np.minimum(t, t - _M61, out=t)  # t - p wraps past 2^63 when t < p
 
 
 def m61_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:

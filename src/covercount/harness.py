@@ -14,14 +14,14 @@ most 30 and a population holds fewer than 2**31 owners. A submission chunk
 is a slice of the plan, and chunk building, verification and accumulation
 read its columns; ``PlannedWrite`` records exist only for readers that
 iterate a plan.
-Verification uses square blinding, the one kind that accepts the all-zero
-indicator of a null write and rejects a two-slot indicator for any number
-of parties. A crypto write sends the first ``parties - 1`` parties a seed
-in place of its indicator share, and every party a seed for the base row,
-so share privacy rests on fixed-key AES as the keys' does. The owner still
-chooses the blinding matrix through that seed: the check's aggregate still
-locates the write, a repeated base entry still passes a weighted two-slot
-indicator, and the check is not bound to the key.
+Verification is the challenge check of ``verify``: it accepts the all-zero
+indicator of a null write and a one-slot indicator, and rejects any other
+vector with error at most 2 / (2**61 - 2). A crypto write sends the first
+``parties - 1`` parties a seed in place of its indicator share and its share
+of a random pair (a, a**2), and the last party its vector and pair row, so
+share privacy rests on fixed-key AES as the keys' does. The aggregators
+draw one challenge row per chunk after its shares are fixed, and the
+opened values reveal only the verdict. The check is not bound to the key.
 
 Databases are anonymous mailboxes: a write XORs ``ID || checksum`` into a
 uniformly chosen slot. In both modes a round database is a ``(2**n,)``
@@ -37,26 +37,29 @@ writes travel in a single submission, and only the first submission per
 owner counts in an epoch.
 
 Determinism: all randomness inside :func:`run_epoch` derives from
-``config.master_seed`` through four named child streams (privatize, slots,
-key material, verification). Both crypto streams are drawn per 256-owner
-chunk, so that chunk size is part of the crypto stream contract: the keys
-stream in ``fss_gen_batch``'s order (the seeds of all the chunk's writes,
-zero-seed redraws, selection matrices, then the correction words, each
-padded to a multiple of 4 bytes), every byte draw as uint32 words viewed as
-bytes, the same as one ``bytes`` call; the verification stream as the
-16-byte share seeds of every write (parties 0 to ``parties - 2`` in turn),
-then one 16-byte blinding base seed per write, drawn the same way. Each seed
-expands through the fixed-key AES PRG of ``privwrite`` into the row of M61
-elements that ``verify.expand_m61`` defines. ``build_chunk`` has
-``verify.share_indicators`` write each indicator into the write's last
-vector and subtract the seeds' expansions one row block at a time, so a
-chunk's only large array is its last vectors; the collector expands the
-seeds again, block by block, to verify. The crypto-free mode
-consumes the first two streams identically, does not build the other two
-(the first children of a spawn do not depend on how many are spawned) and
-submits its plan as one chunk, so its reconstructed databases, and
-therefore counts and estimates, are bit-identical to the full run; it
-exists to make large sweeps affordable.
+``config.master_seed`` through five named child streams (privatize, slots,
+key material, verification, challenge). The keys and verification streams
+are drawn per 256-owner chunk, so that chunk size is part of the crypto
+stream contract: the keys stream in ``fss_gen_batch``'s order (the seeds of
+all the chunk's writes, zero-seed redraws, selection matrices, then the
+correction words, each padded to a multiple of 4 bytes), every byte draw as
+uint32 words viewed as bytes, the same as one ``bytes`` call; the
+verification stream as the 16-byte share seeds of every write (parties 0 to
+``parties - 2`` in turn), drawn the same way, then one mask per write as
+one uint64 draw below 2**61 - 1. Each seed expands through the fixed-key
+AES PRG of ``privwrite`` into the row of M61 elements that
+``verify.expand_m61`` defines: a write's indicator share, then its share
+of the pair. ``build_chunk`` has ``verify.share_indicators`` write each
+indicator into the write's last vector and subtract the seeds' expansions
+one row block at a time, so a chunk's only large array is its last
+vectors; the collector expands the seeds again, block by block, to verify.
+The collector builds the challenge stream on its first keyed chunk and
+draws one 16-byte seed from it per verified chunk, in submission order.
+The crypto-free mode consumes the first two streams identically, builds
+none of the other three (the first children of a spawn do not depend on
+how many are spawned) and submits its plan as one chunk, so its
+reconstructed databases, and therefore counts and estimates, are
+bit-identical to the full run; it exists to make large sweeps affordable.
 """
 
 from __future__ import annotations
@@ -300,7 +303,7 @@ def _streams(master_seed: int, count: int = 4) -> dict[str, np.random.Generator]
     """The first ``count`` named child streams; a spawned child does not
     depend on how many are spawned."""
     children = np.random.SeedSequence(master_seed).spawn(count)
-    names = ("privatize", "slots", "keys", "verify")
+    names = ("privatize", "slots", "keys", "verify", "challenge")
     return {name: np.random.default_rng(seq) for name, seq in zip(names, children)}
 
 
@@ -377,9 +380,10 @@ class SubmissionChunk:
     submit. ``indicator_shares`` holds one record per write of additive
     shares of its slot indicator (``verify.share_indicators``): ``seeds``,
     the 16-byte seeds that parties 0 to ``parties - 2`` expand into their
-    shares, and ``last``, the last party's ``db_slots`` vector. ``blinding``
-    holds the ``(writes, 16)`` uint8 seeds of the square blinding base rows,
-    sent to every party; row j of a matrix is the base row's j-th power.
+    shares of the indicator and of the write's pair (a, a**2), and
+    ``last``, the last party's ``db_slots`` vector. ``blinding`` holds the
+    last party's ``(writes, 2)`` uint64 pair rows, (a, a**2) minus the
+    other parties' pair shares, sent to that party only.
     ``keys`` is one FSS key per party per write, and ``owner_ids`` the
     contiguous owner range of the writes, each owner with at least one
     write. A crypto-free chunk carries the planned writes only.
@@ -461,13 +465,13 @@ class EpochResult:
 
 class EpochCollector:
     """Aggregator state over one epoch: the round databases, verification
-    verdicts, and the dedup ledger. The databases are one ``(parties,
-    rounds, 2**n)`` uint64 slot array, and each chunk decides how it is
-    collected: party i XORs its batch evaluation of a keyed chunk's verified
-    writes into ``[i]``, and a keyless (crypto-free) chunk's accepted
-    non-null messages are XORed into their slots of ``[0]`` as plaintext.
-    ``finalize`` XORs the layers a chunk wrote into the round databases, so
-    a crypto-free epoch reduces layer 0 only."""
+    verdicts, the challenge stream, and the dedup ledger. The databases
+    are one ``(parties, rounds, 2**n)`` uint64 slot array, and each chunk
+    decides how it is collected: party i XORs its batch evaluation of a
+    keyed chunk's verified writes into ``[i]``, and a keyless (crypto-free)
+    chunk's accepted non-null messages are XORed into their slots of ``[0]``
+    as plaintext. ``finalize`` XORs the layers a chunk wrote into the round
+    databases, so a crypto-free epoch reduces layer 0 only."""
 
     def __init__(self, config: EpochConfig):
         self.config = config
@@ -478,6 +482,7 @@ class EpochCollector:
         self._rejected: list[int] = []
         self._duplicates = 0
         self._writes_per_round = np.zeros(rounds, np.int64)
+        self._challenge: np.random.Generator | None = None  # built on the first keyed chunk
 
     def submit(self, chunk: SubmissionChunk) -> None:
         owners = chunk.owner_ids
@@ -524,16 +529,19 @@ class EpochCollector:
         )
 
     def _verify(self, chunk: SubmissionChunk) -> np.ndarray:
-        """Per-write verdicts of the square-blinded unit-vector check. Each
-        row block's shares and base rows are expanded from their seeds."""
+        """Per-write verdicts of the challenge check: one challenge seed
+        from the ``challenge`` stream for the chunk, each row block's shares
+        expanded from their seeds into the parties' values, then one
+        opening of the whole chunk."""
         records, config = chunk.indicator_shares, self.config
-        aggregates = np.empty((len(records), config.parties), np.uint64)
-        for rows in verify.row_blocks(len(records), config.db_slots):
-            shares = verify.expand_shares(records[rows])
-            base = verify.expand_m61(chunk.blinding[rows], config.db_slots, 1)
-            blinded = verify.blind_square_batch(base, shares, config.parties)
-            aggregates[rows] = verify.aggregate_batch(blinded)
-        return verify.check_batch(aggregates, "square")
+        if self._challenge is None:
+            self._challenge = _streams(config.master_seed, 5)["challenge"]
+        rows = verify.challenge_rows(verify.draw_seeds(1, self._challenge), config.db_slots)
+        values = np.empty((config.parties, len(records), 4), np.uint64)
+        for block in verify.row_blocks(len(records), config.db_slots):
+            shares = verify.expand_shares(records[block], chunk.blinding[block])
+            values[:, block] = verify.challenge_values(shares, rows)
+        return verify.open_challenge_batch(values)[1] == 0
 
     def finalize(self) -> EpochResult:
         config = self.config
@@ -617,9 +625,10 @@ def build_chunk(
         np.concatenate((real, attack, attack)),
         np.concatenate((slot[real], slot[attack], (slot[attack] + 1) % config.db_slots)),
     )
-    shares = verify.share_indicators(len(writes), ones, config.parties, config.db_slots, verify_rng)
-    bases = verify.draw_seeds(len(writes), verify_rng)
-    return SubmissionChunk(owners, writes, keys, shares, bases)
+    shares, pairs = verify.share_indicators(
+        len(writes), ones, config.parties, config.db_slots, verify_rng
+    )
+    return SubmissionChunk(owners, writes, keys, shares, pairs)
 
 
 def run_epoch(

@@ -1,21 +1,53 @@
-"""Blinded unit-vector verification of private writes.
+"""Unit-vector verification of private writes.
 
 A write submission carries, besides the key material, additive shares of
 the slot-indicator vector u: all zeros when the owner abstains, a single
 one at the written slot otherwise. The parties must confirm that u is such
-a 0/1 unit vector without learning it. The owner samples a structured
-blinding matrix R (p rows, one column per slot) and sends party i only the
-p-element product B_i = R . V_i of its share. Summing the published B_i
-yields s = R . u, and the structure of R makes the unit-vector property
-checkable from s alone.
+a vector without learning it.
 
-Three structures are supported, differing in how the rows are tied:
+The epoch check (:func:`share_indicators`, :func:`expand_shares`,
+:func:`challenge_rows`, :func:`challenge_values`,
+:func:`open_challenge_batch`) is Prio's idea cut
+down to one degree-2 check (Corrigan-Gibbs, Boneh, NSDI 2017, section 4;
+Boneh, Boyle, Corrigan-Gibbs, Gilboa, Ishai, "Zero-knowledge proofs on
+secret-shared data via fully linear PCPs", CRYPTO 2019):
+
+* The field has M = 2^61 - 1 elements and there are p parties. The owner
+  shares u and a random pair (a, a^2) per write. Party i < p - 1 receives
+  one 16-byte seed; :func:`expand_m61` turns it into the
+  S-slot share u_i followed by (a_i, b_i). The last party receives
+  u - sum(u_i) and (a - sum(a_i), a^2 - sum(b_i)).
+* After the shares are fixed, the aggregators draw one challenge row r,
+  uniform on [1, M) per slot, for a whole chunk. Each party computes
+  x_i = <r, u_i> and y_i = <r^2, u_i> with one ``m61_dot`` against the two
+  rows (r, r^2).
+* They open d = sum(x_i - a_i) = <r, u> - a. Party i forms
+  c_i = 2 d a_i + b_i, party 0 adds d^2, and they open
+  z = sum(c_i - y_i) = <r, u>^2 - <r^2, u> + (b - a^2). A write passes iff
+  z = 0.
+
+<r, u>^2 - <r^2, u> is the zero polynomial in r exactly when u is a 0/1
+vector with at most one 1. Otherwise z is a nonzero polynomial of degree at
+most 2 (a wrong pair only adds an offset fixed before r is drawn), so a bad
+write passes with probability at most 2 / (M - 1) by Schwartz-Zippel. For
+an honest write z = 0 and d is uniform, so the transcript reveals only the
+verdict. Neither the owner nor any party chooses r. The check is not bound
+to the key (ROADMAP item 3).
+
+The shares expand through the fixed-key AES PRG of ``privwrite``, so they
+hide u on the same assumption as the keys.
+
+The owner-sampled blinding kinds below predate the epoch check and remain
+only for acceptance check 7 and ``bench-verify``. The owner samples a
+structured matrix R (p rows, one column per slot) and party i publishes the
+p-element product B_i = R . V_i of its share. Summing the B_i yields
+s = R . u, and the structure of R makes the unit-vector property checkable
+from s alone:
 
 * ``square``: row j holds the elementwise j-th powers of row one. A unit
   vector surfaces one column, so s_j = r^j and the check is
   s_1^j == s_j for j = 2..p. The all-zero u also passes (every s_j is
-  zero), which is exactly the abstention write, so the epoch pipeline
-  uses this kind. An entry of 2 fails because (2r)^2 = 4r^2 != 2r^2.
+  zero). An entry of 2 fails because (2r)^2 = 4r^2 != 2r^2.
 * ``product``: the last row is the column-wise product of the others; the
   check multiplies s_1..s_{p-1} and compares with s_p. The all-zero
   vector passes here too (both sides are zero). With p = 2 the two rows
@@ -24,27 +56,13 @@ Three structures are supported, differing in how the rows are tied:
 * ``inverse``: every column multiplies to one; the check is
   prod(s) == 1. This is the only kind that rejects the all-zero vector.
 
-Whoever calls :func:`make_blinding` decides who samples R. This module
-implements owner-sampled blinding, which is the cheapest arrangement; a
-dealer that distrusts owners can sample R itself and pass it in, nothing
-else changes. Free matrix entries are uniform nonzero (a zero entry would
-blank the check at that column).
+Free matrix entries are uniform nonzero (a zero entry would blank the check
+at that column). Because the owner chooses R, s_1 names the written slot
+and a repeated entry admits a weighted two-slot indicator; the epoch check
+has neither fault.
 
-The epoch sends shares and base rows as seeds, as Prio does
-(Corrigan-Gibbs, Boneh, NSDI 2017): party i < p - 1 receives a 16-byte seed
-that :func:`expand_m61` turns into its share, the last party the vector u
-minus those expansions (:func:`share_indicators`), and every party the
-16-byte seed of the base row. A seed expands through the fixed-key AES PRG
-of ``privwrite``, so the shares hide u on the same assumption as the keys.
-The owner still chooses R, now through its base seed. So the published
-s_1, the base entry at the written slot, still locates a write, an owner
-who repeats a base entry can still pass a weighted two-slot indicator, and
-the check is still not bound to the key.
-
-Only 0/1 indicator vectors are verifiable this way: the square identity
-u^2 == u holds exactly for 0 and 1, which is the point of the check. The
-multi-bit payload of a write travels inside the key material and is not
-covered here.
+Only 0/1 indicator vectors are verifiable this way. The multi-bit payload
+of a write travels inside the key material and is not covered here.
 
 The scalar functions accept an alternate ``modulus`` so small-field
 exhaustive tests can sweep every matrix; the ``*_batch`` functions are
@@ -59,7 +77,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionError, IncompleteSubmissionError
-from .field import MODULUS, m61_dot, m61_mul, m61_pow, m61_sub, m61_sum
+from .field import MODULUS, m61_add, m61_dot, m61_mul, m61_pow, m61_sub, m61_sum
 from .privwrite import SEED_BYTES, _prg_rows, _stream_bytes
 
 KINDS = ("square", "product", "inverse")
@@ -198,7 +216,8 @@ CHECKS = {"square": check_square, "product": check_product, "inverse": check_inv
 
 
 # ---------------------------------------------------------------------------
-# Batched variants for the epoch pipeline. Layouts: indicator vectors are
+# Batched variants of the blinded kinds, and the row blocks that the epoch
+# check shares with them. Layouts: indicator vectors are
 # (owners, columns); additive shares are (parties, owners, columns); one
 # party's blinded output is (owners, parties).
 #
@@ -211,7 +230,9 @@ CHECKS = {"square": check_square, "product": check_product, "inverse": check_inv
 # medians of 9), blinding took 219 ms at 2^13 and 2^14 and 263 to 538 ms
 # at 2^12 and 2^15 to 2^19; sharing took 80 to 85 ms from 2^13 to 2^16.
 # The share and blinding draws take the same row blocks, so a draw holds
-# one block beside the array it fills.
+# one block beside the array it fills. The epoch's challenge check walks
+# the same blocks: at 2^16 it ran faster, but perfbench's crypto-split
+# peak RSS rose from 70.6 to 78.2 MB (2 shared cores), so they stay 2^14.
 # ---------------------------------------------------------------------------
 
 _BLOCK_ELEMENTS = 1 << 14
@@ -234,43 +255,29 @@ def _draw_rows(out: np.ndarray, low: int, rng: np.random.Generator) -> np.ndarra
     return out
 
 
-def fill_shares(shares: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Turn ``shares``, a (parties, owners, columns) uint64 array whose last
-    layer holds the vectors u, into additive shares of u, in place.
-
-    Layers 0..parties-2 are drawn from ``rng`` one after another, the values
-    and generator state of one (parties - 1, owners, columns) draw; then one
-    pass over row blocks turns the last layer into u minus their sum.
-    """
-    for layer in shares[:-1]:
-        _draw_rows(layer, 0, rng)
-    last = shares[-1]
-    for rows in row_blocks(*last.shape):
-        block = last[rows]
-        for share in shares[:-1, rows]:
-            block[...] = m61_sub(block, share)
-    return shares
-
-
 def additive_share_batch(
     u_hats: np.ndarray, parties: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Additive shares of each row, (parties, owners, columns): the rows
-    copied into the last layer, then shared by :func:`fill_shares`."""
+    """Additive shares of each row, (parties, owners, columns).
+
+    Layers 0..parties-2 are drawn from ``rng`` one after another, the values
+    and generator state of one (parties - 1, owners, columns) draw; then one
+    pass over row blocks makes the last layer the rows minus their sum.
+    """
     if parties < 1:
         raise ValueError("parties must be at least 1")
     u = np.asarray(u_hats, np.uint64)
     if u.ndim != 2:
         raise DimensionError("expected an (owners, columns) array")
     out = np.empty((parties, *u.shape), np.uint64)
+    for layer in out[:-1]:
+        _draw_rows(layer, 0, rng)
     out[-1] = u
-    return fill_shares(out, rng)
-
-
-def square_bases(count: int, columns: int, rng: np.random.Generator) -> np.ndarray:
-    """The (count, columns) base rows of ``count`` square blinding matrices,
-    uniform in ``[1, MODULUS)``, drawn in row blocks."""
-    return _draw_rows(np.empty((count, columns), np.uint64), 1, rng)
+    for rows in row_blocks(*u.shape):
+        block = out[-1, rows]
+        for share in out[:-1, rows]:
+            block[...] = m61_sub(block, share)
+    return out
 
 
 def _square_rows(base: np.ndarray, parties: int) -> np.ndarray:
@@ -291,7 +298,7 @@ def make_blinding_batch(
     if parties < 2:
         raise ValueError("parties must be at least 2")
     if kind == "square":
-        return _square_rows(square_bases(count, columns, rng), parties)
+        return _square_rows(_draw_rows(np.empty((count, columns), np.uint64), 1, rng), parties)
     out = np.empty((count, parties, columns), np.uint64)
     free = rng.integers(1, MODULUS, size=(count, parties - 1, columns), dtype=np.uint64)
     out[:, :-1] = free
@@ -354,9 +361,11 @@ def check_batch(aggregates: np.ndarray, kind: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Seed-compressed submissions (see the module docstring). A record holds one
-# write's share seeds and last vector; the collector expands each row block
-# of records and base seeds anew, as each party would.
+# The epoch check (see the module docstring). A record holds one write's
+# share seeds and last vector, and a pair row the last party's share of
+# (a, a^2); the collector expands each row block of records anew, as each
+# party would, takes each party's values against the chunk's challenge
+# rows, and opens the whole chunk at once.
 # ---------------------------------------------------------------------------
 
 
@@ -404,36 +413,82 @@ def share_indicators(
     parties: int,
     columns: int,
     rng: np.random.Generator,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Seed-compressed additive shares of ``count`` indicator vectors of
-    ``columns`` entries, one at each (vector, column) pair of ``ones``.
+    ``columns`` entries, one at each (vector, column) pair of ``ones``, and
+    of one random pair (a, a^2) per vector.
 
-    Returns one record per vector: ``seeds``, the (parties - 1, 16) share
-    seeds drawn from ``rng`` (all vectors' seeds in one draw, vector by
-    vector), and ``last``, the vector minus the seeds' expansions, built
-    in place one row block at a time.
+    Returns one record per vector and the (count, 2) pair rows. A record
+    holds ``seeds``, the (parties - 1, 16) share seeds drawn from ``rng``
+    (all vectors' seeds in one draw, vector by vector), and ``last``, the
+    vector minus the first ``columns`` words of the seeds' expansions. Then
+    one mask a per vector is drawn from ``rng``, uniform on
+    ``[0, MODULUS)``, and a pair row is (a, a^2) minus words ``columns``
+    and ``columns + 1`` of the same expansions. Both are built in place,
+    one row block at a time.
     """
     layout = [("seeds", np.uint8, (parties - 1, SEED_BYTES)), ("last", "<u8", (columns,))]
     records = np.zeros(count, layout)
     seeds = records["seeds"]
     seeds[...] = draw_seeds(count * (parties - 1), rng).reshape(seeds.shape)
+    masks = rng.integers(0, MODULUS, size=count, dtype=np.uint64)
+    pairs = np.stack((masks, m61_mul(masks, masks)), axis=1)
     last = records["last"]
     last[ones] = 1
     for rows in row_blocks(count, columns):
-        block = last[rows]
+        block, pair = last[rows], pairs[rows]
+        words = expand_m61(seeds[rows], columns + 2, 0).reshape(-1, parties - 1, columns + 2)
         for i in range(parties - 1):
-            block[...] = m61_sub(block, expand_m61(seeds[rows, i], columns, 0))
-    return records
+            block[...] = m61_sub(block, words[:, i, :columns])
+            pair[...] = m61_sub(pair, words[:, i, columns:])
+    return records, pairs
 
 
-def expand_shares(records: np.ndarray) -> np.ndarray:
-    """The (parties, count, columns) additive shares that ``records`` of
-    :func:`share_indicators` carry: party i < parties - 1 expands its own
-    seeds to elements of ``[0, MODULUS)``, and the last party holds its
-    vector."""
+def expand_shares(records: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The (parties, count, columns + 2) shares that ``records`` and
+    ``pairs`` of :func:`share_indicators` carry: each party's share of the
+    indicator, then its share of (a, a^2). Party i < parties - 1 expands
+    its own seeds to elements of ``[0, MODULUS)``, and the last party holds
+    its vector and pair row."""
     seeds, last = records["seeds"], records["last"]
-    out = np.empty((seeds.shape[1] + 1, *last.shape), np.uint64)
-    for i, share in enumerate(out[:-1]):
-        share[...] = expand_m61(seeds[:, i], last.shape[1], 0)
-    out[-1] = last
+    columns = last.shape[1]
+    out = np.empty((seeds.shape[1] + 1, len(records), columns + 2), np.uint64)
+    out[:-1] = expand_m61(seeds.swapaxes(0, 1), columns + 2, 0).reshape(out[:-1].shape)
+    out[-1, :, :columns] = last
+    out[-1, :, columns:] = pairs
     return out
+
+
+def challenge_rows(seed: np.ndarray, columns: int) -> np.ndarray:
+    """The (2, columns) challenge rows (r, r^2) of one 16-byte seed: r
+    uniform on ``[1, MODULUS)`` per column, read as :func:`expand_m61`
+    reads it."""
+    r = expand_m61(seed, columns, 1)[0]
+    return np.stack((r, m61_mul(r, r)))
+
+
+def challenge_values(shares: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each party's local values (x_i, y_i, a_i, b_i) of each write,
+    (parties, count, 4), for (parties, count, columns + 2) shares of
+    :func:`expand_shares` and the (2, columns) rows (r, r^2) of
+    :func:`challenge_rows`: x_i = <r, u_i> and y_i = <r^2, u_i> from one
+    ``m61_dot``, then the party's pair share."""
+    columns = rows.shape[-1]
+    if rows.shape != (2, columns) or shares.ndim != 3 or shares.shape[-1] != columns + 2:
+        raise DimensionError("expected (parties, count, columns + 2) shares over two challenge rows")
+    out = np.empty((*shares.shape[:2], 4), np.uint64)
+    out[..., :2] = m61_dot(shares[..., :columns], rows)
+    out[..., 2:] = shares[..., columns:]
+    return out
+
+
+def open_challenge_batch(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two opened values (d, z) of each write, each (count,), from the
+    parties' (parties, count, 4) :func:`challenge_values`: d = sum(x_i - a_i),
+    then c_i = 2 d a_i + b_i (party 0 adds d^2) and z = sum(c_i - y_i). A
+    write passes iff z = 0."""
+    x, y, a, b = np.moveaxis(values, -1, 0)
+    d = m61_sum(m61_sub(x, a), axis=0)
+    c = m61_add(m61_mul(a, np.broadcast_to(m61_add(d, d), a.shape)), b)
+    c[0] = m61_add(c[0], m61_mul(d, d))
+    return d, m61_sum(m61_sub(c, y), axis=0)

@@ -7,9 +7,9 @@ generator's uniforms (or bytes) in the order its docstring states. The
 draw for draw under the same generator state, and ``it_gen``'s full-length
 XOR shares must reconstruct the same database as the compressed keys of
 :mod:`covercount.privwrite`. ``dense_chunk`` builds a crypto submission
-chunk the dense way, write by write with ``rng.bytes`` keys and seeds and
-a scalar PRG expansion (``m61_row``), for ``harness.build_chunk`` to match
-byte for byte, and ``nonzero_plan`` plans
+chunk the dense way, write by write with ``rng.bytes`` keys and seeds,
+scalar mask draws and a scalar PRG expansion (``m61_row``), for
+``harness.build_chunk`` to match byte for byte, and ``nonzero_plan`` plans
 an epoch's writes the strided way, for ``harness.plan_writes`` to match
 column for column. None of this is library code: it exists so that every
 such comparison runs against code the library does not share.
@@ -234,17 +234,19 @@ def dense_chunk(
 ) -> tuple[list[tuple[tuple[bytes, ...], bytes]], np.ndarray, np.ndarray, np.ndarray]:
     """A crypto chunk's keys (as :func:`keys_by_bytes`), share seeds
     ``(writes, parties - 1, 16)``, last share vectors ``(writes, slots)`` and
-    blinding base seeds ``(writes, 16)``, built the dense way: a
+    the last party's pair rows ``(writes, 2)``, built the dense way: a
     ``(writes, slots)`` indicator matrix written write by write, one
     ``rng.bytes`` call for every share seed (write by write, party by
-    party) and one for the base seeds, and each last vector the indicator
-    minus its seeds' :func:`m61_row` rows, one seed at a time. A real write
+    party), then one scalar mask draw per write, and each last vector and
+    pair the indicator and (a, a^2) minus its seeds' :func:`m61_row` rows of
+    ``slots + 2`` words, one seed at a time, in Python ints. A real write
     marks its slot; a two-row owner's first write marks its slot and the
     next one."""
     records = list(writes)
     messages = [0 if w.value_id is None else encode_message(w.value_id, config) for w in records]
     keys = keys_by_bytes([w.slot for w in records], messages, config.fss, keys_rng)
-    indicators = np.zeros((len(records), config.db_slots), np.uint64)
+    slots = config.db_slots
+    indicators = np.zeros((len(records), slots), np.uint64)
     first = {}
     for index, write in enumerate(records):
         first.setdefault(write.owner_id, index)
@@ -253,18 +255,22 @@ def dense_chunk(
     for owner in two_row_owners:
         if owner in first:
             slot = records[first[owner]].slot
-            indicators[first[owner], [slot, (slot + 1) % config.db_slots]] = 1
+            indicators[first[owner], [slot, (slot + 1) % slots]] = 1
     others = config.parties - 1
     seeds = verify_rng.bytes(16 * others * len(records))
-    bases = verify_rng.bytes(16 * len(records))
+    masks = [int(verify_rng.integers(0, MODULUS, dtype=np.uint64)) for _ in records]
     last = indicators
-    for index in range(len(records)):
+    pairs = []
+    for index, mask in enumerate(masks):
+        pair = [mask, mask * mask % MODULUS]
         for party in range(others):
             at = 16 * (index * others + party)
-            row = m61_row(seeds[at : at + 16], config.db_slots, 0)
-            last[index] = (last[index] + MODULUS - row) % MODULUS
+            row = m61_row(seeds[at : at + 16], slots + 2, 0)
+            last[index] = (last[index] + MODULUS - row[:slots]) % MODULUS
+            pair = [(x - int(y)) % MODULUS for x, y in zip(pair, row[slots:])]
+        pairs.append(pair)
     seed_array = np.frombuffer(seeds, np.uint8).reshape(len(records), others, 16)
-    return keys, seed_array, last, np.frombuffer(bases, np.uint8).reshape(len(records), 16)
+    return keys, seed_array, last, np.array(pairs, np.uint64).reshape(len(records), 2)
 
 
 def nonzero_plan(claims: np.ndarray, config: EpochConfig, rng: np.random.Generator) -> WritePlan:

@@ -391,7 +391,7 @@ def test_simulate_rejects_blinding_other_than_square(tmp_path, capsys):
         args = ["simulate", "--config", config, "--out-dir", str(tmp_path)]
         args += ["--override", f"epoch.blinding_kind={kind}"]
         assert cli.main(args) == 2
-        assert "square blinding" in capsys.readouterr().err
+        assert "blinding_kind may only be 'square'" in capsys.readouterr().err
 
 
 def test_simulate_bad_config_exit_code(tmp_path, capsys):

@@ -39,6 +39,9 @@ def test_m61_mul_matches_scalar_on_edges():
     got = field.m61_sub(a, b)
     for ai, bi, gi in zip(a.tolist(), b.tolist(), got.tolist()):
         assert gi == (ai - bi) % M61
+    got = field.m61_add(a, b)
+    for ai, bi, gi in zip(a.tolist(), b.tolist(), got.tolist()):
+        assert gi == (ai + bi) % M61
 
 
 def test_m61_ops_match_scalar_random():
@@ -46,6 +49,7 @@ def test_m61_ops_match_scalar_random():
     a = rng.integers(0, M61, 5000, dtype=np.uint64)
     b = rng.integers(0, M61, 5000, dtype=np.uint64)
     assert np.array_equal(field.m61_sub(a, b), [(x - y) % M61 for x, y in zip(a.tolist(), b.tolist())])
+    assert np.array_equal(field.m61_add(a, b), [(x + y) % M61 for x, y in zip(a.tolist(), b.tolist())])
     assert np.array_equal(field.m61_mul(a, b), [(x * y) % M61 for x, y in zip(a.tolist(), b.tolist())])
 
 

@@ -32,7 +32,7 @@ from covercount.errors import (
     InvalidTruthError,
     PopulationSpecError,
 )
-from covercount.field import BitString, m61_sum
+from covercount.field import MODULUS, BitString, m61_add, m61_mul, m61_sub, m61_sum
 from covercount.privwrite import (
     FssParams,
     default_mu,
@@ -64,10 +64,10 @@ def binary_config(**overrides):
 def derived_stream(master_seed, index):
     """The named child streams of an epoch, re-derived independently.
 
-    Freezes the determinism contract: privatize, slots, keys, verify are the
-    four children of the master seed, in that order.
+    Freezes the determinism contract: privatize, slots, keys, verify and
+    challenge are the five children of the master seed, in that order.
     """
-    return np.random.default_rng(np.random.SeedSequence(master_seed).spawn(4)[index])
+    return np.random.default_rng(np.random.SeedSequence(master_seed).spawn(5)[index])
 
 
 # -- Message encoding ----------------------------------------------------------
@@ -704,17 +704,19 @@ def wide_chunk_plan(mu):
 
 @pytest.mark.parametrize("mu", [4096, None])
 def test_chunk_matches_the_dense_reference(mu):
-    # the uint32 seed and key-stream draws and the row-block expansions give
-    # the bytes and stream states of rng.bytes seeds and keys, and the last
-    # vectors of an indicator matrix minus scalar PRG rows
+    # the uint32 seed and key-stream draws, the one mask draw and the
+    # row-block expansions give the bytes and stream states of rng.bytes
+    # seeds and keys and scalar mask draws, and the last vectors and pairs
+    # of an indicator matrix and (a, a^2) minus scalar PRG rows
     config, plan, attackers = wide_chunk_plan(mu)
     streams = (derived_stream(3, 2), derived_stream(3, 3))
     chunk = h.build_chunk(plan, config, *streams, attackers)
     reference_streams = (derived_stream(3, 2), derived_stream(3, 3))
-    keys, seeds, last, bases = reference.dense_chunk(plan, config, *reference_streams, attackers)
+    keys, seeds, last, pairs = reference.dense_chunk(plan, config, *reference_streams, attackers)
     assert np.array_equal(chunk.indicator_shares["seeds"], seeds)
     assert np.array_equal(chunk.indicator_shares["last"], last)
-    assert np.array_equal(chunk.blinding, bases)
+    assert chunk.blinding.dtype == np.uint64
+    assert np.array_equal(chunk.blinding, pairs)
     assert [tuple(key.seeds for key in write) for write in chunk.keys] == [s for s, _ in keys]
     assert [{key.words for key in write} for write in chunk.keys] == [{w} for _, w in keys]
     for stream, reference_stream in zip(streams, reference_streams):
@@ -756,9 +758,121 @@ def test_a_tampered_share_seed_rejects_its_write(party):
     assert collector.finalize().diagnostics.rejected_owner_ids == (owner,)
 
 
+def test_the_challenge_stream_is_the_fifth_child_drawn_per_verified_chunk(monkeypatch):
+    # the collector builds the fifth child of the master seed on its first
+    # keyed chunk and draws one 16-byte seed per verified chunk, in
+    # submission order; a crypto-free epoch never builds it
+    config = binary_config(master_seed=13)
+    pop = h.generate_population({"total": 600, "yes": 60}, np.random.default_rng(5))
+    built, seeds = [], []
+    streams, challenge_rows = h._streams, verify.challenge_rows
+
+    def spy_streams(master_seed, count=4):
+        built.append(count)
+        return streams(master_seed, count)
+
+    def spy_rows(seed, columns):
+        seeds.append(seed.tobytes())
+        return challenge_rows(seed, columns)
+
+    monkeypatch.setattr(h, "_streams", spy_streams)
+    monkeypatch.setattr(verify, "challenge_rows", spy_rows)
+    h.run_epoch(pop, config, crypto=False)
+    assert (built, seeds) == ([2], [])
+    h.run_epoch(pop, config, crypto=True)
+    assert built == [2, 4, 5]
+    challenge = derived_stream(13, 4)
+    assert seeds == [challenge.bytes(16) for _ in range(3)]  # 600 owners, 3 chunks
+
+    # a chunk whose owners have all submitted is not verified and draws nothing
+    claims = config.mech.claims(pop, config.value_ids, derived_stream(13, 0))
+    plan = h.plan_writes(claims, config, derived_stream(13, 1))
+    cut = int(np.searchsorted(plan.owner, 256))
+    keys, shares = derived_stream(13, 2), derived_stream(13, 3)
+    first = h.build_chunk(plan[:cut], config, keys, shares)
+    second = h.build_chunk(plan[cut : int(np.searchsorted(plan.owner, 512))], config, keys, shares)
+    seeds.clear()
+    collector = h.EpochCollector(config)
+    for chunk in (first, first, second):
+        collector.submit(chunk)
+    challenge = derived_stream(13, 4)
+    assert seeds == [challenge.bytes(16) for _ in range(2)]
+
+
+def test_weighted_two_slot_forgery_is_rejected_in_a_full_epoch(monkeypatch):
+    # the indicator (2, -1) at a write's slot and the next sums to one, and it
+    # passed owner-chosen square blinding whose base entry repeated at both
+    # columns; against a challenge the owner does not choose it fails
+    config = binary_config(master_seed=13)
+    pop = h.generate_population({"total": 300, "yes": 30}, np.random.default_rng(9))
+    build, forgers = h.build_chunk, []
+
+    def forge(writes, config, keys_rng, verify_rng, two_row_owners=frozenset()):
+        chunk = build(writes, config, keys_rng, verify_rng, two_row_owners)
+        write = int(np.flatnonzero(writes.value < len(config.value_ids))[0])
+        slot = int(writes.slot[write])
+        last = chunk.indicator_shares["last"][write]
+        last[slot] = m61_add(last[slot], 1)
+        last[(slot + 1) % config.db_slots] = m61_sub(last[(slot + 1) % config.db_slots], 1)
+        forgers.append(int(writes.owner[write]))
+        return chunk
+
+    monkeypatch.setattr(h, "build_chunk", forge)
+    result = h.run_epoch(pop, config, crypto=True)
+    assert len(forgers) == 2  # one forged write in each of the two chunks
+    assert result.diagnostics.rejected_owner_ids == tuple(forgers)
+
+
+def test_aggregator_view_does_not_locate_writes():
+    # the first 256-owner chunk of the shipped crypto config at population
+    # seed 0: when the owner chose the blinding base row, matching the
+    # published s_1 against it named the slot of all 34 real writes, and a
+    # null write's aggregate was zero. Each party now holds its own share
+    # and pair share, and the opened r, d and z are public. Guesses built
+    # from that view locate no more writes than chance, 1 in 2**n each.
+    experiment = cli.load_config(str(CONFIGS / "epoch_crypto_small.json"), [])
+    config = experiment.epoch
+    pop = h.generate_population(experiment.population, np.random.default_rng(0))
+    seed = config.master_seed
+    claims = config.mech.claims(pop, config.value_ids, derived_stream(seed, 0))
+    plan = h.plan_writes(claims, config, derived_stream(seed, 1))
+    plan = plan[: int(np.searchsorted(plan.owner, 256))]
+    chunk = h.build_chunk(plan, config, derived_stream(seed, 2), derived_stream(seed, 3))
+    slots = config.db_slots
+    challenge = np.frombuffer(derived_stream(seed, 4).bytes(16), np.uint8)
+    rows = verify.challenge_rows(challenge, slots)
+    shares = verify.expand_shares(chunk.indicator_shares, chunk.blinding)
+    d, z = verify.open_challenge_batch(verify.challenge_values(shares, rows))
+    real = plan.value < len(config.value_ids)
+    assert int(real.sum()) == 34
+    assert not z.any()  # every honest write opens z = 0: only the verdict
+    assert d[~real].all()  # a null write's opening is no longer zero
+
+    r, r2 = rows.tolist()
+    by_value = {}
+    for j, value in enumerate(r + r2):
+        by_value.setdefault(value, j % slots)
+    guesser = np.random.default_rng(1)
+    located = guesses = 0
+    for w in np.flatnonzero(real):
+        for share in shares[:, w]:
+            x, y = (sum(a * b for a, b in zip(row, share[:slots].tolist())) % MODULUS for row in (r, r2))
+            a_i, b_i = share[slots:].tolist()
+            opened = (int(d[w]), (int(d[w]) + a_i) % MODULUS, x, y, b_i)
+            candidates = {by_value[v] for v in opened if v in by_value}
+            candidates |= set(np.flatnonzero(share[:slots] <= 1).tolist())
+            guess = min(candidates) if candidates else int(guesser.integers(slots))
+            located += guess == plan.slot[w]
+            guesses += 1
+    # 102 guesses at 1 in 1,024: three or more hits has chance below 2e-4
+    assert guesses == 102 and located <= 2
+    assert h.EpochCollector(config)._verify(chunk).all()
+
+
 def test_crypto_upload_per_write_is_keys_seeds_and_one_vector():
     # at the shipped crypto geometry a write uploads three keys, two share
-    # seeds, the last party's vector and the base seed once per party
+    # seeds, and the last party's vector and pair row (a 16-byte pair, sent
+    # to the last party only)
     config = cli.load_config(str(CONFIGS / "epoch_crypto_small.json"), []).epoch
     assert (config.parties, config.db_slots) == (3, 1024)
     pop = h.generate_population({"total": 20, "yes": 4}, np.random.default_rng(0))
@@ -767,9 +881,10 @@ def test_crypto_upload_per_write_is_keys_seeds_and_one_vector():
     chunk = h.build_chunk(plan, config, derived_stream(0, 2), derived_stream(0, 3))
     key = key_size_bytes(config.fss)
     assert all(len(key_serialize(k)) == key for write in chunk.keys for k in write)
-    uploaded = 3 * key * len(plan) + chunk.indicator_shares.nbytes + 3 * chunk.blinding.nbytes
-    per_write = 3 * key + 2 * 16 + 8 * config.db_slots + 3 * 16
-    assert per_write == 34_624
+    assert chunk.blinding.shape == (len(plan), 2)
+    uploaded = 3 * key * len(plan) + chunk.indicator_shares.nbytes + chunk.blinding.nbytes
+    per_write = 3 * key + 2 * 16 + 8 * config.db_slots + 16
+    assert per_write == 34_592
     assert uploaded == per_write * len(plan)
 
 
@@ -927,11 +1042,13 @@ def test_two_row_writer_with_several_writes_per_round_is_the_only_rejection():
 
     # the expanded seeds and the last vector add up to one indicator per
     # write: the attacker's first write marks two adjacent slots, every
-    # other real write its own slot
+    # other real write its own slot; the pair shares add up to (a, a^2)
     chunk = h.build_chunk(
         plan, config, derived_stream(5, 2), derived_stream(5, 3), frozenset({1})
     )
-    indicators = m61_sum(verify.expand_shares(chunk.indicator_shares), axis=0)
+    sums = m61_sum(verify.expand_shares(chunk.indicator_shares, chunk.blinding), axis=0)
+    indicators, (a, b) = sums[:, :-2], sums[:, -2:].T
+    assert np.array_equal(b, m61_mul(a, a))
     reference = np.zeros((len(plan), config.db_slots), np.uint64)
     attacker_first = True
     for idx, w in enumerate(plan):

@@ -4,7 +4,9 @@ The decision rules are pinned two ways: statistically in the production
 field, and exhaustively in a mirror field of size 17 where every blinding
 matrix can be enumerated. The mirror-field expectations below were frozen
 from an independent brute force over all matrices; the production functions
-must reproduce them decision for decision.
+must reproduce them decision for decision. The epoch's challenge check is
+pinned against a Python-int opening, and its error bound is counted over
+every vector, pair offset and challenge row of the mirror field.
 """
 
 import itertools
@@ -549,3 +551,132 @@ def test_expand_m61_matches_the_scalar_reference(columns):
         expected = [reference.m61_row(seed.tobytes(), columns, low) for seed in seeds]
         assert np.array_equal(rows, expected)
 
+
+
+# -- the epoch's challenge check -------------------------------------------------
+
+
+def opening_reference(shares, rows):
+    """The (d, z) opening of each write in Python ints, party by party: x_i
+    and y_i against r and r^2, d = sum(x_i - a_i), c_i = 2 d a_i + b_i with
+    d^2 added at party 0, and z = sum(c_i - y_i)."""
+    r, r2 = rows.tolist()
+    columns = len(r)
+    out = []
+    for views in shares.transpose(1, 0, 2).tolist():
+        x = [sum(a * b for a, b in zip(r, v[:columns])) for v in views]
+        y = [sum(a * b for a, b in zip(r2, v[:columns])) for v in views]
+        d = sum(xi - v[columns] for xi, v in zip(x, views)) % MODULUS
+        c = [2 * d * v[columns] + v[columns + 1] for v in views]
+        c[0] += d * d
+        out.append((d, sum(ci - yi for ci, yi in zip(c, y)) % MODULUS))
+    return out
+
+
+def shared_rows(u, parties, rng):
+    """``share_indicators`` records and pair rows for arbitrary rows ``u``
+    of field elements: ones where u is nonzero, then each last vector moved
+    by u minus those ones."""
+    u = np.array(u, dtype=object) % MODULUS
+    count, columns = u.shape
+    records, pairs = verify.share_indicators(count, np.nonzero(u), parties, columns, rng)
+    last = records["last"]
+    last[...] = (last.astype(object) + u - (u != 0)) % MODULUS
+    return records, pairs
+
+
+def opened(records, pairs, rng):
+    rows = verify.challenge_rows(verify.draw_seeds(1, rng), records["last"].shape[1])
+    shares = verify.expand_shares(records, pairs)
+    d, z = verify.open_challenge_batch(verify.challenge_values(shares, rows))
+    assert list(zip(d.tolist(), z.tolist())) == opening_reference(shares, rows)
+    return d, z
+
+
+@pytest.mark.parametrize("parties", [2, 3, 5])
+@pytest.mark.parametrize("count,columns", [(1, 1), (3, 8), (9, 300)])
+def test_open_challenge_batch_matches_python_ints(count, columns, parties):
+    rng = np.random.default_rng(count * columns + parties)
+    shares = with_edges(rng, (parties, count, columns + 2))
+    rows = verify.challenge_rows(verify.draw_seeds(1, rng), columns)
+    r = rows[0].tolist()
+    assert rows[1].tolist() == [x * x % MODULUS for x in r] and min(r) >= 1
+    d, z = verify.open_challenge_batch(verify.challenge_values(shares, rows))
+    assert list(zip(d.tolist(), z.tolist())) == opening_reference(shares, rows)
+    # z = <r, u>^2 - <r^2, u> + (b - a^2) for the shared u and pair (a, b)
+    u = shares.astype(object).sum(axis=0) % MODULUS
+    for row, zw in zip(u.tolist(), z.tolist()):
+        x = sum(ri * ui for ri, ui in zip(r, row))
+        y = sum(ri * ri * ui for ri, ui in zip(r, row))
+        a, b = row[columns:]
+        assert zw == (x * x - y + b - a * a) % MODULUS
+    with pytest.raises(DimensionError):
+        verify.challenge_values(shares[..., :-1], rows)
+    with pytest.raises(DimensionError):
+        verify.challenge_values(shares, rows[:1])
+
+
+@pytest.mark.parametrize("parties", [2, 3, 5])
+def test_unit_and_zero_indicators_pass_the_challenge(parties):
+    rng = np.random.default_rng(parties)
+    count, columns = 40, 64
+    real = np.arange(0, count, 2)
+    ones = (real, rng.integers(0, columns, real.size))
+    records, pairs = verify.share_indicators(count, ones, parties, columns, rng)
+    for _ in range(3):
+        d, z = opened(records, pairs, rng)
+        assert not z.any()
+        assert d.all()  # uniform: zero with chance 2^-61 per write
+
+
+@pytest.mark.parametrize("parties", [2, 3, 5])
+def test_bad_writes_fail_the_challenge(parties):
+    rng = np.random.default_rng(10 + parties)
+    columns = 16
+    u = np.zeros((5, columns), dtype=object)
+    u[0, [3, 4]] = 1  # two rows
+    u[1, [3, 4]] = 2, MODULUS - 1  # weighted, summing to one
+    u[2, 3] = 2  # a single entry of 2
+    u[3, 5] = u[4, 6] = 1  # honest, then tampered below
+    records, pairs = shared_rows(u, parties, rng)
+    records["seeds"][3, 0, 0] ^= 1  # a tampered share seed
+    pairs[4, 1] = (int(pairs[4, 1]) + 1) % MODULUS  # b = a^2 + 1
+    for _ in range(5):
+        _, z = opened(records, pairs, rng)
+        assert z.all()
+
+
+def test_mirror_challenge_passes_a_bad_write_for_at_most_two_in_q_minus_one():
+    # every vector u and pair offset delta = b - a^2 in the field of 17,
+    # against every challenge row of nonzero entries: z = <r, u>^2 -
+    # <r^2, u> + delta is a nonzero polynomial of degree 2 in r unless u is a
+    # 0/1 vector with at most one 1 and delta = 0, so by Schwartz-Zippel it
+    # vanishes on at most 2 (q - 1)^(S - 1) of the (q - 1)^S rows
+    q = MIRROR
+    for columns in (1, 2, 3):
+        rows = np.array(list(itertools.product(NONZERO, repeat=columns)))
+        bound, worst = 2 * (q - 1) ** (columns - 1), 0
+        for u in itertools.product(range(q), repeat=columns):
+            u = np.array(u)
+            poly = ((rows @ u) ** 2 - (rows * rows) @ u) % q
+            passes = np.bincount((-poly) % q, minlength=q)  # indexed by delta
+            legal = set(u.tolist()) <= {0, 1} and u.sum() <= 1
+            if legal:
+                assert passes[0] == len(rows)
+                passes = passes[1:]
+            worst = max(worst, int(passes.max()))
+        assert worst == bound  # reached: u = 2 e_j gives z = 2 r_j^2 + delta
+
+
+def test_square_blinding_passes_a_weighted_forgery_on_a_repeated_base():
+    # why the epoch no longer lets the owner choose the blinding: a base
+    # entry repeated at two columns passes the indicator (2, -1) there
+    base = [5, 5, 7]
+    entries = tuple(tuple(pow(b, j + 1, MODULUS) for b in base) for j in range(3))
+    matrix = verify.BlindingMatrix("square", entries)
+    forged = [2, MODULUS - 1, 0]
+    shares = verify.additive_share(forged, 3, np.random.default_rng(0))
+    s = verify.aggregate(verify.blind(matrix, v) for v in shares)
+    assert verify.check_square(s)
+    d, z = opened(*shared_rows([forged], 3, np.random.default_rng(1)), np.random.default_rng(2))
+    assert z.all()
