@@ -124,12 +124,22 @@ _DOT_TERMS = 1 << 21
 
 
 def _limbs(a: np.ndarray) -> np.ndarray:
-    """(..., R, K) uint64 as (..., 4R, K) float64 16-bit limbs, low limb first."""
+    """(..., K) uint64 as a (..., K, 4) uint16 view of its 16-bit limbs, low
+    limb first; one plain ``astype`` or assignment makes them float64."""
+    a = np.asarray(a, "<u8")
     if a.strides[-1] != 8:
         a = a.copy()  # a limb view needs whole words along K
-    limbs = a.view("<u2").reshape(*a.shape, 4)
-    limbs = np.swapaxes(limbs, -1, -2).astype(np.float64, order="C")
-    return limbs.reshape(*a.shape[:-2], 4 * a.shape[-2], a.shape[-1])
+    return a.view("<u2").reshape(*a.shape, 4)
+
+
+def _fold(sums: np.ndarray) -> np.ndarray:
+    """(..., 4, I, 4) limb-pair sums, exact integers below 2^53, to the
+    (..., I) dot products mod p. The two axes of 4 are the limbs of the two
+    operands, in either order."""
+    # at most 4 pairs per diagonal: below 2^55, so canonical and rotatable
+    diagonals = np.einsum("...aic,acd->...id", sums.astype(np.uint64), _DIAGONALS)
+    rotated = ((diagonals << _ROTATIONS) & _M61) | (diagonals >> (_S61 - _ROTATIONS))
+    return m61_sum(rotated, axis=-1)
 
 
 def m61_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,7 +147,8 @@ def m61_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``(..., J, I)``, leading dimensions broadcast.
 
     Each operand splits into four 16-bit limbs held as float64, and one
-    matmul over K sums every limb pair. A limb product is below 2^32, so a
+    matmul over K sums every limb pair; it reads each row's ``(K, 4)`` limbs
+    of ``b`` transposed, with no copy. A limb product is below 2^32, so a
     sum of at most 2^21 of them stays below 2^53: every partial sum is an
     exact integer, whatever order or library the matmul sums in. The 16
     limb-pair sums fold back by their weights 2^(16(a + c)) mod p.
@@ -148,12 +159,10 @@ def m61_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("m61_dot operands disagree on the summed length")
     if a.shape[-1] > _DOT_TERMS:
         raise ValueError("m61_dot takes at most 2**21 terms")
-    sums = np.matmul(_limbs(a), np.swapaxes(_limbs(b), -1, -2)).astype(np.uint64)
-    pairs = sums.reshape(*sums.shape[:-2], a.shape[-2], 4, b.shape[-2], 4)
-    # at most 4 pairs per diagonal: below 2^55, so canonical and rotatable
-    diagonals = np.einsum("...jaic,acd->...jid", pairs, _DIAGONALS)
-    rotated = ((diagonals << _ROTATIONS) & _M61) | (diagonals >> (_S61 - _ROTATIONS))
-    return m61_sum(rotated, axis=-1)
+    rows = _limbs(a).astype(np.float64)[..., None, :, :]  # (..., J, 1, K, 4)
+    columns = np.swapaxes(_limbs(b).astype(np.float64), -1, -2)[..., None, :, :, :]
+    sums = np.matmul(columns, rows)  # (..., J, I, 4, 4)
+    return _fold(np.swapaxes(sums, -3, -2))
 
 
 def m61_pow(a: np.ndarray, e: int) -> np.ndarray:

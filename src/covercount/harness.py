@@ -530,17 +530,13 @@ class EpochCollector:
 
     def _verify(self, chunk: SubmissionChunk) -> np.ndarray:
         """Per-write verdicts of the challenge check: one challenge seed
-        from the ``challenge`` stream for the chunk, each row block's shares
-        expanded from their seeds into the parties' values, then one
-        opening of the whole chunk."""
-        records, config = chunk.indicator_shares, self.config
+        from the ``challenge`` stream for the chunk, the parties' values
+        against its rows, then one opening of the whole chunk."""
+        config = self.config
         if self._challenge is None:
             self._challenge = _streams(config.master_seed, 5)["challenge"]
         rows = verify.challenge_rows(verify.draw_seeds(1, self._challenge), config.db_slots)
-        values = np.empty((config.parties, len(records), 4), np.uint64)
-        for block in verify.row_blocks(len(records), config.db_slots):
-            shares = verify.expand_shares(records[block], chunk.blinding[block])
-            values[:, block] = verify.challenge_values(shares, rows)
+        values = verify.challenge_values(chunk.indicator_shares, chunk.blinding, rows)
         return verify.open_challenge_batch(values)[1] == 0
 
     def finalize(self) -> EpochResult:

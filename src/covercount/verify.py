@@ -5,9 +5,8 @@ the slot-indicator vector u: all zeros when the owner abstains, a single
 one at the written slot otherwise. The parties must confirm that u is such
 a vector without learning it.
 
-The epoch check (:func:`share_indicators`, :func:`expand_shares`,
-:func:`challenge_rows`, :func:`challenge_values`,
-:func:`open_challenge_batch`) is Prio's idea cut
+The epoch check (:func:`share_indicators`, :func:`challenge_rows`,
+:func:`challenge_values`, :func:`open_challenge_batch`) is Prio's idea cut
 down to one degree-2 check (Corrigan-Gibbs, Boneh, NSDI 2017, section 4;
 Boneh, Boyle, Corrigan-Gibbs, Gilboa, Ishai, "Zero-knowledge proofs on
 secret-shared data via fully linear PCPs", CRYPTO 2019):
@@ -19,8 +18,8 @@ secret-shared data via fully linear PCPs", CRYPTO 2019):
   u - sum(u_i) and (a - sum(a_i), a^2 - sum(b_i)).
 * After the shares are fixed, the aggregators draw one challenge row r,
   uniform on [1, M) per slot, for a whole chunk. Each party computes
-  x_i = <r, u_i> and y_i = <r^2, u_i> with one ``m61_dot`` against the two
-  rows (r, r^2).
+  x_i = <r, u_i> and y_i = <r^2, u_i> as float64 limb products against
+  the two rows (r, r^2), exact as in ``m61_dot``.
 * They open d = sum(x_i - a_i) = <r, u> - a. Party i forms
   c_i = 2 d a_i + b_i, party 0 adds d^2, and they open
   z = sum(c_i - y_i) = <r, u>^2 - <r^2, u> + (b - a^2). A write passes iff
@@ -77,7 +76,18 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionError, IncompleteSubmissionError
-from .field import MODULUS, m61_add, m61_dot, m61_mul, m61_pow, m61_sub, m61_sum
+from .field import (
+    _DOT_TERMS,
+    MODULUS,
+    _fold,
+    _limbs,
+    m61_add,
+    m61_dot,
+    m61_mul,
+    m61_pow,
+    m61_sub,
+    m61_sum,
+)
 from .privwrite import SEED_BYTES, _prg_rows, _stream_bytes
 
 KINDS = ("square", "product", "inverse")
@@ -231,16 +241,24 @@ CHECKS = {"square": check_square, "product": check_product, "inverse": check_inv
 # at 2^12 and 2^15 to 2^19; sharing took 80 to 85 ms from 2^13 to 2^16.
 # The share and blinding draws take the same row blocks, so a draw holds
 # one block beside the array it fills. The epoch's challenge check walks
-# the same blocks: at 2^16 it ran faster, but perfbench's crypto-split
-# peak RSS rose from 70.6 to 78.2 MB (2 shared cores), so they stay 2^14.
+# the same blocks through one reused float64 limb tile of a block's shares
+# for every party (1.5 MB at p = 3 and 2^14). On a 512-write chunk of 4,096
+# columns at p = 3 (2 shared cores, best of 15) the check took 41.0 to
+# 42.6 ms at every size from 2^12 to 2^16, against 56 to 58 ms for the
+# per-block m61_dot it replaced; a larger tile only costs memory, so the
+# blocks stay 2^14.
 # ---------------------------------------------------------------------------
 
 _BLOCK_ELEMENTS = 1 << 14
 
 
+def _block_rows(columns: int) -> int:
+    return max(1, _BLOCK_ELEMENTS // max(columns, 1))
+
+
 def row_blocks(rows: int, columns: int) -> Iterator[slice]:
     """Slices of ``rows`` rows, about ``_BLOCK_ELEMENTS`` entries each."""
-    step = max(1, _BLOCK_ELEMENTS // max(columns, 1))
+    step = _block_rows(columns)
     return (slice(start, start + step) for start in range(0, rows, step))
 
 
@@ -364,8 +382,8 @@ def check_batch(aggregates: np.ndarray, kind: str) -> np.ndarray:
 # The epoch check (see the module docstring). A record holds one write's
 # share seeds and last vector, and a pair row the last party's share of
 # (a, a^2); the collector expands each row block of records anew, as each
-# party would, takes each party's values against the chunk's challenge
-# rows, and opens the whole chunk at once.
+# party would, takes every party's values against the chunk's challenge
+# rows in one pass over the chunk, and opens the whole chunk at once.
 # ---------------------------------------------------------------------------
 
 
@@ -389,7 +407,8 @@ def expand_m61(seeds: np.ndarray, columns: int, low: int) -> np.ndarray:
     words = _prg_rows(seeds, 16 * -(-columns // 2)).view("<u8")
     words &= np.uint64(MODULUS)
     out = words[:, :columns]
-    if out.size and (out.max() == MODULUS or out.min() < low):
+    # a word is never below 0, so only low = 1 needs the minimum
+    if out.size and (out.max() == MODULUS or (low and out.min() < low)):
         for row in np.flatnonzero(((out == MODULUS) | (out < low)).any(axis=1)):
             out[row] = _kept_words(seeds[row], columns, low)
     return out
@@ -424,39 +443,25 @@ def share_indicators(
     vector minus the first ``columns`` words of the seeds' expansions. Then
     one mask a per vector is drawn from ``rng``, uniform on
     ``[0, MODULUS)``, and a pair row is (a, a^2) minus words ``columns``
-    and ``columns + 1`` of the same expansions. Both are built in place,
-    one row block at a time.
+    and ``columns + 1`` of the same expansions. The last vectors are built
+    in place, one row block at a time, and the pair rows once at the end.
     """
     layout = [("seeds", np.uint8, (parties - 1, SEED_BYTES)), ("last", "<u8", (columns,))]
     records = np.zeros(count, layout)
     seeds = records["seeds"]
     seeds[...] = draw_seeds(count * (parties - 1), rng).reshape(seeds.shape)
     masks = rng.integers(0, MODULUS, size=count, dtype=np.uint64)
-    pairs = np.stack((masks, m61_mul(masks, masks)), axis=1)
+    pair_words = np.empty((count, parties - 1, 2), np.uint64)
     last = records["last"]
     last[ones] = 1
     for rows in row_blocks(count, columns):
-        block, pair = last[rows], pairs[rows]
+        block = last[rows]
         words = expand_m61(seeds[rows], columns + 2, 0).reshape(-1, parties - 1, columns + 2)
         for i in range(parties - 1):
             block[...] = m61_sub(block, words[:, i, :columns])
-            pair[...] = m61_sub(pair, words[:, i, columns:])
-    return records, pairs
-
-
-def expand_shares(records: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """The (parties, count, columns + 2) shares that ``records`` and
-    ``pairs`` of :func:`share_indicators` carry: each party's share of the
-    indicator, then its share of (a, a^2). Party i < parties - 1 expands
-    its own seeds to elements of ``[0, MODULUS)``, and the last party holds
-    its vector and pair row."""
-    seeds, last = records["seeds"], records["last"]
-    columns = last.shape[1]
-    out = np.empty((seeds.shape[1] + 1, len(records), columns + 2), np.uint64)
-    out[:-1] = expand_m61(seeds.swapaxes(0, 1), columns + 2, 0).reshape(out[:-1].shape)
-    out[-1, :, :columns] = last
-    out[-1, :, columns:] = pairs
-    return out
+        pair_words[rows] = words[:, :, columns:]
+    pairs = np.stack((masks, m61_mul(masks, masks)), axis=1)
+    return records, m61_sub(pairs, m61_sum(pair_words, axis=1))
 
 
 def challenge_rows(seed: np.ndarray, columns: int) -> np.ndarray:
@@ -467,18 +472,41 @@ def challenge_rows(seed: np.ndarray, columns: int) -> np.ndarray:
     return np.stack((r, m61_mul(r, r)))
 
 
-def challenge_values(shares: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def challenge_values(records: np.ndarray, pairs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Each party's local values (x_i, y_i, a_i, b_i) of each write,
-    (parties, count, 4), for (parties, count, columns + 2) shares of
-    :func:`expand_shares` and the (2, columns) rows (r, r^2) of
-    :func:`challenge_rows`: x_i = <r, u_i> and y_i = <r^2, u_i> from one
-    ``m61_dot``, then the party's pair share."""
-    columns = rows.shape[-1]
-    if rows.shape != (2, columns) or shares.ndim != 3 or shares.shape[-1] != columns + 2:
-        raise DimensionError("expected (parties, count, columns + 2) shares over two challenge rows")
-    out = np.empty((*shares.shape[:2], 4), np.uint64)
-    out[..., :2] = m61_dot(shares[..., :columns], rows)
-    out[..., 2:] = shares[..., columns:]
+    (parties, count, 4), for a chunk's ``records`` and ``pairs`` of
+    :func:`share_indicators` and the (2, columns) rows (r, r^2) of
+    :func:`challenge_rows`: x_i = <r, u_i> and y_i = <r^2, u_i>, then the
+    party's pair share.
+
+    Party i < parties - 1 expands its own seeds, and the last party holds
+    its vector and pair row. Per row block, the seeds expand once, every
+    party's share goes into one reused float64 tile of 16-bit limbs, and one
+    matmul sums the limb pairs against the chunk's challenge limbs, built
+    once; the whole chunk's sums fold back to the field once, exact as in
+    ``m61_dot``.
+    """
+    seeds, last = records["seeds"], records["last"]
+    count, columns = last.shape
+    if rows.shape != (2, columns) or pairs.shape != (count, 2):
+        raise DimensionError("expected (count, 2) pair rows and two challenge rows over the columns")
+    if columns > _DOT_TERMS:
+        raise ValueError("challenge_values takes at most 2**21 columns")
+    parties = seeds.shape[1] + 1
+    # column 4 i + c holds limb c of row i
+    challenge = _limbs(rows).astype(np.float64).transpose(1, 0, 2).reshape(columns, 8)
+    tile = np.empty((parties, min(count, _block_rows(columns)), columns, 4))
+    sums = np.empty((parties, count, 4, 8))
+    out = np.empty((parties, count, 4), np.uint64)
+    for block in row_blocks(count, columns):
+        words = expand_m61(seeds[block], columns + 2, 0).reshape(-1, parties - 1, columns + 2)
+        shares = tile[:, : len(words)]
+        shares[:-1] = _limbs(words[..., :columns]).swapaxes(0, 1)
+        shares[-1] = _limbs(last[block])
+        out[:-1, block, 2:] = words[..., columns:].swapaxes(0, 1)
+        np.matmul(shares.swapaxes(-1, -2), challenge, out=sums[:, block])
+    out[..., :2] = _fold(sums.reshape(parties, count, 4, 2, 4))
+    out[-1, :, 2:] = pairs
     return out
 
 

@@ -9,9 +9,11 @@ XOR shares must reconstruct the same database as the compressed keys of
 :mod:`covercount.privwrite`. ``dense_chunk`` builds a crypto submission
 chunk the dense way, write by write with ``rng.bytes`` keys and seeds,
 scalar mask draws and a scalar PRG expansion (``m61_row``), for
-``harness.build_chunk`` to match byte for byte, and ``nonzero_plan`` plans
-an epoch's writes the strided way, for ``harness.plan_writes`` to match
-column for column. None of this is library code: it exists so that every
+``harness.build_chunk`` to match byte for byte; ``expand_shares`` expands
+a chunk's records into every party's dense shares with the same scalar
+expansion, for ``verify.challenge_values`` to be checked against; and
+``nonzero_plan`` plans an epoch's writes the strided way, for
+``harness.plan_writes`` to match column for column. None of this is library code: it exists so that every
 such comparison runs against code the library does not share.
 """
 
@@ -283,3 +285,20 @@ def nonzero_plan(claims: np.ndarray, config: EpochConfig, rng: np.random.Generat
     owner, round_index, value = np.nonzero(np.concatenate((by_owner, empty), axis=2))
     slot = rng.integers(0, config.db_slots, size=owner.size)
     return WritePlan(owner, round_index, value, slot, config.value_ids)
+
+
+def expand_shares(records: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The dense ``(parties, count, columns + 2)`` shares that a chunk's
+    ``share_indicators`` records and pair rows carry: party i < parties - 1
+    holds its seed's :func:`m61_row` of ``columns + 2`` words, one seed at
+    a time, its share of the indicator and then of (a, a^2); the last party
+    holds its vector and pair row."""
+    seeds, last = records["seeds"], records["last"]
+    count, columns = last.shape
+    out = np.empty((seeds.shape[1] + 1, count, columns + 2), np.uint64)
+    for write, row_seeds in enumerate(seeds):
+        for party, seed in enumerate(row_seeds):
+            out[party, write] = m61_row(seed.tobytes(), columns + 2, 0)
+    out[-1, :, :columns] = last
+    out[-1, :, columns:] = pairs
+    return out

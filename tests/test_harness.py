@@ -841,8 +841,9 @@ def test_aggregator_view_does_not_locate_writes():
     slots = config.db_slots
     challenge = np.frombuffer(derived_stream(seed, 4).bytes(16), np.uint8)
     rows = verify.challenge_rows(challenge, slots)
-    shares = verify.expand_shares(chunk.indicator_shares, chunk.blinding)
-    d, z = verify.open_challenge_batch(verify.challenge_values(shares, rows))
+    values = verify.challenge_values(chunk.indicator_shares, chunk.blinding, rows)
+    d, z = verify.open_challenge_batch(values)
+    shares = reference.expand_shares(chunk.indicator_shares, chunk.blinding)
     real = plan.value < len(config.value_ids)
     assert int(real.sum()) == 34
     assert not z.any()  # every honest write opens z = 0: only the verdict
@@ -1046,18 +1047,18 @@ def test_two_row_writer_with_several_writes_per_round_is_the_only_rejection():
     chunk = h.build_chunk(
         plan, config, derived_stream(5, 2), derived_stream(5, 3), frozenset({1})
     )
-    sums = m61_sum(verify.expand_shares(chunk.indicator_shares, chunk.blinding), axis=0)
+    sums = m61_sum(reference.expand_shares(chunk.indicator_shares, chunk.blinding), axis=0)
     indicators, (a, b) = sums[:, :-2], sums[:, -2:].T
     assert np.array_equal(b, m61_mul(a, a))
-    reference = np.zeros((len(plan), config.db_slots), np.uint64)
+    expected_indicators = np.zeros((len(plan), config.db_slots), np.uint64)
     attacker_first = True
     for idx, w in enumerate(plan):
         if w.owner_id == 1 and attacker_first:
             attacker_first = False
-            reference[idx, [w.slot, (w.slot + 1) % config.db_slots]] = 1
+            expected_indicators[idx, [w.slot, (w.slot + 1) % config.db_slots]] = 1
         elif w.value_id is not None:
-            reference[idx, w.slot] = 1
-    assert np.array_equal(indicators, reference)
+            expected_indicators[idx, w.slot] = 1
+    assert np.array_equal(indicators, expected_indicators)
 
 
 def test_attackers_require_the_verification_layer():

@@ -11,6 +11,7 @@ every vector, pair offset and challenge row of the mirror field.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -587,21 +588,34 @@ def shared_rows(u, parties, rng):
 
 def opened(records, pairs, rng):
     rows = verify.challenge_rows(verify.draw_seeds(1, rng), records["last"].shape[1])
-    shares = verify.expand_shares(records, pairs)
-    d, z = verify.open_challenge_batch(verify.challenge_values(shares, rows))
+    d, z = verify.open_challenge_batch(verify.challenge_values(records, pairs, rows))
+    shares = reference.expand_shares(records, pairs)
     assert list(zip(d.tolist(), z.tolist())) == opening_reference(shares, rows)
     return d, z
+
+
+def edge_records(rng, count, columns, parties, last):
+    """Records of ``count`` writes with random share seeds, the given last
+    vectors and pair rows of uniform elements and 0, 1 and p - 1."""
+    layout = [("seeds", np.uint8, (parties - 1, 16)), ("last", "<u8", (columns,))]
+    records = np.zeros(count, layout)
+    records["seeds"] = rng.integers(0, 256, records["seeds"].shape, dtype=np.uint8)
+    records["last"] = last
+    return records, with_edges(rng, (count, 2))
 
 
 @pytest.mark.parametrize("parties", [2, 3, 5])
 @pytest.mark.parametrize("count,columns", [(1, 1), (3, 8), (9, 300)])
 def test_open_challenge_batch_matches_python_ints(count, columns, parties):
     rng = np.random.default_rng(count * columns + parties)
-    shares = with_edges(rng, (parties, count, columns + 2))
+    records, pairs = edge_records(rng, count, columns, parties, with_edges(rng, (count, columns)))
+    shares = reference.expand_shares(records, pairs)
     rows = verify.challenge_rows(verify.draw_seeds(1, rng), columns)
     r = rows[0].tolist()
     assert rows[1].tolist() == [x * x % MODULUS for x in r] and min(r) >= 1
-    d, z = verify.open_challenge_batch(verify.challenge_values(shares, rows))
+    values = verify.challenge_values(records, pairs, rows)
+    assert np.array_equal(values[..., 2:], shares[..., columns:])
+    d, z = verify.open_challenge_batch(values)
     assert list(zip(d.tolist(), z.tolist())) == opening_reference(shares, rows)
     # z = <r, u>^2 - <r^2, u> + (b - a^2) for the shared u and pair (a, b)
     u = shares.astype(object).sum(axis=0) % MODULUS
@@ -611,9 +625,59 @@ def test_open_challenge_batch_matches_python_ints(count, columns, parties):
         a, b = row[columns:]
         assert zw == (x * x - y + b - a * a) % MODULUS
     with pytest.raises(DimensionError):
-        verify.challenge_values(shares[..., :-1], rows)
+        verify.challenge_values(records, pairs, rows[:, :-1])
     with pytest.raises(DimensionError):
-        verify.challenge_values(shares, rows[:1])
+        verify.challenge_values(records, pairs, rows[:1])
+    with pytest.raises(DimensionError):
+        verify.challenge_values(records, pairs[:, :1], rows)
+
+
+@pytest.mark.parametrize("parties", [2, 3, 5])
+@pytest.mark.parametrize("count,columns", list(straddling_shapes()))
+def test_challenge_values_match_python_ints_across_row_blocks(count, columns, parties):
+    # the reused limb tile over one row, a block short of a block, one past
+    # it, and two blocks with a ragged third, every last vector at 0, 1 and
+    # p - 1, against the dense Python-int opening
+    rng = np.random.default_rng(count + columns + parties)
+    last = rng.choice(EDGE_VALUES, size=(count, columns))
+    records, pairs = edge_records(rng, count, columns, parties, last)
+    rows = verify.challenge_rows(verify.draw_seeds(1, rng), columns)
+    values = verify.challenge_values(records, pairs, rows)
+    shares = reference.expand_shares(records, pairs)
+    assert values.shape == (parties, count, 4)
+    assert np.array_equal(values[..., 2:], shares[..., columns:])
+    d, z = verify.open_challenge_batch(values)
+    assert list(zip(d.tolist(), z.tolist())) == opening_reference(shares, rows)
+
+
+def test_challenge_values_are_exact_at_the_largest_limbs():
+    # every 16-bit limb of p - 1 is near its top, in the last vectors and in
+    # both challenge rows; (p - 1)^2 = 1 (mod p), so the last party's x and y
+    # are S mod p
+    columns, parties = 4096, 3
+    rng = np.random.default_rng(4)
+    records, pairs = edge_records(rng, 9, columns, parties, MODULUS - 1)
+    rows = np.full((2, columns), MODULUS - 1, np.uint64)
+    values = verify.challenge_values(records, pairs, rows)
+    assert (values[-1, :, :2] == columns).all()
+    shares = reference.expand_shares(records, pairs)
+    d, z = verify.open_challenge_batch(values)
+    assert list(zip(d.tolist(), z.tolist())) == opening_reference(shares, rows)
+
+
+def test_challenge_values_reject_longer_rows_before_allocating():
+    columns = (1 << 21) + 1
+    layout = [("seeds", np.uint8, (1, 16)), ("last", "<u8", (columns,))]
+    records = np.zeros(1, layout)
+    rows = np.broadcast_to(np.uint64(1), (2, columns))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2\\*\\*21"):
+            verify.challenge_values(records, np.zeros((1, 2), np.uint64), rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # the challenge limbs alone would take 128 MiB
 
 
 @pytest.mark.parametrize("parties", [2, 3, 5])
