@@ -48,6 +48,12 @@ from .privwrite import (
 )
 
 _MODES = ("statistical", "cryptofree", "crypto")
+# the largest key a crypto experiment may ask for: a 256-owner chunk holds a
+# key per party for each of its writes, about 512, so 1 MiB keys already
+# make about 1.5 GB per chunk at p = 3. The shipped configs' keys take 3,152
+# to 34,896 bytes; a key's size grows as 2^parties, so 16 parties at n = 10
+# ask for 403,931,152 bytes and 40 for about 2.8e19
+_MAX_KEY_BYTES = 1 << 20
 
 TRIALS_HEADER = ("trial", "value", "true_count", "estimate", "abs_error")
 EPSILON_HEADER = ("mechanism", "sampling_rate", "chaff_rate", "epsilon")
@@ -209,6 +215,13 @@ def parse_experiment(raw: dict) -> Experiment:
     mode = raw.get("mode", "cryptofree")
     if mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
+    key_bytes = key_size_bytes(epoch.fss)
+    if mode == "crypto" and key_bytes > _MAX_KEY_BYTES:
+        raise ConfigError(
+            f"epoch.parties {epoch.parties} at n = {epoch.n} and mu = {epoch.fss.mu} makes"
+            f" keys of {key_bytes:,} bytes, above the {_MAX_KEY_BYTES:,} bytes a crypto key"
+            " may take"
+        )
     trials = h.strict_int(raw.get("trials", 1), "trials")
     if trials < 1:
         raise ConfigError("trials must be at least 1")

@@ -116,9 +116,6 @@ def m61_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
 # limbs a and c of the two operands weigh 2^(16(a + c)): pair (a, c) adds
 # into diagonal d = a + c, and times 2^(16 d) mod p is a left rotation of
 # the 61 bits by 16 d mod 61
-_DIAGONALS = np.array(
-    [[[a + c == d for d in range(7)] for c in range(4)] for a in range(4)], np.uint64
-)
 _ROTATIONS = np.array([16 * d % 61 for d in range(7)], np.uint64)
 _DOT_TERMS = 1 << 21
 
@@ -136,8 +133,12 @@ def _fold(sums: np.ndarray) -> np.ndarray:
     """(..., 4, I, 4) limb-pair sums, exact integers below 2^53, to the
     (..., I) dot products mod p. The two axes of 4 are the limbs of the two
     operands, in either order."""
-    # at most 4 pairs per diagonal: below 2^55, so canonical and rotatable
-    diagonals = np.einsum("...aic,acd->...id", sums.astype(np.uint64), _DIAGONALS)
+    sums = sums.astype(np.uint64)
+    # at most 4 pairs per diagonal: below 2^55, so canonical and rotatable;
+    # four shifted adds run about 5x faster than a uint64 einsum
+    diagonals = np.zeros((*sums.shape[:-3], sums.shape[-2], 7), np.uint64)
+    for a in range(4):
+        diagonals[..., a : a + 4] += sums[..., a, :, :]
     rotated = ((diagonals << _ROTATIONS) & _M61) | (diagonals >> (_S61 - _ROTATIONS))
     return m61_sum(rotated, axis=-1)
 

@@ -14,14 +14,18 @@ most 30 and a population holds fewer than 2**31 owners. A submission chunk
 is a slice of the plan, and chunk building, verification and accumulation
 read its columns; ``PlannedWrite`` records exist only for readers that
 iterate a plan.
-Verification is the challenge check of ``verify``: it accepts the all-zero
-indicator of a null write and a one-slot indicator, and rejects any other
-vector with error at most 2 / (2**61 - 2). A crypto write sends the first
-``parties - 1`` parties a seed in place of its indicator share and its share
-of a random pair (a, a**2), and the last party its vector and pair row, so
-share privacy rests on fixed-key AES as the keys' does. The aggregators
-draw one challenge row per chunk after its shares are fixed, and the
-opened values reveal only the verdict. The check is not bound to the key.
+Verification is the challenge check of ``verify`` on a factored
+indicator: slot = row * B + column over ``EpochConfig.indicator_sides``
+(A, B) = (2**floor(n/2), 2**ceil(n/2)), and a write shares a row factor of
+A entries and a column factor of B. The check accepts two zero factors (a
+null write) and two one-entry factors (one slot), and rejects any other
+pair with error at most 2 / (2**61 - 2). A crypto write sends the first
+``parties - 1`` parties a seed in place of its factor shares and its
+shares of a random pair (a, a**2) per factor, and the last party its
+vector and pair rows, so share privacy rests on fixed-key AES as the keys'
+does. The aggregators draw one challenge seed per chunk after its shares
+are fixed, and the opened values reveal only the verdict. The check is not
+bound to the key.
 
 Databases are anonymous mailboxes: a write XORs ``ID || checksum`` into a
 uniformly chosen slot. In both modes a round database is a ``(2**n,)``
@@ -45,16 +49,17 @@ all the chunk's writes, zero-seed redraws, selection matrices, then the
 correction words, each padded to a multiple of 4 bytes), every byte draw as
 uint32 words viewed as bytes, the same as one ``bytes`` call; the
 verification stream as the 16-byte share seeds of every write (parties 0 to
-``parties - 2`` in turn), drawn the same way, then one mask per write as
-one uint64 draw below 2**61 - 1. Each seed expands through the fixed-key
-AES PRG of ``privwrite`` into the row of M61 elements that
-``verify.expand_m61`` defines: a write's indicator share, then its share
-of the pair. ``build_chunk`` has ``verify.share_indicators`` write each
-indicator into the write's last vector and subtract the seeds' expansions
-one row block at a time, so a chunk's only large array is its last
-vectors; the collector expands the seeds again, block by block, to verify.
+``parties - 2`` in turn), drawn the same way, then two masks per write,
+row factor first, as one uint64 draw below 2**61 - 1. Each seed expands
+through the fixed-key AES PRG of ``privwrite`` into the row of M61
+elements that ``verify.expand_m61`` defines: a write's row factor share,
+its column factor share, then its shares of the two pairs.
+``build_chunk`` has ``verify.share_indicators`` write each write's factors
+into its last vector and subtract the seeds' expansions one row block at
+a time; the collector expands the seeds again, block by block, to verify.
 The collector builds the challenge stream on its first keyed chunk and
-draws one 16-byte seed from it per verified chunk, in submission order.
+draws one 16-byte seed from it per verified chunk, in submission order,
+which expands to the challenge over the A + B factor entries.
 The crypto-free mode consumes the first two streams identically, builds
 none of the other three (the first children of a spawn do not depend on
 how many are spawned) and submits its plan as one chunk, so its
@@ -146,6 +151,12 @@ class EpochConfig:
             )
         messages.flags.writeable = False
         object.__setattr__(self, "messages", messages)
+
+    @property
+    def indicator_sides(self) -> tuple[int, int]:
+        """Rows A and columns B of the slot grid that verification factors
+        a write's indicator over: slot = row * B + column."""
+        return 1 << self.n // 2, 1 << (self.n + 1) // 2
 
     @property
     def db_slots(self) -> int:
@@ -378,12 +389,14 @@ class SubmissionChunk:
 
     ``writes`` is the slice of the epoch's write plan that the owners
     submit. ``indicator_shares`` holds one record per write of additive
-    shares of its slot indicator (``verify.share_indicators``): ``seeds``,
-    the 16-byte seeds that parties 0 to ``parties - 2`` expand into their
-    shares of the indicator and of the write's pair (a, a**2), and
-    ``last``, the last party's ``db_slots`` vector. ``blinding`` holds the
-    last party's ``(writes, 2)`` uint64 pair rows, (a, a**2) minus the
-    other parties' pair shares, sent to that party only.
+    shares of its factored slot indicator (``verify.share_indicators`` over
+    ``EpochConfig.indicator_sides``): ``seeds``, the 16-byte seeds that
+    parties 0 to ``parties - 2`` expand into their shares of the row and
+    column factors and of the write's two pairs (a, a**2), and ``last``,
+    the last party's A + B entries, row factor first. ``blinding`` holds
+    the last party's ``(writes, 2, 2)`` uint64 pair rows, each factor's
+    (a, a**2) minus the other parties' pair shares, sent to that party
+    only.
     ``keys`` is one FSS key per party per write, and ``owner_ids`` the
     contiguous owner range of the writes, each owner with at least one
     write. A crypto-free chunk carries the planned writes only.
@@ -531,13 +544,15 @@ class EpochCollector:
     def _verify(self, chunk: SubmissionChunk) -> np.ndarray:
         """Per-write verdicts of the challenge check: one challenge seed
         from the ``challenge`` stream for the chunk, the parties' values
-        against its rows, then one opening of the whole chunk."""
+        against its rows, then one opening of the whole chunk; a write
+        passes iff both of its factors open z = 0."""
         config = self.config
         if self._challenge is None:
             self._challenge = _streams(config.master_seed, 5)["challenge"]
-        rows = verify.challenge_rows(verify.draw_seeds(1, self._challenge), config.db_slots)
+        seed = verify.draw_seeds(1, self._challenge)
+        rows = verify.challenge_rows(seed, config.indicator_sides)
         values = verify.challenge_values(chunk.indicator_shares, chunk.blinding, rows)
-        return verify.open_challenge_batch(values)[1] == 0
+        return ~verify.open_challenge_batch(values)[1].any(axis=1)
 
     def finalize(self) -> EpochResult:
         config = self.config
@@ -594,7 +609,8 @@ def build_chunk(
     write plan.
 
     Owners listed in ``two_row_owners`` claim two slots in their first
-    write's indicator vector, the shape verification exists to catch. Their
+    write's indicator, the shape verification exists to catch: its column
+    factor marks the slot's column and the next, mod B. Their
     key material is left untouched; a rejected submission never reaches the
     accumulators anyway. Without a ``keys_rng`` (crypto-free) the chunk
     carries the planned writes only, and two-row owners are a ``ValueError``.
@@ -612,18 +628,21 @@ def build_chunk(
             raise ValueError("two-row writers need the verification layer")
         return SubmissionChunk(owners, writes, None, None, None)
     keys = fss_gen_batch(writes.slot, config.messages[writes.value], config.fss, keys_rng)
-    # a real write marks its slot, a two-row attacker's first write its slot
-    # and the next
-    slot = writes.slot
+    # a real write marks its row and its column, a two-row attacker's first
+    # write its row, its column and the next column; the B column entries
+    # follow the A row entries
+    a, b = config.indicator_sides
+    row, column = np.divmod(writes.slot, b)
     real = np.flatnonzero(writes.value < len(config.value_ids))
     attack = np.flatnonzero(steps)[np.isin(owners, list(two_row_owners))]
     ones = (
-        np.concatenate((real, attack, attack)),
-        np.concatenate((slot[real], slot[attack], (slot[attack] + 1) % config.db_slots)),
+        np.concatenate((real, real, attack, attack, attack)),
+        np.concatenate(
+            (row[real], a + column[real], row[attack], a + column[attack],
+             a + (column[attack] + 1) % b)
+        ),
     )
-    shares, pairs = verify.share_indicators(
-        len(writes), ones, config.parties, config.db_slots, verify_rng
-    )
+    shares, pairs = verify.share_indicators(len(writes), ones, config.parties, (a, b), verify_rng)
     return SubmissionChunk(owners, writes, keys, shares, pairs)
 
 

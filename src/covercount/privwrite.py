@@ -294,13 +294,15 @@ def fss_gen_batch(
     for first in range(0, count, step):
         part = np.arange(first, min(first + step, count))
         # a write's words are whole uint32s, so the sub-batches' draws are
-        # the bytes of one
-        drawn = _stream_bytes(rng, part.size * (spr - 1) * padded)
-        drawn = drawn.reshape(part.size, spr - 1, padded)[..., :nbytes]
+        # the bytes of one; copied into place, the draw is freed before the
+        # expansions are made
+        words = np.empty((part.size, spr, nbytes), np.uint8)
+        drawn = words[:, :-1]
+        drawn[...] = _stream_bytes(rng, part.size * (spr - 1) * padded).reshape(
+            part.size, spr - 1, padded
+        )[..., :nbytes]
         # the last word: the written row's expansions, the row image (message
         # b at bits [delta * m, (delta + 1) * m)) and the drawn words
-        words = np.empty((part.size, spr, nbytes), np.uint8)
-        words[:, :-1] = drawn
         expansions = _prg_rows(seeds[part, gamma[part]], nbytes).reshape(part.size, spr, nbytes)
         last = words[:, -1]
         np.bitwise_xor.reduce(expansions, axis=1, out=last)

@@ -1,40 +1,52 @@
 """Unit-vector verification of private writes.
 
 A write submission carries, besides the key material, additive shares of
-the slot-indicator vector u: all zeros when the owner abstains, a single
-one at the written slot otherwise. The parties must confirm that u is such
-a vector without learning it.
+its slot indicator in factored form. The 2^n slots are a grid of
+A = 2^floor(n/2) rows and B = 2^ceil(n/2) columns, slot = row * B +
+column. A real write shares e_row (A entries) and e_column (B entries); a
+null write shares two zero vectors. The parties must confirm that each
+factor is a 0/1 vector with at most one 1 without learning it. Such a pair
+names at most one slot, below 2^n, and every indicator of at most one slot
+has such a pair, so the check accepts exactly the writes that a check of
+the dense 2^n-entry indicator would, at A + B shared entries per write
+(Riposte's square-root layout: Corrigan-Gibbs, Boneh, Mazieres, S&P 2015).
+The functions below take the factors' ``sides``, (A, B) in an epoch, and
+lay a write's factors end to end, row factor first.
 
 The epoch check (:func:`share_indicators`, :func:`challenge_rows`,
 :func:`challenge_values`, :func:`open_challenge_batch`) is Prio's idea cut
-down to one degree-2 check (Corrigan-Gibbs, Boneh, NSDI 2017, section 4;
-Boneh, Boyle, Corrigan-Gibbs, Gilboa, Ishai, "Zero-knowledge proofs on
-secret-shared data via fully linear PCPs", CRYPTO 2019):
+down to one degree-2 check per factor (Corrigan-Gibbs, Boneh, NSDI 2017,
+section 4; Boneh, Boyle, Corrigan-Gibbs, Gilboa, Ishai, "Zero-knowledge
+proofs on secret-shared data via fully linear PCPs", CRYPTO 2019):
 
 * The field has M = 2^61 - 1 elements and there are p parties. The owner
-  shares u and a random pair (a, a^2) per write. Party i < p - 1 receives
-  one 16-byte seed; :func:`expand_m61` turns it into the
-  S-slot share u_i followed by (a_i, b_i). The last party receives
-  u - sum(u_i) and (a - sum(a_i), a^2 - sum(b_i)).
-* After the shares are fixed, the aggregators draw one challenge row r,
-  uniform on [1, M) per slot, for a whole chunk. Each party computes
-  x_i = <r, u_i> and y_i = <r^2, u_i> as float64 limb products against
-  the two rows (r, r^2), exact as in ``m61_dot``.
-* They open d = sum(x_i - a_i) = <r, u> - a. Party i forms
+  shares each factor u and a random pair (a, a^2) per factor. Party
+  i < p - 1 receives one 16-byte seed; :func:`expand_m61` turns it into
+  its shares u_i of the factors, end to end, followed by its shares
+  (a_i, b_i) of each factor's pair. The last party receives the factors
+  minus the other shares and each pair minus the other pair shares.
+* After the shares are fixed, the aggregators draw one challenge seed for
+  a whole chunk and expand it to r, uniform on [1, M) at each of the
+  A + B entries. A factor's challenge rows are r and r^2 on its own
+  entries and zero elsewhere. Each party computes x_i = <r, u_i> and
+  y_i = <r^2, u_i> per factor as float64 limb products against those
+  rows, exact as in ``m61_dot``.
+* Per factor, they open d = sum(x_i - a_i) = <r, u> - a. Party i forms
   c_i = 2 d a_i + b_i, party 0 adds d^2, and they open
-  z = sum(c_i - y_i) = <r, u>^2 - <r^2, u> + (b - a^2). A write passes iff
-  z = 0.
+  z = sum(c_i - y_i) = <r, u>^2 - <r^2, u> + (b - a^2). A write passes
+  iff both of its z are 0.
 
 <r, u>^2 - <r^2, u> is the zero polynomial in r exactly when u is a 0/1
 vector with at most one 1. Otherwise z is a nonzero polynomial of degree at
-most 2 (a wrong pair only adds an offset fixed before r is drawn), so a bad
-write passes with probability at most 2 / (M - 1) by Schwartz-Zippel. For
-an honest write z = 0 and d is uniform, so the transcript reveals only the
-verdict. Neither the owner nor any party chooses r. The check is not bound
-to the key (ROADMAP item 3).
+most 2 in the factor's entries of r (a wrong pair only adds an offset fixed
+before r is drawn), so a write with a bad factor passes with probability
+at most 2 / (M - 1) by Schwartz-Zippel. For an honest write both z are 0
+and each d is uniform, so the transcript reveals only the verdict. Neither
+the owner nor any party chooses r. The check is not bound to the key
+(ROADMAP item 3).
 
 The shares expand through the fixed-key AES PRG of ``privwrite``, so they
-hide u on the same assumption as the keys.
+hide the factors on the same assumption as the keys.
 
 The owner-sampled blinding kinds below predate the epoch check and remain
 only for acceptance check 7 and ``bench-verify``. The owner samples a
@@ -241,12 +253,14 @@ CHECKS = {"square": check_square, "product": check_product, "inverse": check_inv
 # at 2^12 and 2^15 to 2^19; sharing took 80 to 85 ms from 2^13 to 2^16.
 # The share and blinding draws take the same row blocks, so a draw holds
 # one block beside the array it fills. The epoch's challenge check walks
-# the same blocks through one reused float64 limb tile of a block's shares
-# for every party (1.5 MB at p = 3 and 2^14). On a 512-write chunk of 4,096
-# columns at p = 3 (2 shared cores, best of 15) the check took 41.0 to
-# 42.6 ms at every size from 2^12 to 2^16, against 56 to 58 ms for the
-# per-block m61_dot it replaced; a larger tile only costs memory, so the
-# blocks stay 2^14.
+# blocks of its A + B factor entries through one reused float64 limb tile
+# of a block's shares for every party (1.5 MB at p = 3 and 2^14). On a
+# 512-write chunk of 64 + 64 entries at p = 3 (2 shared cores, two sets of
+# 31 interleaved runs, medians) the check took 3.3 and 3.8 ms at 2^14, 3.2
+# and 3.9 ms at 2^12, 4.8 and 5.6 ms at 2^16 and 4.2 and 4.9 ms at 2^18
+# (the whole chunk in one block), and sharing 1.2 to 1.8 ms at each size;
+# the dense check of 4,096 entries took 41 to 43 ms. The blocks stay 2^14,
+# which also bounds the tile where A + B is large (2^16 at n = 30).
 # ---------------------------------------------------------------------------
 
 _BLOCK_ELEMENTS = 1 << 14
@@ -380,10 +394,11 @@ def check_batch(aggregates: np.ndarray, kind: str) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # The epoch check (see the module docstring). A record holds one write's
-# share seeds and last vector, and a pair row the last party's share of
-# (a, a^2); the collector expands each row block of records anew, as each
-# party would, takes every party's values against the chunk's challenge
-# rows in one pass over the chunk, and opens the whole chunk at once.
+# share seeds and last vector, its factors end to end, and a write's pair
+# rows the last party's share of (a, a^2) per factor; the collector expands
+# each row block of records anew, as each party would, takes every party's
+# values against the chunk's challenge rows in one pass over the chunk, and
+# opens the whole chunk at once.
 # ---------------------------------------------------------------------------
 
 
@@ -430,57 +445,64 @@ def share_indicators(
     count: int,
     ones: tuple[np.ndarray, np.ndarray],
     parties: int,
-    columns: int,
+    sides: tuple[int, ...],
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Seed-compressed additive shares of ``count`` indicator vectors of
-    ``columns`` entries, one at each (vector, column) pair of ``ones``, and
-    of one random pair (a, a^2) per vector.
+    """Seed-compressed additive shares of ``count`` factored indicators,
+    each the factors of ``sides`` laid end to end with a one at each
+    (write, entry) pair of ``ones``, and of one random pair (a, a^2) per
+    factor.
 
-    Returns one record per vector and the (count, 2) pair rows. A record
-    holds ``seeds``, the (parties - 1, 16) share seeds drawn from ``rng``
-    (all vectors' seeds in one draw, vector by vector), and ``last``, the
-    vector minus the first ``columns`` words of the seeds' expansions. Then
-    one mask a per vector is drawn from ``rng``, uniform on
-    ``[0, MODULUS)``, and a pair row is (a, a^2) minus words ``columns``
-    and ``columns + 1`` of the same expansions. The last vectors are built
-    in place, one row block at a time, and the pair rows once at the end.
+    Returns one record per write and the (count, factors, 2) pair rows. A
+    record holds ``seeds``, the (parties - 1, 16) share seeds drawn from
+    ``rng`` (all writes' seeds in one draw, write by write), and ``last``,
+    the factors minus the first ``sum(sides)`` words of the seeds'
+    expansions. Then one mask a per factor is drawn from ``rng``, write by
+    write and factor by factor, uniform on ``[0, MODULUS)``, and the pair
+    rows are (a, a^2) minus the next two words per factor of the same
+    expansions. The last vectors are built in place, one row block at a
+    time, and the pair rows once at the end.
     """
+    columns, factors = sum(sides), len(sides)
     layout = [("seeds", np.uint8, (parties - 1, SEED_BYTES)), ("last", "<u8", (columns,))]
     records = np.zeros(count, layout)
     seeds = records["seeds"]
     seeds[...] = draw_seeds(count * (parties - 1), rng).reshape(seeds.shape)
-    masks = rng.integers(0, MODULUS, size=count, dtype=np.uint64)
-    pair_words = np.empty((count, parties - 1, 2), np.uint64)
+    masks = rng.integers(0, MODULUS, size=(count, factors), dtype=np.uint64)
+    pair_words = np.empty((count, parties - 1, factors, 2), np.uint64)
     last = records["last"]
     last[ones] = 1
+    width = columns + 2 * factors
     for rows in row_blocks(count, columns):
         block = last[rows]
-        words = expand_m61(seeds[rows], columns + 2, 0).reshape(-1, parties - 1, columns + 2)
+        words = expand_m61(seeds[rows], width, 0).reshape(-1, parties - 1, width)
         for i in range(parties - 1):
             block[...] = m61_sub(block, words[:, i, :columns])
-        pair_words[rows] = words[:, :, columns:]
-    pairs = np.stack((masks, m61_mul(masks, masks)), axis=1)
+        pair_words[rows] = words[..., columns:].reshape(-1, parties - 1, factors, 2)
+    pairs = np.stack((masks, m61_mul(masks, masks)), axis=-1)
     return records, m61_sub(pairs, m61_sum(pair_words, axis=1))
 
 
-def challenge_rows(seed: np.ndarray, columns: int) -> np.ndarray:
-    """The (2, columns) challenge rows (r, r^2) of one 16-byte seed: r
-    uniform on ``[1, MODULUS)`` per column, read as :func:`expand_m61`
-    reads it."""
-    r = expand_m61(seed, columns, 1)[0]
-    return np.stack((r, m61_mul(r, r)))
+def challenge_rows(seed: np.ndarray, sides: tuple[int, ...]) -> np.ndarray:
+    """The (factors, 2, sum(sides)) challenge rows of one 16-byte seed: r
+    uniform on ``[1, MODULUS)`` at every entry, read as :func:`expand_m61`
+    reads it, and factor f's rows (r, r^2) on its own entries, zero
+    elsewhere."""
+    r = expand_m61(seed, sum(sides), 1)[0]
+    factor = np.repeat(np.arange(len(sides)), sides)
+    on = factor == np.arange(len(sides))[:, None, None]
+    return np.where(on, np.stack((r, m61_mul(r, r))), np.uint64(0))
 
 
 def challenge_values(records: np.ndarray, pairs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Each party's local values (x_i, y_i, a_i, b_i) of each write,
-    (parties, count, 4), for a chunk's ``records`` and ``pairs`` of
-    :func:`share_indicators` and the (2, columns) rows (r, r^2) of
-    :func:`challenge_rows`: x_i = <r, u_i> and y_i = <r^2, u_i>, then the
-    party's pair share.
+    """Each party's local values (x_i, y_i, a_i, b_i) of each factor of
+    each write, (parties, count, factors, 4), for a chunk's ``records`` and
+    ``pairs`` of :func:`share_indicators` and the rows of
+    :func:`challenge_rows`: x_i = <r, u_i> and y_i = <r^2, u_i> over the
+    factor's entries, then the party's share of the factor's pair.
 
     Party i < parties - 1 expands its own seeds, and the last party holds
-    its vector and pair row. Per row block, the seeds expand once, every
+    its vector and pair rows. Per row block, the seeds expand once, every
     party's share goes into one reused float64 tile of 16-bit limbs, and one
     matmul sums the limb pairs against the chunk's challenge limbs, built
     once; the whole chunk's sums fold back to the field once, exact as in
@@ -488,33 +510,40 @@ def challenge_values(records: np.ndarray, pairs: np.ndarray, rows: np.ndarray) -
     """
     seeds, last = records["seeds"], records["last"]
     count, columns = last.shape
-    if rows.shape != (2, columns) or pairs.shape != (count, 2):
-        raise DimensionError("expected (count, 2) pair rows and two challenge rows over the columns")
+    factors = rows.shape[0]
+    if rows.shape != (factors, 2, columns) or pairs.shape != (count, factors, 2):
+        raise DimensionError(
+            "expected (count, factors, 2) pair rows and (factors, 2, columns) challenge rows"
+        )
     if columns > _DOT_TERMS:
         raise ValueError("challenge_values takes at most 2**21 columns")
-    parties = seeds.shape[1] + 1
-    # column 4 i + c holds limb c of row i
-    challenge = _limbs(rows).astype(np.float64).transpose(1, 0, 2).reshape(columns, 8)
+    parties, width = seeds.shape[1] + 1, columns + 2 * factors
+    # column 4 j + c holds limb c of row j = 2 f + (0 for r, 1 for r^2)
+    challenge = _limbs(rows).astype(np.float64).reshape(-1, columns, 4)
+    challenge = challenge.transpose(1, 0, 2).reshape(columns, 8 * factors)
     tile = np.empty((parties, min(count, _block_rows(columns)), columns, 4))
-    sums = np.empty((parties, count, 4, 8))
-    out = np.empty((parties, count, 4), np.uint64)
+    sums = np.empty((parties, count, 4, 8 * factors))
+    out = np.empty((parties, count, factors, 4), np.uint64)
     for block in row_blocks(count, columns):
-        words = expand_m61(seeds[block], columns + 2, 0).reshape(-1, parties - 1, columns + 2)
+        words = expand_m61(seeds[block], width, 0).reshape(-1, parties - 1, width)
         shares = tile[:, : len(words)]
         shares[:-1] = _limbs(words[..., :columns]).swapaxes(0, 1)
         shares[-1] = _limbs(last[block])
-        out[:-1, block, 2:] = words[..., columns:].swapaxes(0, 1)
+        pair_words = words[..., columns:].reshape(-1, parties - 1, factors, 2)
+        out[:-1, block, :, 2:] = pair_words.swapaxes(0, 1)
         np.matmul(shares.swapaxes(-1, -2), challenge, out=sums[:, block])
-    out[..., :2] = _fold(sums.reshape(parties, count, 4, 2, 4))
-    out[-1, :, 2:] = pairs
+    xy = _fold(sums.reshape(parties, count, 4, 2 * factors, 4))
+    out[..., :2] = xy.reshape(parties, count, factors, 2)
+    out[-1, ..., 2:] = pairs
     return out
 
 
 def open_challenge_batch(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two opened values (d, z) of each write, each (count,), from the
-    parties' (parties, count, 4) :func:`challenge_values`: d = sum(x_i - a_i),
-    then c_i = 2 d a_i + b_i (party 0 adds d^2) and z = sum(c_i - y_i). A
-    write passes iff z = 0."""
+    """The two opened values (d, z) of each factor of each write, each
+    (count, factors), from the parties' (parties, count, factors, 4)
+    :func:`challenge_values`: d = sum(x_i - a_i), then c_i = 2 d a_i + b_i
+    (party 0 adds d^2) and z = sum(c_i - y_i). A write passes iff all its
+    z are 0."""
     x, y, a, b = np.moveaxis(values, -1, 0)
     d = m61_sum(m61_sub(x, a), axis=0)
     c = m61_add(m61_mul(a, np.broadcast_to(m61_add(d, d), a.shape)), b)

@@ -11,8 +11,9 @@ chunk the dense way, write by write with ``rng.bytes`` keys and seeds,
 scalar mask draws and a scalar PRG expansion (``m61_row``), for
 ``harness.build_chunk`` to match byte for byte; ``expand_shares`` expands
 a chunk's records into every party's dense shares with the same scalar
-expansion, for ``verify.challenge_values`` to be checked against; and
-``nonzero_plan`` plans an epoch's writes the strided way, for
+expansion, and ``factor_opening`` opens them factor by factor in Python
+ints, for ``verify.challenge_values`` and ``verify.open_challenge_batch``
+to be checked against; and ``nonzero_plan`` plans an epoch's writes the strided way, for
 ``harness.plan_writes`` to match column for column. None of this is library code: it exists so that every
 such comparison runs against code the library does not share.
 """
@@ -235,44 +236,48 @@ def dense_chunk(
     two_row_owners: frozenset[int],
 ) -> tuple[list[tuple[tuple[bytes, ...], bytes]], np.ndarray, np.ndarray, np.ndarray]:
     """A crypto chunk's keys (as :func:`keys_by_bytes`), share seeds
-    ``(writes, parties - 1, 16)``, last share vectors ``(writes, slots)`` and
-    the last party's pair rows ``(writes, 2)``, built the dense way: a
-    ``(writes, slots)`` indicator matrix written write by write, one
+    ``(writes, parties - 1, 16)``, last share vectors ``(writes, A + B)``
+    and the last party's pair rows ``(writes, 2, 2)``, built the dense way:
+    a ``(writes, A + B)`` matrix of row and column factors over
+    ``config.indicator_sides`` (A, B), written write by write, one
     ``rng.bytes`` call for every share seed (write by write, party by
-    party), then one scalar mask draw per write, and each last vector and
-    pair the indicator and (a, a^2) minus its seeds' :func:`m61_row` rows of
-    ``slots + 2`` words, one seed at a time, in Python ints. A real write
-    marks its slot; a two-row owner's first write marks its slot and the
-    next one."""
+    party), then two scalar mask draws per write (row factor first), and
+    each last vector and pair the factors and each factor's (a, a^2) minus
+    its seeds' :func:`m61_row` rows of ``A + B + 4`` words, one seed at a
+    time, in Python ints. A real write marks the row and column of its
+    slot; a two-row owner's first write marks its row, its column and the
+    next column."""
     records = list(writes)
     messages = [0 if w.value_id is None else encode_message(w.value_id, config) for w in records]
     keys = keys_by_bytes([w.slot for w in records], messages, config.fss, keys_rng)
-    slots = config.db_slots
-    indicators = np.zeros((len(records), slots), np.uint64)
+    rows, columns = config.indicator_sides
+    width = rows + columns
+    indicators = np.zeros((len(records), width), np.uint64)
     first = {}
     for index, write in enumerate(records):
         first.setdefault(write.owner_id, index)
         if write.value_id is not None:
-            indicators[index, write.slot] = 1
+            row, column = divmod(write.slot, columns)
+            indicators[index, [row, rows + column]] = 1
     for owner in two_row_owners:
         if owner in first:
-            slot = records[first[owner]].slot
-            indicators[first[owner], [slot, (slot + 1) % slots]] = 1
+            row, column = divmod(records[first[owner]].slot, columns)
+            indicators[first[owner], [row, rows + column, rows + (column + 1) % columns]] = 1
     others = config.parties - 1
     seeds = verify_rng.bytes(16 * others * len(records))
-    masks = [int(verify_rng.integers(0, MODULUS, dtype=np.uint64)) for _ in records]
+    masks = [[int(verify_rng.integers(0, MODULUS, dtype=np.uint64)) for _ in range(2)] for _ in records]
     last = indicators
     pairs = []
-    for index, mask in enumerate(masks):
-        pair = [mask, mask * mask % MODULUS]
+    for index, write_masks in enumerate(masks):
+        pair = [x for a in write_masks for x in (a, a * a % MODULUS)]
         for party in range(others):
             at = 16 * (index * others + party)
-            row = m61_row(seeds[at : at + 16], slots + 2, 0)
-            last[index] = (last[index] + MODULUS - row[:slots]) % MODULUS
-            pair = [(x - int(y)) % MODULUS for x, y in zip(pair, row[slots:])]
+            words = m61_row(seeds[at : at + 16], width + 4, 0)
+            last[index] = (last[index] + MODULUS - words[:width]) % MODULUS
+            pair = [(x - int(y)) % MODULUS for x, y in zip(pair, words[width:])]
         pairs.append(pair)
     seed_array = np.frombuffer(seeds, np.uint8).reshape(len(records), others, 16)
-    return keys, seed_array, last, np.array(pairs, np.uint64).reshape(len(records), 2)
+    return keys, seed_array, last, np.array(pairs, np.uint64).reshape(len(records), 2, 2)
 
 
 def nonzero_plan(claims: np.ndarray, config: EpochConfig, rng: np.random.Generator) -> WritePlan:
@@ -288,17 +293,47 @@ def nonzero_plan(claims: np.ndarray, config: EpochConfig, rng: np.random.Generat
 
 
 def expand_shares(records: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """The dense ``(parties, count, columns + 2)`` shares that a chunk's
-    ``share_indicators`` records and pair rows carry: party i < parties - 1
-    holds its seed's :func:`m61_row` of ``columns + 2`` words, one seed at
-    a time, its share of the indicator and then of (a, a^2); the last party
-    holds its vector and pair row."""
+    """The dense ``(parties, count, columns + 2 * factors)`` shares that a
+    chunk's ``share_indicators`` records and ``(count, factors, 2)`` pair
+    rows carry: party i < parties - 1 holds its seed's :func:`m61_row` of
+    that many words, one seed at a time, its share of the factors and then
+    of each factor's (a, a^2); the last party holds its vector and pair
+    rows."""
     seeds, last = records["seeds"], records["last"]
     count, columns = last.shape
-    out = np.empty((seeds.shape[1] + 1, count, columns + 2), np.uint64)
+    width = columns + 2 * pairs.shape[1]
+    out = np.empty((seeds.shape[1] + 1, count, width), np.uint64)
     for write, row_seeds in enumerate(seeds):
         for party, seed in enumerate(row_seeds):
-            out[party, write] = m61_row(seed.tobytes(), columns + 2, 0)
+            out[party, write] = m61_row(seed.tobytes(), width, 0)
     out[-1, :, :columns] = last
-    out[-1, :, columns:] = pairs
+    out[-1, :, columns:] = pairs.reshape(count, -1)
+    return out
+
+
+def factor_opening(shares: np.ndarray, rows: Sequence[Sequence[int]], sides: Sequence[int]) -> list:
+    """The (d, z) opening of each factor of each write in Python ints, party
+    by party, from :func:`expand_shares`'s dense shares and the challenge
+    rows (r, r^2) over all ``sum(sides)`` entries. Per factor: x_i and y_i
+    are party i's share against r and r^2 on the factor's own entries,
+    d = sum(x_i - a_i), c_i = 2 d a_i + b_i with d^2 added at party 0, and
+    z = sum(c_i - y_i). Returns, per write, a list of one (d, z) per
+    factor."""
+    r, r2 = ([int(x) for x in row] for row in rows)
+    columns = len(r)
+    out = []
+    for views in shares.transpose(1, 0, 2).tolist():
+        write, start = [], 0
+        for f, side in enumerate(sides):
+            entries = range(start, start + side)
+            start += side
+            x = [sum(r[j] * v[j] for j in entries) for v in views]
+            y = [sum(r2[j] * v[j] for j in entries) for v in views]
+            a = [v[columns + 2 * f] for v in views]
+            b = [v[columns + 2 * f + 1] for v in views]
+            d = sum(xi - ai for xi, ai in zip(x, a)) % MODULUS
+            c = [2 * d * ai + bi for ai, bi in zip(a, b)]
+            c[0] += d * d
+            write.append((d, sum(ci - yi for ci, yi in zip(c, y)) % MODULUS))
+        out.append(write)
     return out

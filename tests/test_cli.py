@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -405,12 +406,41 @@ def test_simulate_bad_config_exit_code(tmp_path, capsys):
 
 
 def test_unallocatable_geometry_exits_2(tmp_path, capsys):
-    # 300 parties ask numpy for 2^299 correction words per write; the size
-    # overflows before anything is allocated
+    # 300 parties would ask for 2^299 correction words per write; the bound
+    # on one key refuses them when the config is parsed
     args = ["simulate", "--config", str(CONFIGS / "epoch_crypto_small.json")]
     assert cli.main([*args, "--override", "epoch.parties=300", "--out-dir", str(tmp_path)]) == 2
-    assert "could not be allocated" in capsys.readouterr().err
+    assert "bytes a crypto key may take" in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("parties", [16, 40])
+def test_key_bound_refuses_parties_before_allocating(parties):
+    # at the default split, 16 parties at n = 10 make 403,931,152-byte keys
+    # and 40 parties about 2.8e19-byte ones; both are refused while parsing,
+    # which allocates next to nothing
+    raw = json.loads((CONFIGS / "epoch_crypto_small.json").read_text())
+    raw["epoch"]["parties"] = parties
+    raw["epoch"]["fss"]["mu"] = None
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="a crypto key may take") as refused:
+            cli.parse_experiment(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    if parties == 16:
+        assert "keys of 403,931,152 bytes" in str(refused.value)
+    # the same geometry runs crypto-free, where no key is made
+    raw["mode"] = "cryptofree"
+    assert cli.parse_experiment(raw).epoch.parties == parties
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_configs_parse_under_the_key_bound_in_crypto_mode(path):
+    experiment = cli.load_config(str(path), ["mode=crypto"])
+    assert key_size_bytes(experiment.epoch.fss) <= cli._MAX_KEY_BYTES
 
 
 @pytest.mark.parametrize(

@@ -738,8 +738,10 @@ def test_crypto_chunk_peaks_near_its_own_bytes():
     words = {id(key.words): len(key.words) for write in chunk.keys for key in write}
     seeds = sum(len(key.seeds) for write in chunk.keys for key in write)
     size = chunk.indicator_shares.nbytes + chunk.blinding.nbytes + seeds + sum(words.values())
-    # 512 share records of 32,800 bytes (16.0 MiB) and 17.1 MiB of keys
-    assert size > 32 * 2**20
+    # 17.1 MiB of keys and 512 share records of 1,056 bytes (0.5 MiB): the
+    # factored records are 64 words, not the 4,096 of a dense indicator
+    assert chunk.indicator_shares.nbytes == 512 * 1_056
+    assert size > 17 * 2**20
     assert peak <= size + 4 * 2**20
 
 
@@ -771,9 +773,9 @@ def test_the_challenge_stream_is_the_fifth_child_drawn_per_verified_chunk(monkey
         built.append(count)
         return streams(master_seed, count)
 
-    def spy_rows(seed, columns):
+    def spy_rows(seed, sides):
         seeds.append(seed.tobytes())
-        return challenge_rows(seed, columns)
+        return challenge_rows(seed, sides)
 
     monkeypatch.setattr(h, "_streams", spy_streams)
     monkeypatch.setattr(verify, "challenge_rows", spy_rows)
@@ -802,18 +804,21 @@ def test_the_challenge_stream_is_the_fifth_child_drawn_per_verified_chunk(monkey
 def test_weighted_two_slot_forgery_is_rejected_in_a_full_epoch(monkeypatch):
     # the indicator (2, -1) at a write's slot and the next sums to one, and it
     # passed owner-chosen square blinding whose base entry repeated at both
-    # columns; against a challenge the owner does not choose it fails
+    # columns; as a column factor (2, -1) at the write's column and the next,
+    # against a challenge the owner does not choose, it fails
     config = binary_config(master_seed=13)
     pop = h.generate_population({"total": 300, "yes": 30}, np.random.default_rng(9))
     build, forgers = h.build_chunk, []
+    rows, columns = config.indicator_sides
 
     def forge(writes, config, keys_rng, verify_rng, two_row_owners=frozenset()):
         chunk = build(writes, config, keys_rng, verify_rng, two_row_owners)
         write = int(np.flatnonzero(writes.value < len(config.value_ids))[0])
-        slot = int(writes.slot[write])
+        column = int(writes.slot[write]) % columns
+        at, after = rows + column, rows + (column + 1) % columns
         last = chunk.indicator_shares["last"][write]
-        last[slot] = m61_add(last[slot], 1)
-        last[(slot + 1) % config.db_slots] = m61_sub(last[(slot + 1) % config.db_slots], 1)
+        last[at] = m61_add(last[at], 1)
+        last[after] = m61_sub(last[after], 1)
         forgers.append(int(writes.owner[write]))
         return chunk
 
@@ -827,9 +832,10 @@ def test_aggregator_view_does_not_locate_writes():
     # the first 256-owner chunk of the shipped crypto config at population
     # seed 0: when the owner chose the blinding base row, matching the
     # published s_1 against it named the slot of all 34 real writes, and a
-    # null write's aggregate was zero. Each party now holds its own share
-    # and pair share, and the opened r, d and z are public. Guesses built
-    # from that view locate no more writes than chance, 1 in 2**n each.
+    # null write's aggregate was zero. Each party now holds its own shares
+    # and pair shares of the row and column factors, and the opened r, d and
+    # z are public. Guesses built from that view locate rows no more often
+    # than chance, 1 in A, columns 1 in B and slots 1 in 2**n.
     experiment = cli.load_config(str(CONFIGS / "epoch_crypto_small.json"), [])
     config = experiment.epoch
     pop = h.generate_population(experiment.population, np.random.default_rng(0))
@@ -838,54 +844,64 @@ def test_aggregator_view_does_not_locate_writes():
     plan = h.plan_writes(claims, config, derived_stream(seed, 1))
     plan = plan[: int(np.searchsorted(plan.owner, 256))]
     chunk = h.build_chunk(plan, config, derived_stream(seed, 2), derived_stream(seed, 3))
-    slots = config.db_slots
+    sides = config.indicator_sides
+    assert sides == (32, 32)
     challenge = np.frombuffer(derived_stream(seed, 4).bytes(16), np.uint8)
-    rows = verify.challenge_rows(challenge, slots)
+    rows = verify.challenge_rows(challenge, sides)
     values = verify.challenge_values(chunk.indicator_shares, chunk.blinding, rows)
     d, z = verify.open_challenge_batch(values)
     shares = reference.expand_shares(chunk.indicator_shares, chunk.blinding)
     real = plan.value < len(config.value_ids)
     assert int(real.sum()) == 34
     assert not z.any()  # every honest write opens z = 0: only the verdict
-    assert d[~real].all()  # a null write's opening is no longer zero
+    assert d[~real].all()  # a null write's opening is not zero either
 
-    r, r2 = rows.tolist()
-    by_value = {}
-    for j, value in enumerate(r + r2):
-        by_value.setdefault(value, j % slots)
+    width = sum(sides)
+    starts = (0, sides[0])
+    truth = np.divmod(plan.slot, sides[1])
     guesser = np.random.default_rng(1)
-    located = guesses = 0
+    located, slots_located, guesses = [0, 0], 0, 0
     for w in np.flatnonzero(real):
-        for share in shares[:, w]:
-            x, y = (sum(a * b for a, b in zip(row, share[:slots].tolist())) % MODULUS for row in (r, r2))
-            a_i, b_i = share[slots:].tolist()
-            opened = (int(d[w]), (int(d[w]) + a_i) % MODULUS, x, y, b_i)
-            candidates = {by_value[v] for v in opened if v in by_value}
-            candidates |= set(np.flatnonzero(share[:slots] <= 1).tolist())
-            guess = min(candidates) if candidates else int(guesser.integers(slots))
-            located += guess == plan.slot[w]
+        for share in shares[:, w].tolist():
+            guess = []
+            for f, (start, side) in enumerate(zip(starts, sides)):
+                r, r2 = (row[start : start + side] for row in rows[f].tolist())
+                entries = share[start : start + side]
+                x, y = (sum(a * b for a, b in zip(row, entries)) % MODULUS for row in (r, r2))
+                a_i, b_i = share[width + 2 * f : width + 2 * f + 2]
+                opened = (int(d[w, f]), (int(d[w, f]) + a_i) % MODULUS, x, y, b_i)
+                by_value = {}
+                for j, value in enumerate(r + r2):
+                    by_value.setdefault(value, j % side)
+                candidates = {by_value[v] for v in opened if v in by_value}
+                candidates |= {j for j, v in enumerate(entries) if v <= 1}
+                guess.append(min(candidates) if candidates else int(guesser.integers(side)))
+                located[f] += guess[f] == truth[f][w]
+            slots_located += guess == [truth[0][w], truth[1][w]]
             guesses += 1
-    # 102 guesses at 1 in 1,024: three or more hits has chance below 2e-4
-    assert guesses == 102 and located <= 2
+    # 102 guesses per factor at 1 in 32: eleven or more hits has chance
+    # below 4e-4; three or more slots at 1 in 1,024 has chance below 2e-4
+    assert guesses == 102
+    assert max(located) <= 10 and slots_located <= 2
     assert h.EpochCollector(config)._verify(chunk).all()
 
 
 def test_crypto_upload_per_write_is_keys_seeds_and_one_vector():
     # at the shipped crypto geometry a write uploads three keys, two share
-    # seeds, and the last party's vector and pair row (a 16-byte pair, sent
-    # to the last party only)
+    # seeds, and the last party's factors, 32 + 32 words, and its two pair
+    # rows (16 bytes each, sent to the last party only)
     config = cli.load_config(str(CONFIGS / "epoch_crypto_small.json"), []).epoch
-    assert (config.parties, config.db_slots) == (3, 1024)
+    assert (config.parties, config.db_slots, config.indicator_sides) == (3, 1024, (32, 32))
     pop = h.generate_population({"total": 20, "yes": 4}, np.random.default_rng(0))
     claims = config.mech.claims(pop, config.value_ids, derived_stream(0, 0))
     plan = h.plan_writes(claims, config, derived_stream(0, 1))
     chunk = h.build_chunk(plan, config, derived_stream(0, 2), derived_stream(0, 3))
     key = key_size_bytes(config.fss)
     assert all(len(key_serialize(k)) == key for write in chunk.keys for k in write)
-    assert chunk.blinding.shape == (len(plan), 2)
+    assert chunk.blinding.shape == (len(plan), 2, 2)
     uploaded = 3 * key * len(plan) + chunk.indicator_shares.nbytes + chunk.blinding.nbytes
-    per_write = 3 * key + 2 * 16 + 8 * config.db_slots + 16
-    assert per_write == 34_592
+    per_write = 3 * key + 2 * 16 + 8 * sum(config.indicator_sides) + 2 * 16
+    assert per_write == 26_928
     assert uploaded == per_write * len(plan)
 
 
@@ -1041,24 +1057,28 @@ def test_two_row_writer_with_several_writes_per_round_is_the_only_rejection():
     for r in range(config.rounds):
         assert honest.databases[r].value ^ attacked.databases[r].value == expected[r]
 
-    # the expanded seeds and the last vector add up to one indicator per
-    # write: the attacker's first write marks two adjacent slots, every
-    # other real write its own slot; the pair shares add up to (a, a^2)
+    # the expanded seeds and the last vector add up to one row factor and one
+    # column factor per write: the attacker's first write marks its row and
+    # two adjacent columns, every other real write its own row and column;
+    # the pair shares add up to (a, a^2) per factor
     chunk = h.build_chunk(
         plan, config, derived_stream(5, 2), derived_stream(5, 3), frozenset({1})
     )
+    rows, columns = config.indicator_sides
     sums = m61_sum(reference.expand_shares(chunk.indicator_shares, chunk.blinding), axis=0)
-    indicators, (a, b) = sums[:, :-2], sums[:, -2:].T
+    factors, pairs = sums[:, : rows + columns], sums[:, rows + columns :].reshape(-1, 2, 2)
+    a, b = pairs[..., 0], pairs[..., 1]
     assert np.array_equal(b, m61_mul(a, a))
-    expected_indicators = np.zeros((len(plan), config.db_slots), np.uint64)
+    expected_factors = np.zeros((len(plan), rows + columns), np.uint64)
     attacker_first = True
     for idx, w in enumerate(plan):
+        row, column = divmod(w.slot, columns)
         if w.owner_id == 1 and attacker_first:
             attacker_first = False
-            expected_indicators[idx, [w.slot, (w.slot + 1) % config.db_slots]] = 1
+            expected_factors[idx, [row, rows + column, rows + (column + 1) % columns]] = 1
         elif w.value_id is not None:
-            expected_indicators[idx, w.slot] = 1
-    assert np.array_equal(indicators, expected_indicators)
+            expected_factors[idx, [row, rows + column]] = 1
+    assert np.array_equal(factors, expected_factors)
 
 
 def test_attackers_require_the_verification_layer():

@@ -5,8 +5,10 @@ field, and exhaustively in a mirror field of size 17 where every blinding
 matrix can be enumerated. The mirror-field expectations below were frozen
 from an independent brute force over all matrices; the production functions
 must reproduce them decision for decision. The epoch's challenge check is
-pinned against a Python-int opening, and its error bound is counted over
-every vector, pair offset and challenge row of the mirror field.
+pinned against a Python-int opening factor by factor, its error bound is
+counted over every vector, pair offset and challenge row of the mirror
+field, and what it accepts of a row and a column factor is tabled at odd
+n, exhaustively at n = 3.
 """
 
 import itertools
@@ -557,79 +559,99 @@ def test_expand_m61_matches_the_scalar_reference(columns):
 # -- the epoch's challenge check -------------------------------------------------
 
 
-def opening_reference(shares, rows):
-    """The (d, z) opening of each write in Python ints, party by party: x_i
-    and y_i against r and r^2, d = sum(x_i - a_i), c_i = 2 d a_i + b_i with
-    d^2 added at party 0, and z = sum(c_i - y_i)."""
-    r, r2 = rows.tolist()
-    columns = len(r)
-    out = []
-    for views in shares.transpose(1, 0, 2).tolist():
-        x = [sum(a * b for a, b in zip(r, v[:columns])) for v in views]
-        y = [sum(a * b for a, b in zip(r2, v[:columns])) for v in views]
-        d = sum(xi - v[columns] for xi, v in zip(x, views)) % MODULUS
-        c = [2 * d * v[columns] + v[columns + 1] for v in views]
-        c[0] += d * d
-        out.append((d, sum(ci - yi for ci, yi in zip(c, y)) % MODULUS))
+def factor_splits(columns):
+    """The sides a test runs the check over at ``columns`` entries: one
+    dense factor, then two factors when there are two entries or more."""
+    half = columns // 2
+    return [(columns,)] + ([(half, columns - half)] if half else [])
+
+
+def factor_rows(sides, values):
+    """(factors, 2, columns) rows holding ``values`` (r, r^2) on each
+    factor's own entries and zero elsewhere, in Python ints."""
+    r, r2 = values
+    out, start = [], 0
+    for side in sides:
+        on = range(start, start + side)
+        start += side
+        out.append([[row[j] if j in on else 0 for j in range(len(r))] for row in (r, r2)])
     return out
 
 
-def shared_rows(u, parties, rng):
+def challenge(rng, sides):
+    """One challenge seed's rows and its r and r^2 over every entry."""
+    seed = verify.draw_seeds(1, rng)
+    r = verify.expand_m61(seed, sum(sides), 1)[0].tolist()
+    return verify.challenge_rows(seed, sides), (r, [x * x % MODULUS for x in r])
+
+
+def opening(d, z):
+    """The kernel's (count, factors) openings as ``factor_opening`` lists."""
+    return [list(zip(dw, zw)) for dw, zw in zip(d.tolist(), z.tolist())]
+
+
+def shared_rows(u, parties, sides, rng):
     """``share_indicators`` records and pair rows for arbitrary rows ``u``
-    of field elements: ones where u is nonzero, then each last vector moved
-    by u minus those ones."""
+    of field elements over the factors' entries: ones where u is nonzero,
+    then each last vector moved by u minus those ones."""
     u = np.array(u, dtype=object) % MODULUS
-    count, columns = u.shape
-    records, pairs = verify.share_indicators(count, np.nonzero(u), parties, columns, rng)
+    records, pairs = verify.share_indicators(len(u), np.nonzero(u), parties, sides, rng)
     last = records["last"]
     last[...] = (last.astype(object) + u - (u != 0)) % MODULUS
     return records, pairs
 
 
-def opened(records, pairs, rng):
-    rows = verify.challenge_rows(verify.draw_seeds(1, rng), records["last"].shape[1])
+def opened(records, pairs, sides, rng):
+    rows, powers = challenge(rng, sides)
     d, z = verify.open_challenge_batch(verify.challenge_values(records, pairs, rows))
     shares = reference.expand_shares(records, pairs)
-    assert list(zip(d.tolist(), z.tolist())) == opening_reference(shares, rows)
+    assert opening(d, z) == reference.factor_opening(shares, powers, sides)
     return d, z
 
 
-def edge_records(rng, count, columns, parties, last):
+def edge_records(rng, count, columns, parties, last, factors=1):
     """Records of ``count`` writes with random share seeds, the given last
     vectors and pair rows of uniform elements and 0, 1 and p - 1."""
     layout = [("seeds", np.uint8, (parties - 1, 16)), ("last", "<u8", (columns,))]
     records = np.zeros(count, layout)
     records["seeds"] = rng.integers(0, 256, records["seeds"].shape, dtype=np.uint8)
     records["last"] = last
-    return records, with_edges(rng, (count, 2))
+    return records, with_edges(rng, (count, factors, 2))
 
 
 @pytest.mark.parametrize("parties", [2, 3, 5])
 @pytest.mark.parametrize("count,columns", [(1, 1), (3, 8), (9, 300)])
 def test_open_challenge_batch_matches_python_ints(count, columns, parties):
-    rng = np.random.default_rng(count * columns + parties)
-    records, pairs = edge_records(rng, count, columns, parties, with_edges(rng, (count, columns)))
-    shares = reference.expand_shares(records, pairs)
-    rows = verify.challenge_rows(verify.draw_seeds(1, rng), columns)
-    r = rows[0].tolist()
-    assert rows[1].tolist() == [x * x % MODULUS for x in r] and min(r) >= 1
-    values = verify.challenge_values(records, pairs, rows)
-    assert np.array_equal(values[..., 2:], shares[..., columns:])
-    d, z = verify.open_challenge_batch(values)
-    assert list(zip(d.tolist(), z.tolist())) == opening_reference(shares, rows)
-    # z = <r, u>^2 - <r^2, u> + (b - a^2) for the shared u and pair (a, b)
-    u = shares.astype(object).sum(axis=0) % MODULUS
-    for row, zw in zip(u.tolist(), z.tolist()):
-        x = sum(ri * ui for ri, ui in zip(r, row))
-        y = sum(ri * ri * ui for ri, ui in zip(r, row))
-        a, b = row[columns:]
-        assert zw == (x * x - y + b - a * a) % MODULUS
-    with pytest.raises(DimensionError):
-        verify.challenge_values(records, pairs, rows[:, :-1])
-    with pytest.raises(DimensionError):
-        verify.challenge_values(records, pairs, rows[:1])
-    with pytest.raises(DimensionError):
-        verify.challenge_values(records, pairs[:, :1], rows)
+    for sides in factor_splits(columns):
+        factors = len(sides)
+        rng = np.random.default_rng(count * columns + parties + factors)
+        last = with_edges(rng, (count, columns))
+        records, pairs = edge_records(rng, count, columns, parties, last, factors)
+        shares = reference.expand_shares(records, pairs)
+        rows, (r, r2) = challenge(rng, sides)
+        assert min(r) >= 1
+        assert rows.tolist() == factor_rows(sides, (r, r2))
+        values = verify.challenge_values(records, pairs, rows)
+        assert values.shape == (parties, count, factors, 4)
+        assert np.array_equal(values[..., 2:], shares[..., columns:].reshape(parties, count, -1, 2))
+        d, z = verify.open_challenge_batch(values)
+        assert opening(d, z) == reference.factor_opening(shares, (r, r2), sides)
+        # per factor, z = <r, u>^2 - <r^2, u> + (b - a^2) for the shared u and pair (a, b)
+        u = shares.astype(object).sum(axis=0) % MODULUS
+        for row, zw in zip(u.tolist(), z.tolist()):
+            for f, (r_f, r2_f) in enumerate(factor_rows(sides, (r, r2))):
+                x = sum(ri * ui for ri, ui in zip(r_f, row))
+                y = sum(ri * ui for ri, ui in zip(r2_f, row))
+                a, b = row[columns + 2 * f : columns + 2 * f + 2]
+                assert zw[f] == (x * x - y + b - a * a) % MODULUS
+        with pytest.raises(DimensionError):
+            verify.challenge_values(records, pairs, rows[..., :-1])
+        with pytest.raises(DimensionError):
+            verify.challenge_values(records, pairs, rows[:, :1])
+        with pytest.raises(DimensionError):
+            verify.challenge_values(records, pairs[..., :1], rows)
+        with pytest.raises(DimensionError):
+            verify.challenge_values(records, np.concatenate((pairs, pairs), axis=1), rows)
 
 
 @pytest.mark.parametrize("parties", [2, 3, 5])
@@ -637,43 +659,47 @@ def test_open_challenge_batch_matches_python_ints(count, columns, parties):
 def test_challenge_values_match_python_ints_across_row_blocks(count, columns, parties):
     # the reused limb tile over one row, a block short of a block, one past
     # it, and two blocks with a ragged third, every last vector at 0, 1 and
-    # p - 1, against the dense Python-int opening
-    rng = np.random.default_rng(count + columns + parties)
-    last = rng.choice(EDGE_VALUES, size=(count, columns))
-    records, pairs = edge_records(rng, count, columns, parties, last)
-    rows = verify.challenge_rows(verify.draw_seeds(1, rng), columns)
-    values = verify.challenge_values(records, pairs, rows)
-    shares = reference.expand_shares(records, pairs)
-    assert values.shape == (parties, count, 4)
-    assert np.array_equal(values[..., 2:], shares[..., columns:])
-    d, z = verify.open_challenge_batch(values)
-    assert list(zip(d.tolist(), z.tolist())) == opening_reference(shares, rows)
+    # p - 1, against the Python-int opening of the dense shares, as one
+    # factor and as two
+    for sides in factor_splits(columns):
+        rng = np.random.default_rng(count + columns + parties + len(sides))
+        last = rng.choice(EDGE_VALUES, size=(count, columns))
+        records, pairs = edge_records(rng, count, columns, parties, last, len(sides))
+        rows, powers = challenge(rng, sides)
+        values = verify.challenge_values(records, pairs, rows)
+        shares = reference.expand_shares(records, pairs)
+        assert values.shape == (parties, count, len(sides), 4)
+        assert np.array_equal(values[..., 2:], shares[..., columns:].reshape(parties, count, -1, 2))
+        d, z = verify.open_challenge_batch(values)
+        assert opening(d, z) == reference.factor_opening(shares, powers, sides)
 
 
 def test_challenge_values_are_exact_at_the_largest_limbs():
-    # every 16-bit limb of p - 1 is near its top, in the last vectors and in
-    # both challenge rows; (p - 1)^2 = 1 (mod p), so the last party's x and y
-    # are S mod p
+    # every 16-bit limb of p - 1 is near its top, in the last vectors and on
+    # every challenge entry; (p - 1)^2 = 1 (mod p), so the last party's x
+    # and y are each factor's side mod p
     columns, parties = 4096, 3
     rng = np.random.default_rng(4)
-    records, pairs = edge_records(rng, 9, columns, parties, MODULUS - 1)
-    rows = np.full((2, columns), MODULUS - 1, np.uint64)
-    values = verify.challenge_values(records, pairs, rows)
-    assert (values[-1, :, :2] == columns).all()
-    shares = reference.expand_shares(records, pairs)
-    d, z = verify.open_challenge_batch(values)
-    assert list(zip(d.tolist(), z.tolist())) == opening_reference(shares, rows)
+    for sides in factor_splits(columns):
+        records, pairs = edge_records(rng, 9, columns, parties, MODULUS - 1, len(sides))
+        r = [MODULUS - 1] * columns
+        rows = np.array(factor_rows(sides, (r, r)), np.uint64)
+        values = verify.challenge_values(records, pairs, rows)
+        assert (values[-1, ..., :2] == np.array(sides)[:, None]).all()
+        shares = reference.expand_shares(records, pairs)
+        d, z = verify.open_challenge_batch(values)
+        assert opening(d, z) == reference.factor_opening(shares, (r, r), sides)
 
 
 def test_challenge_values_reject_longer_rows_before_allocating():
     columns = (1 << 21) + 1
     layout = [("seeds", np.uint8, (1, 16)), ("last", "<u8", (columns,))]
     records = np.zeros(1, layout)
-    rows = np.broadcast_to(np.uint64(1), (2, columns))
+    rows = np.broadcast_to(np.uint64(1), (1, 2, columns))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="2\\*\\*21"):
-            verify.challenge_values(records, np.zeros((1, 2), np.uint64), rows)
+            verify.challenge_values(records, np.zeros((1, 1, 2), np.uint64), rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -683,14 +709,18 @@ def test_challenge_values_reject_longer_rows_before_allocating():
 @pytest.mark.parametrize("parties", [2, 3, 5])
 def test_unit_and_zero_indicators_pass_the_challenge(parties):
     rng = np.random.default_rng(parties)
-    count, columns = 40, 64
+    count = 40
     real = np.arange(0, count, 2)
-    ones = (real, rng.integers(0, columns, real.size))
-    records, pairs = verify.share_indicators(count, ones, parties, columns, rng)
-    for _ in range(3):
-        d, z = opened(records, pairs, rng)
-        assert not z.any()
-        assert d.all()  # uniform: zero with chance 2^-61 per write
+    for sides in ((64,), (8, 16)):
+        # one entry per factor of every other write
+        starts = np.cumsum((0,) + sides[:-1])
+        entries = [start + rng.integers(0, side, real.size) for start, side in zip(starts, sides)]
+        ones = (np.tile(real, len(sides)), np.concatenate(entries))
+        records, pairs = verify.share_indicators(count, ones, parties, sides, rng)
+        for _ in range(3):
+            d, z = opened(records, pairs, sides, rng)
+            assert not z.any()
+            assert d.all()  # uniform: zero with chance 2^-61 per factor
 
 
 @pytest.mark.parametrize("parties", [2, 3, 5])
@@ -702,12 +732,74 @@ def test_bad_writes_fail_the_challenge(parties):
     u[1, [3, 4]] = 2, MODULUS - 1  # weighted, summing to one
     u[2, 3] = 2  # a single entry of 2
     u[3, 5] = u[4, 6] = 1  # honest, then tampered below
-    records, pairs = shared_rows(u, parties, rng)
-    records["seeds"][3, 0, 0] ^= 1  # a tampered share seed
-    pairs[4, 1] = (int(pairs[4, 1]) + 1) % MODULUS  # b = a^2 + 1
-    for _ in range(5):
-        _, z = opened(records, pairs, rng)
-        assert z.all()
+    for sides in factor_splits(columns):
+        records, pairs = shared_rows(u, parties, sides, rng)
+        records["seeds"][3, 0, 0] ^= 1  # a tampered share seed
+        pairs[4, -1, 1] = (int(pairs[4, -1, 1]) + 1) % MODULUS  # b = a^2 + 1
+        for _ in range(5):
+            _, z = opened(records, pairs, sides, rng)
+            assert z.any(axis=1).all()
+
+
+def grid_factors(n):
+    """The factor sides (A, B) of 2^n slots, and the (row, column) pairs of
+    a write, both in Python lists: two zero factors, a unit row with a zero
+    column and the reverse, a unit in each at every (row, column), then
+    pairs with a bad factor (two ones, a weighted (2, -1) and a lone 2, in
+    either factor, beside a unit). Each pair comes with whether it must
+    pass."""
+    a, b = 1 << n // 2, 1 << (n + 1) // 2
+
+    def unit(side, j, value=1):
+        out = [0] * side
+        out[j] = value
+        return out
+
+    cases = [([0] * a, [0] * b, True)]
+    cases += [(unit(a, i), [0] * b, True) for i in range(a)]
+    cases += [([0] * a, unit(b, j), True) for j in range(b)]
+    cases += [(unit(a, i), unit(b, j), True) for i in range(a) for j in range(b)]
+    for bad in ([1, 1], [2, MODULUS - 1], [2, 0]):
+        cases.append((bad + [0] * (a - 2), unit(b, b - 1), False))
+        cases.append((unit(a, a - 1), bad + [0] * (b - 2), False))
+    return (a, b), cases
+
+
+@pytest.mark.parametrize("parties", [2, 3, 5])
+@pytest.mark.parametrize("n", [3, 5])
+def test_factored_check_accepts_unit_or_zero_factor_pairs(n, parties):
+    # odd n, so the sides differ: A = 2^floor(n/2) rows, B = 2^ceil(n/2)
+    # columns; the kernel's opening matches the Python-int one per factor
+    sides, cases = grid_factors(n)
+    assert sides[0] * 2 == sides[1] and sides[0] * sides[1] == 2**n
+    u = [row + column for row, column, _ in cases]
+    records, pairs = shared_rows(u, parties, sides, np.random.default_rng(n * parties))
+    rng = np.random.default_rng(n + parties)
+    for _ in range(3):
+        d, z = opened(records, pairs, sides, rng)
+        assert (~z.any(axis=1)).tolist() == [passes for _, _, passes in cases]
+
+
+def test_accepted_zero_one_factor_pairs_name_at_most_one_slot():
+    # exhaustively at n = 3: of the 2^(A + B) = 64 pairs of 0/1 factors the
+    # check passes exactly the 3 x 5 whose factors each hold at most one 1;
+    # each names at most one slot, row * B + column, below 2^n, and every
+    # slot and the empty write are named
+    n = 3
+    (a, b), _ = grid_factors(n)
+    u = [list(bits) for bits in itertools.product((0, 1), repeat=a + b)]
+    records, pairs = shared_rows(u, 3, (a, b), np.random.default_rng(0))
+    _, z = opened(records, pairs, (a, b), np.random.default_rng(1))
+    named = []
+    for bits, passes in zip(u, (~z.any(axis=1)).tolist()):
+        rows, columns = np.flatnonzero(bits[:a]), np.flatnonzero(bits[a:])
+        assert passes == (rows.size <= 1 and columns.size <= 1)
+        if passes:
+            slots = {int(i) * b + int(j) for i in rows for j in columns}
+            assert len(slots) <= 1 and all(slot < 2**n for slot in slots)
+            named.append(frozenset(slots))
+    assert len(named) == 15
+    assert set(named) == {frozenset()} | {frozenset({s}) for s in range(2**n)}
 
 
 def test_mirror_challenge_passes_a_bad_write_for_at_most_two_in_q_minus_one():
@@ -742,5 +834,6 @@ def test_square_blinding_passes_a_weighted_forgery_on_a_repeated_base():
     shares = verify.additive_share(forged, 3, np.random.default_rng(0))
     s = verify.aggregate(verify.blind(matrix, v) for v in shares)
     assert verify.check_square(s)
-    d, z = opened(*shared_rows([forged], 3, np.random.default_rng(1)), np.random.default_rng(2))
+    records, pairs = shared_rows([forged], 3, (3,), np.random.default_rng(1))
+    d, z = opened(records, pairs, (3,), np.random.default_rng(2))
     assert z.all()
