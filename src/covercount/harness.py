@@ -82,7 +82,7 @@ from . import mechanisms as mech
 from . import verify
 from .errors import ConfigError, PopulationSpecError
 from .field import BitString
-from .privwrite import FssKey, FssParams, fss_evaluate_batch, fss_gen_batch
+from .privwrite import FssParams, KeyBatch, fss_evaluate_batch, fss_gen_batch
 from .privwrite import fss_evaluate_share, fss_gen  # noqa: F401 the benchmark's trace wraps them
 
 _CHUNK_OWNERS = 256
@@ -397,14 +397,15 @@ class SubmissionChunk:
     the last party's ``(writes, 2, 2)`` uint64 pair rows, each factor's
     (a, a**2) minus the other parties' pair shares, sent to that party
     only.
-    ``keys`` is one FSS key per party per write, and ``owner_ids`` the
-    contiguous owner range of the writes, each owner with at least one
+    ``keys`` is the writes' FSS keys as one ``privwrite.KeyBatch`` of
+    arrays (``keys[w]`` builds write ``w``'s party keys), and ``owner_ids``
+    the contiguous owner range of the writes, each owner with at least one
     write. A crypto-free chunk carries the planned writes only.
     """
 
     owner_ids: np.ndarray
     writes: WritePlan
-    keys: tuple[tuple[FssKey, ...], ...] | None
+    keys: KeyBatch | None
     indicator_shares: np.ndarray | None
     blinding: np.ndarray | None
 
@@ -480,10 +481,10 @@ class EpochCollector:
     """Aggregator state over one epoch: the round databases, verification
     verdicts, the challenge stream, and the dedup ledger. The databases
     are one ``(parties, rounds, 2**n)`` uint64 slot array, and each chunk
-    decides how it is collected: party i XORs its batch evaluation of a
-    keyed chunk's verified writes into ``[i]``, and a keyless (crypto-free)
-    chunk's accepted non-null messages are XORed into their slots of ``[0]``
-    as plaintext. ``finalize`` XORs the layers a chunk wrote into the round
+    decides how it is collected: one batch evaluation of a keyed chunk's
+    verified writes XORs party i's expansions into ``[i]``, and a keyless
+    (crypto-free) chunk's accepted non-null messages are XORed into their
+    slots of ``[0]`` as plaintext. ``finalize`` XORs the layers a chunk wrote into the round
     databases, so a crypto-free epoch reduces layer 0 only."""
 
     def __init__(self, config: EpochConfig):
@@ -525,11 +526,10 @@ class EpochCollector:
         rounds = writes.round_index[accepted]
         self._writes_per_round += [np.count_nonzero(rounds == r) for r in range(self.config.rounds)]
         if keyed:
-            index = np.flatnonzero(accepted).tolist()
-            if index:
+            index = np.flatnonzero(accepted)
+            if index.size:
                 self._layers = self.config.parties
-                for acc, keys in zip(self._acc, zip(*chunk.keys)):
-                    acc ^= fss_evaluate_batch([keys[i] for i in index], rounds, self.config.rounds)
+                self._acc ^= fss_evaluate_batch(chunk.keys, index, rounds, self.config.rounds)
             return
         # a keyless chunk is plaintext, XORed unbuffered so that writes sharing
         # a slot all land; a null write's message is 0, so only real ones need it

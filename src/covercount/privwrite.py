@@ -14,10 +14,11 @@ cancel across parties; the written row's matrix has odd-parity columns,
 leaving the correction words XORed with the row expansion, which generation
 constrains to equal the write.
 
-A key holds its wire body as bytes (``FssKey``). ``fss_evaluate_batch``, the
-one evaluator, expands the held seeds of many keys in one PRG call and XORs
-the rows per group of keys into ``2**n`` uint64 slots: an aggregator folds a
-chunk in one pass, and the row layout never leaves this module.
+Keys travel as columns (``KeyBatch``): a batch's seeds, selection matrices
+and correction words in three arrays, and ``FssKey``, one party's wire body
+as bytes, is a view of one batch row. ``fss_evaluate_batch``, the one
+evaluator, XORs every party's expansions of a batch's accepted writes per
+round into ``2**n`` uint64 slots, so the row layout never leaves this module.
 
 The PRG is the fixed-key construction of Guo, Katz, Wang and Yu (S&P 2020),
 the usual choice in DPF implementations. A 16-byte seed ``s`` expands to
@@ -55,6 +56,7 @@ __all__ = [
     "PointFunction",
     "FssParams",
     "FssKey",
+    "KeyBatch",
     "default_mu",
     "default_nu",
     "unit_write",
@@ -181,10 +183,11 @@ class FssParams:
 
 @dataclass(frozen=True)
 class FssKey:
-    """One party's share as its wire body: ``seeds`` is the ``nu * 2**(p-1)``
-    16-byte seed slots, row-major, zero where the party holds no seed;
-    ``words`` is the ``2**(p-1)`` correction words of ``ceil(m * mu / 8)``
-    bytes, MSB-first with zero pad bits, one object shared by a write's keys."""
+    """One party's share as its wire body, the wire view of one
+    ``KeyBatch`` row: ``seeds`` is the ``nu * 2**(p-1)`` 16-byte seed slots,
+    row-major, zero where the party holds no seed; ``words`` is the
+    ``2**(p-1)`` correction words of ``ceil(m * mu / 8)`` bytes, MSB-first
+    with zero pad bits, one object shared by a write's keys."""
 
     params: FssParams
     party_index: int
@@ -199,10 +202,35 @@ class FssKey:
         return tuple(zip(*[slots] * self.params.seeds_per_row))
 
 
-# bounds the transient memory of a sub-batch: the evaluator's expansion
-# bytes if every seed were held, and key generation's correction words and
-# written-row expansions; 1 MiB ran fastest of 0.5 to 4 MiB at n = 12,
-# mu = 128 and 4096
+@dataclass(frozen=True, eq=False)
+class KeyBatch:
+    """A batch's keys as columns: ``seeds`` ``(writes, nu, 2**(p-1), 16)``,
+    the 0/1 uint8 selection matrices ``held`` ``(writes, nu, parties,
+    2**(p-1))``, in which party ``i`` holds seed ``(row, j)`` of write
+    ``w`` where ``held[w, row, i, j]`` is 1, and the correction ``words``
+    ``(writes, 2**(p-1), row_bytes)`` that a write's parties share.
+    ``batch[w]`` builds write ``w``'s ``parties`` keys afresh on each call;
+    past the last write it raises ``IndexError``, so a batch iterates."""
+
+    params: FssParams
+    seeds: np.ndarray
+    held: np.ndarray
+    words: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    def __getitem__(self, w: int) -> tuple[FssKey, ...]:
+        words = self.words[w].tobytes()
+        # party i holds the seeds its selection-matrix row marks, zero elsewhere
+        held = self.held[w].transpose(1, 0, 2)[..., None]
+        seeds = [(self.seeds[w] * mask).tobytes() for mask in held]
+        return tuple(FssKey(self.params, i, s, words) for i, s in enumerate(seeds))
+
+
+# bounds the transient memory of a sub-batch: the evaluator's expansions
+# of held seeds, and key generation's correction words and written-row
+# expansions; 1 MiB ran fastest of 0.5 to 4 MiB at n = 12, mu = 128 and 4096
 _BATCH_BYTES = 1 << 20
 
 
@@ -245,11 +273,9 @@ def _stream_bytes(rng: np.random.Generator, count: int) -> np.ndarray:
     return words.astype("<u4", copy=False).view(np.uint8)[:count]
 
 
-def fss_gen_batch(
-    slots, messages, params: FssParams, rng: np.random.Generator
-) -> tuple[tuple[FssKey, ...], ...]:
+def fss_gen_batch(slots, messages, params: FssParams, rng: np.random.Generator) -> KeyBatch:
     """Split each write, ``messages[w]`` at ``slots[w]``, into ``parties``
-    compressed keys; returns one tuple of party keys per write.
+    compressed keys; returns them as one ``KeyBatch``.
 
     The written slot is addressed as ``(gamma, delta) = divmod(a, mu)``: high
     part selects the row, low part the position within it. Correction words
@@ -264,7 +290,7 @@ def fss_gen_batch(
     multiple of 4 bytes and cut back to ``row_bytes``, which yields the
     bytes, and leaves the generator state, of one ``rng.bytes`` call per
     word: a batch of one consumes the stream as a write-by-write loop
-    would. The words are drawn, the written rows expanded and the wire
+    would. The words are drawn, the written rows expanded and the last
     words built in sub-batches of about ``_BATCH_BYTES``.
     """
     slots = np.asarray(slots, np.int64).reshape(-1)
@@ -288,7 +314,7 @@ def fss_gen_batch(
         zero = tuple(axis[still] for axis in zero)
     held = _selection_matrices(params.parties, gamma, params.nu, spr, rng)
 
-    keys = []
+    words = np.empty((count, spr, nbytes), np.uint8)
     padded = -(-nbytes // 4) * 4
     step = max(1, _BATCH_BYTES // (spr * nbytes))
     for first in range(0, count, step):
@@ -296,15 +322,14 @@ def fss_gen_batch(
         # a write's words are whole uint32s, so the sub-batches' draws are
         # the bytes of one; copied into place, the draw is freed before the
         # expansions are made
-        words = np.empty((part.size, spr, nbytes), np.uint8)
-        drawn = words[:, :-1]
+        drawn = words[first : first + step, :-1]
         drawn[...] = _stream_bytes(rng, part.size * (spr - 1) * padded).reshape(
             part.size, spr - 1, padded
         )[..., :nbytes]
         # the last word: the written row's expansions, the row image (message
         # b at bits [delta * m, (delta + 1) * m)) and the drawn words
         expansions = _prg_rows(seeds[part, gamma[part]], nbytes).reshape(part.size, spr, nbytes)
-        last = words[:, -1]
+        last = words[first : first + step, -1]
         np.bitwise_xor.reduce(expansions, axis=1, out=last)
         last ^= np.bitwise_xor.reduce(drawn, axis=1)
         starts = (delta[part] * m).tolist()
@@ -312,65 +337,67 @@ def fss_gen_batch(
             start_byte, stop = start // 8, -(-(start + m) // 8)
             image = (b << (8 * stop - start - m)).to_bytes(stop - start_byte, "big")
             word[start_byte:stop] ^= np.frombuffer(image, np.uint8)
-        _zero_pad(words, params)
-        # party i holds the seeds its selection-matrix row marks, zero elsewhere
-        party_seeds = seeds[part, None] * held[part].transpose(0, 2, 1, 3)[..., None]
-        party_seeds = party_seeds.reshape(part.size, params.parties, -1)
-        keys += [
-            tuple(FssKey(params, i, s.tobytes(), wire) for i, s in enumerate(write_seeds))
-            for write_seeds, wire in zip(party_seeds, [w.tobytes() for w in words])
-        ]
-    return tuple(keys)
+    return KeyBatch(params, seeds, held, _zero_pad(words, params))
 
 
-def _batch_bits(keys: list[FssKey], groups, ngroups: int) -> np.ndarray:
-    """The XOR of each group's database expansions as ``(ngroups, 2**n * m)``
-    0/1 uint8 bits: group ``g`` XORs every key ``k`` with ``groups[k] == g``.
-    Per sub-batch, every held seed is expanded in one PRG call and XORed with
-    its key's correction word, then reduced per (group, row) with a sort and
-    one ``reduceat``."""
-    if not keys or any(key.params != keys[0].params for key in keys):
-        raise ValueError("a batch needs keys that share one geometry")
-    params = keys[0].params
-    groups = np.asarray(groups, np.intp)
-    if groups.shape != (len(keys),) or groups.min() < 0 or groups.max() >= ngroups:
-        raise ValueError("groups must give each key a group in [0, ngroups)")
-    nu, spr, nbytes = params.nu, params.seeds_per_row, params.row_bytes
+def _evaluate_bits(batch: KeyBatch, index, rounds, nrounds: int) -> np.ndarray:
+    """Every party's XOR of the expansions of the writes ``index`` of
+    ``batch`` per round, as ``(parties, nrounds, 2**n * m)`` 0/1 uint8 bits;
+    write ``index[k]`` lands in round ``rounds[k]``. One ``nonzero`` per round
+    lists the held seeds cell by cell, a cell being a (party, round, row),
+    with no sort. They expand in sub-batches of about ``_BATCH_BYTES``, each
+    XORed with its word, and a sub-batch's run of a cell reduces in one
+    ``reduceat``."""
+    params = batch.params
+    index = np.asarray(index, np.intp).reshape(-1)
+    rounds = np.asarray(rounds, np.intp).reshape(-1)
+    if rounds.shape != index.shape or index.size and not (
+        0 <= min(index.min(), rounds.min()) and index.max() < len(batch) and rounds.max() < nrounds
+    ):
+        raise ValueError("each write needs an index in the batch and a round in [0, nrounds)")
+    parties, nu, spr, nbytes = params.parties, params.nu, params.seeds_per_row, params.row_bytes
+    cells, seeds, words = [], [], []
+    for r in range(nrounds):
+        writes = index[rounds == r]
+        party, row, which, column = np.nonzero(batch.held[writes].transpose(2, 1, 0, 3))
+        write = writes[which]
+        cells.append((party * nrounds + r) * nu + row)
+        seeds.append((write * nu + row) * spr + column)
+        words.append(write * spr + column)
+    cells, seeds, words = (np.concatenate(a) for a in (cells, seeds, words))
     # whole PRG blocks per expansion, so that rows reduce as uint64 words
     width = -(-nbytes // SEED_BYTES) * SEED_BYTES
-    out = np.zeros((ngroups * nu, width // 8), np.uint64)
-    step = max(1, _BATCH_BYTES // (nu * spr * width))
-    for start in range(0, len(keys), step):
-        batch = keys[start : start + step]
-        seeds = np.frombuffer(b"".join([key.seeds for key in batch]), np.uint64)
-        lanes = seeds.reshape(len(batch), nu, spr, 2)
-        # one entry per held seed: its key in the batch, row and column
-        which, row, col = np.nonzero(lanes[..., 0] | lanes[..., 1])
-        cell = groups[start + which] * nu + row
-        order = np.argsort(cell, kind="stable")
-        which, row, col, cell = which[order], row[order], col[order], cell[order]
-        words = np.frombuffer(b"".join([key.words for key in batch]), np.uint8)
-        expansions = _prg_rows(lanes[which, row, col].view(np.uint8), width)
-        expansions[:, :nbytes] ^= words.reshape(len(batch), spr, nbytes)[which, col]
+    out = np.zeros((parties * nrounds * nu, width // 8), np.uint64)
+    step = max(1, _BATCH_BYTES // width)
+    for start in range(0, cells.size, step):
+        part = slice(start, start + step)
+        expansions = _prg_rows(batch.seeds.reshape(-1, SEED_BYTES)[seeds[part]], width)
+        expansions[:, :nbytes] ^= batch.words.reshape(-1, nbytes)[words[part]]
+        cell = cells[part]
         heads = np.flatnonzero(np.diff(cell, prepend=-1))
         out[cell[heads]] ^= np.bitwise_xor.reduceat(expansions.view(np.uint64), heads, axis=0)
     # the rows' m * mu bits abut, pad bits dropped; the slots past 2**n fall away
-    rows = out.view(np.uint8).reshape(ngroups, nu, width)
-    bits = np.unpackbits(rows, axis=2, count=params.row_bits).reshape(ngroups, -1)
-    return bits[:, : params.domain_size * params.m]
+    rows = out.view(np.uint8).reshape(parties, nrounds, nu, width)
+    bits = np.unpackbits(rows, axis=3, count=params.row_bits).reshape(parties, nrounds, -1)
+    return bits[..., : params.domain_size * params.m]
 
 
-def fss_evaluate_batch(keys: list[FssKey], groups, ngroups: int) -> np.ndarray:
-    """XOR of the database expansions of each group of keys of one geometry,
-    as ``(ngroups, 2**n)`` uint64 slot values: group ``g`` XORs every key
-    ``k`` with ``groups[k] == g``."""
-    return unpack_fields(_batch_bits(keys, groups, ngroups), keys[0].params.m)
+def fss_evaluate_batch(batch: KeyBatch, index, rounds, nrounds: int) -> np.ndarray:
+    """Every party's XOR of the database expansions of the writes ``index``
+    of ``batch`` per round, as ``(parties, nrounds, 2**n)`` uint64 slot
+    values: write ``index[k]`` lands in round ``rounds[k]``."""
+    return unpack_fields(_evaluate_bits(batch, index, rounds, nrounds), batch.params.m)
 
 
 def fss_evaluate_share(key: FssKey) -> BitString:
-    """Full-database expansion of one key: a batch of one, packed as a
-    bitstring. It expands every held seed once, all in one PRG call."""
-    bits = _batch_bits([key], [0], 1)[0]
+    """Full-database expansion of one key, packed as a bitstring: the batch
+    evaluation of one write whose other parties hold no seed."""
+    p = key.params
+    seeds = np.frombuffer(key.seeds, np.uint8).reshape(1, p.nu, p.seeds_per_row, SEED_BYTES)
+    held = np.zeros((1, p.nu, p.parties, p.seeds_per_row), np.uint8)
+    held[0, :, key.party_index] = seeds[0].any(axis=2)
+    words = np.frombuffer(key.words, np.uint8).reshape(1, p.seeds_per_row, p.row_bytes)
+    bits = _evaluate_bits(KeyBatch(p, seeds, held, words), [0], [0], 1)[key.party_index, 0]
     return BitString.from_bytes(np.packbits(bits).tobytes(), bits.size)
 
 

@@ -34,6 +34,7 @@ from covercount.errors import (
 )
 from covercount.field import MODULUS, BitString, m61_add, m61_mul, m61_sub, m61_sum
 from covercount.privwrite import (
+    FssKey,
     FssParams,
     default_mu,
     default_nu,
@@ -735,14 +736,41 @@ def test_crypto_chunk_peaks_near_its_own_bytes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    words = {id(key.words): len(key.words) for write in chunk.keys for key in write}
-    seeds = sum(len(key.seeds) for write in chunk.keys for key in write)
-    size = chunk.indicator_shares.nbytes + chunk.blinding.nbytes + seeds + sum(words.values())
-    # 17.1 MiB of keys and 512 share records of 1,056 bytes (0.5 MiB): the
-    # factored records are 64 words, not the 4,096 of a dense indicator
+    keys = chunk.keys
+    size = keys.seeds.nbytes + keys.held.nbytes + keys.words.nbytes
+    size += chunk.indicator_shares.nbytes + chunk.blinding.nbytes
+    # 17.0 MiB of correction words, 38 KiB of seeds and selection matrices,
+    # and 512 share records of 1,056 bytes (0.5 MiB): the factored records
+    # are 64 words, not the 4,096 of a dense indicator
+    assert keys.words.nbytes == 17 * 2**20 and keys.seeds.nbytes + keys.held.nbytes == 38 * 2**10
     assert chunk.indicator_shares.nbytes == 512 * 1_056
     assert size > 17 * 2**20
     assert peak <= size + 4 * 2**20
+
+
+def test_crypto_epoch_builds_no_key_objects(monkeypatch):
+    # a chunk's keys stay arrays from generation to evaluation: key objects
+    # are wire views that only serialization and single-key callers build
+    built = Counter()
+    init = FssKey.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built["keys"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FssKey, "__init__", counting_init)
+    experiment = cli.load_config(str(CONFIGS / "epoch_crypto_small.json"), [])
+    config = experiment.epoch
+    population = h.generate_population(experiment.population, np.random.default_rng(0))
+    result = h.run_epoch(population, config, crypto=True)
+    assert not result.halted and result.counts[0]
+    assert built["keys"] == 0
+    # the counter does see the views that a reader builds
+    claims = config.mech.claims(population[:4], config.value_ids, derived_stream(0, 0))
+    plan = h.plan_writes(claims, config, derived_stream(0, 1))
+    chunk = h.build_chunk(plan, config, derived_stream(0, 2), derived_stream(0, 3))
+    assert built["keys"] == 0
+    assert len(chunk.keys[0]) == config.parties == built["keys"]
 
 
 @pytest.mark.parametrize("party", [0, 1])
@@ -933,10 +961,9 @@ def test_databases_are_the_reconstructed_slots_packed_once(crypto):
     result = collector.finalize()
 
     if crypto:
-        accumulators = [
-            fss_evaluate_batch(list(keys), plan.round_index, config.rounds)
-            for keys in zip(*chunk.keys)
-        ]
+        accumulators = fss_evaluate_batch(
+            chunk.keys, np.arange(len(plan)), plan.round_index, config.rounds
+        )
     else:
         accumulators = [np.zeros((config.rounds, config.db_slots), np.uint64)]
         messages = config.messages

@@ -18,7 +18,7 @@ from covercount import privwrite as pw
 from covercount.errors import ParseError
 from covercount.field import BitString
 
-from reference import it_gen
+from reference import it_gen, keys_by_bytes
 
 
 class QueuedBytesRng:
@@ -234,9 +234,9 @@ def test_fss_single_row_geometry():
 
 
 def evaluated_row(key, row):
-    """One party's slot values in one row, read from a batch-of-one evaluation."""
+    """One party's slot values in one row, read from its full expansion."""
     mu = key.params.mu
-    return pw.fss_evaluate_batch([key], [0], 1)[0, row * mu : (row + 1) * mu]
+    return pw.fss_evaluate_share(key).split_fields(key.params.m)[row * mu : (row + 1) * mu]
 
 
 def test_fss_row_xor_is_one_hot_only_at_written_row():
@@ -334,49 +334,67 @@ def leading_slots(value, slots, params):
 def test_batch_groups_equal_xor_of_shares(parties, n, m, mu, sub_batch_keys, monkeypatch):
     params = pw.FssParams(n=n, parties=parties, m=m, mu=mu)
     if sub_batch_keys:
-        # whole 16-byte PRG blocks per expansion, every seed counted as held
+        # sub-batches of three keys' seed slots (whole 16-byte PRG blocks per
+        # expansion), so that in every geometry here some (party, group, row)
+        # cells straddle a sub-batch boundary
         key_bytes = params.nu * params.seeds_per_row * -(-params.row_bytes // 16) * 16
         monkeypatch.setattr(pw, "_BATCH_BYTES", sub_batch_keys * key_bytes)
     rng = np.random.default_rng(1000 * parties + n)
-    keys = []
-    for _ in range(10):
-        a = int(rng.integers(0, params.domain_size))
-        b = int(rng.integers(0, 1 << m))
-        keys.append(pw.fss_gen(pw.PointFunction(a, b), params, rng)[int(rng.integers(0, parties))])
-    # group 0 holds one key, group 2 none, the rest are interleaved
+    slots = rng.integers(0, params.domain_size, 10)
+    messages = rng.integers(0, 1 << m, 10)
+    batch = pw.fss_gen_batch(slots, messages, params, rng)
+    keys = list(batch)
+    # group 0 holds one write, group 2 none, the rest are interleaved
     groups = [0, 1, 3, 1, 3, 3, 1, 4, 4, 1]
-    out = pw.fss_evaluate_batch(keys, groups, 5)
-    assert out.shape == (5, params.domain_size) and out.dtype == np.uint64
-    for g in range(5):
-        members = [key for key, group in zip(keys, groups) if group == g]
-        expected_rows = [BitString(0, params.row_bits)] * params.nu
-        share = BitString(0, params.domain_size * m)
-        for key in members:
-            expected_rows = [x ^ y for x, y in zip(expected_rows, reference_rows(key))]
-            share ^= pw.fss_evaluate_share(key)
-        # the rows abut with their pad bits dropped; slots past 2**n fall away
-        database = 0
-        for row in expected_rows:
-            database = (database << params.row_bits) | row.value
-        assert out[g].tolist() == leading_slots(database, params.nu * params.mu, params), g
-        assert out[g].tolist() == leading_slots(share.value, params.domain_size, params), g
-    assert not out[2].any()
+    out = pw.fss_evaluate_batch(batch, range(10), groups, 5)
+    assert out.shape == (parties, 5, params.domain_size) and out.dtype == np.uint64
+    for i in range(parties):
+        for g in range(5):
+            members = [write[i] for write, group in zip(keys, groups) if group == g]
+            expected_rows = [BitString(0, params.row_bits)] * params.nu
+            share = BitString(0, params.domain_size * m)
+            for key in members:
+                expected_rows = [x ^ y for x, y in zip(expected_rows, reference_rows(key))]
+                share ^= pw.fss_evaluate_share(key)
+            # the rows abut with their pad bits dropped; slots past 2**n fall away
+            database = 0
+            for row in expected_rows:
+                database = (database << params.row_bits) | row.value
+            expected = leading_slots(database, params.nu * params.mu, params)
+            assert out[i, g].tolist() == expected, (i, g)
+            assert out[i, g].tolist() == leading_slots(share.value, params.domain_size, params)
+    assert not out[:, 2].any()
+    # an accepted subset that skips writes of groups 1, 3 and 4, in any order
+    index = [7, 0, 1, 2, 5, 6]
+    subset = pw.fss_evaluate_batch(batch, index, [groups[w] for w in index], 5)
+    for i in range(parties):
+        for g in range(5):
+            share = BitString(0, params.domain_size * m)
+            for w in index:
+                if groups[w] == g:
+                    share ^= pw.fss_evaluate_share(keys[w][i])
+            assert subset[i, g].tolist() == share.split_fields(m).tolist(), (i, g)
     if parties == 2:
-        assert any(all(s == b"\x00" * 16 for s in row) for key in keys for row in key.sigma)
+        rows = [row for write in keys for key in write for row in key.sigma]
+        assert any(all(s == b"\x00" * 16 for s in row) for row in rows)
 
 
 def test_batch_rejects_mixed_geometry_and_bad_groups():
     rng = np.random.default_rng(12)
-    a = pw.fss_gen(pw.PointFunction(1, 1), pw.FssParams(n=4, parties=2, m=2), rng)[0]
-    b = pw.fss_gen(pw.PointFunction(1, 1), pw.FssParams(n=4, parties=2, m=3), rng)[0]
+    batch = pw.fss_gen_batch([1, 2], [1, 1], pw.FssParams(n=4, parties=2, m=2), rng)
+    # a key whose body is not of its header's geometry: m = 3 words are 3 bytes, not 2
+    key = batch[0][0]
     with pytest.raises(ValueError):
-        pw.fss_evaluate_batch([a, b], [0, 0], 1)
+        pw.fss_evaluate_share(pw.FssKey(pw.FssParams(n=4, parties=2, m=3), 0, key.seeds, key.words))
     with pytest.raises(ValueError):
-        pw.fss_evaluate_batch([a], [1], 1)
+        pw.fss_evaluate_batch(batch, [0], [1], 1)
     with pytest.raises(ValueError):
-        pw.fss_evaluate_batch([a], [-1], 1)
+        pw.fss_evaluate_batch(batch, [0], [-1], 1)
     with pytest.raises(ValueError):
-        pw.fss_evaluate_batch([], [], 1)
+        pw.fss_evaluate_batch(batch, [2], [0], 1)
+    with pytest.raises(ValueError):
+        pw.fss_evaluate_batch(batch, [0, 1], [0], 1)
+    assert not pw.fss_evaluate_batch(batch, [], [], 2).any()
 
 
 def test_sigma_is_rows_of_seed_slots():
@@ -464,6 +482,25 @@ def test_stream_bytes_beyond_the_address_space_overflow():
     with pytest.raises(OverflowError):
         pw._stream_bytes(rng, 16 << 299)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("mu", [None, 4096, 100])  # mu = 100: 41 rows pad 4,096 slots to 4,100
+@pytest.mark.parametrize("parties", [2, 3, 4])
+def test_key_batch_views_are_the_reference_keys_stream(parties, mu):
+    # every wire view of a batch is the key that the write-by-write bytes
+    # reference draws from the same stream, which it leaves in the same state
+    params = pw.FssParams(n=12, parties=parties, m=17, mu=mu)
+    slots, messages = [4095, 0, 2048, 2049, 77, 3000], [0x1ABCD, 1, 0, 0x1FFFF, 5, 0]
+    rng, reference = np.random.default_rng(34), np.random.default_rng(34)
+    batch = pw.fss_gen_batch(slots, messages, params, rng)
+    expected = keys_by_bytes(slots, messages, params, reference)
+    assert len(batch) == len(expected)
+    for w, (party_seeds, wire) in enumerate(expected):
+        views = batch[w]
+        assert [key.party_index for key in views] == list(range(parties))
+        for i, key in enumerate(views):
+            assert pw.key_serialize(key) == pw.key_serialize(pw.FssKey(params, i, party_seeds[i], wire))
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_fss_gen_is_a_batch_of_one():
