@@ -45,9 +45,9 @@ Determinism: all randomness inside :func:`run_epoch` derives from
 key material, verification, challenge). The keys and verification streams
 are drawn per 256-owner chunk, so that chunk size is part of the crypto
 stream contract: the keys stream in ``fss_gen_batch``'s order (the seeds of
-all the chunk's writes, zero-seed redraws, selection matrices, then the
-correction words, each padded to a multiple of 4 bytes), every byte draw as
-uint32 words viewed as bytes, the same as one ``bytes`` call; the
+all the chunk's writes, zero-seed redraws, one column permutation per row,
+then one word seed per write), every byte draw as uint32 words viewed as
+bytes, the same as one ``bytes`` call; the
 verification stream as the 16-byte share seeds of every write (parties 0 to
 ``parties - 2`` in turn), drawn the same way, then two masks per write,
 row factor first, as one uint64 draw below 2**61 - 1. Each seed expands

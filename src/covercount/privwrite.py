@@ -6,19 +6,34 @@ XORing every server's expansion reconstructs the write, while any ``p - 1``
 shares look random.
 
 The shares are compressed point-function keys (``fss_gen`` /
-``fss_evaluate_share``). The database is viewed as ``nu`` rows of ``mu``
-slots. Every row carries ``2**(p-1)`` PRG seeds; a party holds a seed when
-its row of that row's selection matrix has a 1 in the seed's column.
-Selection matrices for ordinary rows have even-parity columns, so expansions
-cancel across parties; the written row's matrix has odd-parity columns,
-leaving the correction words XORed with the row expansion, which generation
-constrains to equal the write.
+``fss_evaluate_share``): the p-party keys of Boyle, Gilboa and Ishai
+("Function Secret Sharing", EUROCRYPT 2015), laid out in Riposte's rows. The
+database is viewed as ``nu`` rows of ``mu`` slots. Every row carries
+``2**(p-1)`` PRG seeds and a selection matrix with one p-bit column per seed;
+a party holds a seed when its bit of the seed's column is 1. An ordinary
+row's matrix has every even-weight p-bit vector as a column once, in uniform
+random order, so each seed is held by an even number of parties and the
+expansions cancel. The written row's matrix has every odd-weight vector
+once, which leaves the correction words XORed with the row's expansions,
+and generation constrains those to equal the write. So every party holds
+exactly ``2**(p-2)`` seeds in every row.
 
-Keys travel as columns (``KeyBatch``): a batch's seeds, selection matrices
-and correction words in three arrays, and ``FssKey``, one party's wire body
-as bytes, is a view of one batch row. ``fss_evaluate_batch``, the one
-evaluator, XORs every party's expansions of a batch's accepted writes per
-round into ``2**n`` uint64 slots, so the row layout never leaves this module.
+Any ``p - 1`` parties see random shares. Leaving out one party's bit maps
+the even-weight vectors one to one onto all ``(p-1)``-bit vectors, and so
+it maps the odd-weight ones: in the written row as in every other row, the
+coalition holds each ``(p-1)``-bit pattern on exactly one column, in
+random order, so the rows look alike. In the written row the coalition
+lacks the seed that only the absent party holds, and that seed's expansion
+masks the image. The ``2**(p-1) - 1`` free correction words are fixed-key
+expansions of one fresh seed per write that no party receives.
+
+Keys travel as columns (``KeyBatch``): a batch's seeds, each party's held
+columns and the correction words in three arrays, and ``FssKey``, one
+party's wire body as bytes, is a view of one batch row. Since every cell
+(party, round, row) holds the same number of seeds per write,
+``fss_evaluate_batch``, the one evaluator, works on fixed shapes: it XORs
+every party's expansions of a batch's accepted writes per round into
+``2**n`` uint64 slots, so the row layout never leaves this module.
 
 The PRG is the fixed-key construction of Guo, Katz, Wang and Yu (S&P 2020),
 the usual choice in DPF implementations. A 16-byte seed ``s`` expands to
@@ -34,7 +49,7 @@ counters ``i``, the outputs ``H(s ^ i)`` look uniform. Two seeds' outputs
 are related only when their counter ranges overlap, which for uniform seeds
 of ``B`` blocks each happens with chance below ``2 * B * 2**-128`` per pair.
 
-Party shares leak nothing individually under the PRG assumption; this
+Any ``p - 1`` shares leak nothing under the PRG assumption; this
 implementation is simulation-grade and not hardened.
 """
 
@@ -86,20 +101,26 @@ def _ecb():
     return Cipher(algorithms.AES(PRG_FIXED_KEY), modes.ECB()).encryptor()
 
 
-def _prg_rows(seeds: np.ndarray, nbytes: int) -> np.ndarray:
-    """Expand each 16-byte seed of ``seeds`` to ``nbytes`` bytes in one ECB
-    call: block i of seed s is AES_k(s ^ i) ^ (s ^ i), with the counter i in
-    the seed's low little-endian 64-bit word. Returns ``(count, nbytes)``
-    uint8."""
+def _counter_blocks(seeds: np.ndarray, blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """The PRG's inputs ``s ^ i`` for each 16-byte seed ``s`` of ``seeds``
+    and each counter ``i < blocks``, in the seed's low little-endian 64-bit
+    word, and their encryptions ``AES_k(s ^ i)``, made in one ECB call: two
+    ``(count, 16 * blocks)`` uint8 arrays."""
     words = seeds.reshape(-1, SEED_BYTES).view("<u8")
-    blocks = -(-nbytes // SEED_BYTES)
     inputs = np.repeat(words[:, None, :], blocks, axis=1)
     inputs[:, :, 0] ^= np.arange(blocks, dtype="<u8")
     raw = inputs.view(np.uint8).reshape(len(words), blocks * SEED_BYTES)
     # update's fresh bytes object costs several times the encryption on large calls
     out = np.empty(raw.size + SEED_BYTES - 1, np.uint8)
     _ecb().update_into(raw, out)
-    raw ^= out[: raw.size].reshape(raw.shape)
+    return raw, out[: raw.size].reshape(raw.shape)
+
+
+def _prg_rows(seeds: np.ndarray, nbytes: int) -> np.ndarray:
+    """Expand each 16-byte seed of ``seeds`` to ``nbytes`` bytes: block i of
+    seed s is AES_k(s ^ i) ^ (s ^ i). Returns ``(count, nbytes)`` uint8."""
+    raw, encrypted = _counter_blocks(seeds, -(-nbytes // SEED_BYTES))
+    raw ^= encrypted
     return raw[:, :nbytes]
 
 
@@ -173,6 +194,11 @@ class FssParams:
         return 1 << (self.parties - 1)
 
     @property
+    def held_per_row(self) -> int:
+        """The seeds that each party holds in every row: half of them."""
+        return 1 << (self.parties - 2)
+
+    @property
     def row_bits(self) -> int:
         return self.m * self.mu
 
@@ -185,8 +211,9 @@ class FssParams:
 class FssKey:
     """One party's share as its wire body, the wire view of one
     ``KeyBatch`` row: ``seeds`` is the ``nu * 2**(p-1)`` 16-byte seed slots,
-    row-major, zero where the party holds no seed; ``words`` is the
-    ``2**(p-1)`` correction words of ``ceil(m * mu / 8)`` bytes, MSB-first
+    row-major, zero where the party holds no seed, so that ``2**(p-2)``
+    slots of every row are nonzero; ``words`` is the ``2**(p-1)``
+    correction words of ``ceil(m * mu / 8)`` bytes, MSB-first
     with zero pad bits, one object shared by a write's keys."""
 
     params: FssParams
@@ -205,16 +232,16 @@ class FssKey:
 @dataclass(frozen=True, eq=False)
 class KeyBatch:
     """A batch's keys as columns: ``seeds`` ``(writes, nu, 2**(p-1), 16)``,
-    the 0/1 uint8 selection matrices ``held`` ``(writes, nu, parties,
-    2**(p-1))``, in which party ``i`` holds seed ``(row, j)`` of write
-    ``w`` where ``held[w, row, i, j]`` is 1, and the correction ``words``
-    ``(writes, 2**(p-1), row_bytes)`` that a write's parties share.
-    ``batch[w]`` builds write ``w``'s ``parties`` keys afresh on each call;
-    past the last write it raises ``IndexError``, so a batch iterates."""
+    the held ``columns`` ``(writes, nu, parties, 2**(p-2))``, in which party
+    ``i`` holds seed ``(row, j)`` of write ``w`` for each ``j`` of
+    ``columns[w, row, i]``, and the correction ``words`` ``(writes,
+    2**(p-1), row_bytes)`` that a write's parties share. ``batch[w]``
+    builds write ``w``'s ``parties`` keys afresh on each call; past the
+    last write it raises ``IndexError``, so a batch iterates."""
 
     params: FssParams
     seeds: np.ndarray
-    held: np.ndarray
+    columns: np.ndarray
     words: np.ndarray
 
     def __len__(self) -> int:
@@ -222,32 +249,51 @@ class KeyBatch:
 
     def __getitem__(self, w: int) -> tuple[FssKey, ...]:
         words = self.words[w].tobytes()
-        # party i holds the seeds its selection-matrix row marks, zero elsewhere
-        held = self.held[w].transpose(1, 0, 2)[..., None]
-        seeds = [(self.seeds[w] * mask).tobytes() for mask in held]
-        return tuple(FssKey(self.params, i, s, words) for i, s in enumerate(seeds))
+        # party i's seeds where its columns mark them, zero elsewhere
+        held = np.zeros((self.params.parties, *self.seeds.shape[1:3]), np.uint8)
+        np.put_along_axis(held, self.columns[w].transpose(1, 0, 2), 1, axis=2)
+        seeds = self.seeds[w] * held[..., None]
+        return tuple(FssKey(self.params, i, s.tobytes(), words) for i, s in enumerate(seeds))
 
 
 # bounds the transient memory of a sub-batch: the evaluator's expansions
 # of held seeds, and key generation's correction words and written-row
-# expansions; 1 MiB ran fastest of 0.5 to 4 MiB at n = 12, mu = 128 and 4096
-_BATCH_BYTES = 1 << 20
+# expansions; of 128 KiB to 2 MiB, 256 and 512 KiB evaluated fastest at
+# n = 12 (mu = 128 and 4096) and 512 KiB at n = 14, on cores with 2 MiB of
+# L2, which then holds a group's PRG inputs, ciphertexts and gathered words
+_BATCH_BYTES = 1 << 19
 
 
-def _selection_matrices(
-    parties: int, odd_rows: np.ndarray, rows: int, columns: int, rng: np.random.Generator
+@cache
+def _held_vectors(parties: int) -> np.ndarray:
+    """``(2, parties, 2**(p-2))``: in an ordinary row (0) and in the
+    written row (1), the selection vectors that each party holds. Vector
+    ``v < 2**(p-1)`` gives parties 0 to ``p - 2`` its bits, low bit first,
+    and the last party the bit that makes the column's weight even, or odd
+    in the written row."""
+    vectors = np.arange(1 << (parties - 1))
+    bits = (vectors >> np.arange(parties - 1)[:, None]) & 1
+    parity = bits.sum(axis=0) & 1
+    table = [np.nonzero(np.vstack([bits, parity ^ odd]))[1] for odd in (0, 1)]
+    return np.stack(table).reshape(2, parties, -1)
+
+
+def _held_columns(
+    parties: int, written: np.ndarray, rows: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """One uniform binary matrix per database row of each write, shaped
-    ``(writes, rows, parties, columns)``: every column of write ``w``'s
-    ``odd_rows[w]`` matrix holds an odd number of ones and every other
-    matrix's even ones. The first ``parties - 1`` matrix rows are uniform
-    and the last completes each column's parity, which samples uniformly
-    from that set."""
-    count = odd_rows.size
-    top = rng.integers(0, 2, size=(count, rows, parties - 1, columns), dtype=np.uint8)
-    last = top.sum(axis=2, dtype=np.uint8) & np.uint8(1)
-    last[np.arange(count), odd_rows] ^= np.uint8(1)
-    return np.concatenate([top, last[:, :, None, :]], axis=2)
+    """Each party's held columns in every row of each write, ``(writes,
+    rows, parties, 2**(p-2))``, in the smallest unsigned dtype that holds a
+    column. One ``rng.permuted`` call draws a uniform permutation of the
+    columns per row, write by write and row by row, the draws of one
+    ``rng.permutation`` call each: entry ``v`` is the column that carries
+    selection vector ``v``, odd-weight in row ``written[w]`` and
+    even-weight elsewhere."""
+    count, spr = written.size, 1 << (parties - 1)
+    order = np.arange(spr, dtype=np.min_scalar_type(spr - 1))
+    order = rng.permuted(np.broadcast_to(order, (count, rows, spr)), axis=-1)
+    odd = np.zeros((count, rows), np.intp)
+    odd[np.arange(count), written] = 1
+    return np.take_along_axis(order[:, :, None, :], _held_vectors(parties)[odd], axis=3)
 
 
 def _zero_pad(words: np.ndarray, params: FssParams) -> np.ndarray:
@@ -283,15 +329,15 @@ def fss_gen_batch(slots, messages, params: FssParams, rng: np.random.Generator) 
     equals the one-hot row image; ordinary rows cancel because each of their
     seed slots is held by an even number of parties.
 
-    The batch draws the seeds of every write, the zero-seed redraws, the
-    selection matrices and the correction words, in that order; each byte
-    draw is uint32 words viewed in place, the bytes and generator state of
-    one ``rng.bytes`` call. Words are drawn with each row padded to a
-    multiple of 4 bytes and cut back to ``row_bytes``, which yields the
-    bytes, and leaves the generator state, of one ``rng.bytes`` call per
-    word: a batch of one consumes the stream as a write-by-write loop
-    would. The words are drawn, the written rows expanded and the last
-    words built in sub-batches of about ``_BATCH_BYTES``.
+    The batch draws the seeds of every write, the zero-seed redraws, one
+    permutation of each row's columns (``_held_columns``) and one 16-byte
+    word seed per write, in that order; each byte draw is uint32 words
+    viewed in place, the bytes and generator state of one ``rng.bytes``
+    call. A write's ``2**(p-1) - 1`` free words are the fixed-key expansion
+    of its word seed, cut into ``row_bytes`` pieces; no party receives the
+    word seed, so a zero one is kept. The free words are expanded, the
+    written rows expanded and the last words built in sub-batches of about
+    ``_BATCH_BYTES``.
     """
     slots = np.asarray(slots, np.int64).reshape(-1)
     messages = [int(b) for b in messages]
@@ -312,42 +358,44 @@ def fss_gen_batch(slots, messages, params: FssParams, rng: np.random.Generator) 
         seeds[zero] = _stream_bytes(rng, SEED_BYTES * zero[0].size).reshape(-1, SEED_BYTES)
         still = (lanes[zero][:, 0] | lanes[zero][:, 1]) == 0
         zero = tuple(axis[still] for axis in zero)
-    held = _selection_matrices(params.parties, gamma, params.nu, spr, rng)
+    columns = _held_columns(params.parties, gamma, params.nu, rng)
+    word_seeds = _stream_bytes(rng, SEED_BYTES * count).reshape(count, SEED_BYTES)
 
     words = np.empty((count, spr, nbytes), np.uint8)
-    padded = -(-nbytes // 4) * 4
     step = max(1, _BATCH_BYTES // (spr * nbytes))
     for first in range(0, count, step):
         part = np.arange(first, min(first + step, count))
-        # a write's words are whole uint32s, so the sub-batches' draws are
-        # the bytes of one; copied into place, the draw is freed before the
-        # expansions are made
-        drawn = words[first : first + step, :-1]
-        drawn[...] = _stream_bytes(rng, part.size * (spr - 1) * padded).reshape(
-            part.size, spr - 1, padded
-        )[..., :nbytes]
+        free = words[first : first + step, :-1]
+        free[...] = _prg_rows(word_seeds[part], (spr - 1) * nbytes).reshape(free.shape)
         # the last word: the written row's expansions, the row image (message
-        # b at bits [delta * m, (delta + 1) * m)) and the drawn words
+        # b at bits [delta * m, (delta + 1) * m)) and the free words
         expansions = _prg_rows(seeds[part, gamma[part]], nbytes).reshape(part.size, spr, nbytes)
         last = words[first : first + step, -1]
         np.bitwise_xor.reduce(expansions, axis=1, out=last)
-        last ^= np.bitwise_xor.reduce(drawn, axis=1)
+        last ^= np.bitwise_xor.reduce(free, axis=1)
         starts = (delta[part] * m).tolist()
         for word, start, b in zip(last, starts, messages[first : first + step]):
             start_byte, stop = start // 8, -(-(start + m) // 8)
             image = (b << (8 * stop - start - m)).to_bytes(stop - start_byte, "big")
             word[start_byte:stop] ^= np.frombuffer(image, np.uint8)
-    return KeyBatch(params, seeds, held, _zero_pad(words, params))
+    return KeyBatch(params, seeds, columns, _zero_pad(words, params))
 
 
 def _evaluate_bits(batch: KeyBatch, index, rounds, nrounds: int) -> np.ndarray:
-    """Every party's XOR of the expansions of the writes ``index`` of
-    ``batch`` per round, as ``(parties, nrounds, 2**n * m)`` 0/1 uint8 bits;
-    write ``index[k]`` lands in round ``rounds[k]``. One ``nonzero`` per round
-    lists the held seeds cell by cell, a cell being a (party, round, row),
-    with no sort. They expand in sub-batches of about ``_BATCH_BYTES``, each
-    XORed with its word, and a sub-batch's run of a cell reduces in one
-    ``reduceat``."""
+    """Each listed party's XOR of the expansions of the writes ``index`` of
+    ``batch`` per round, as ``(parties, nrounds, 2**n * m)`` 0/1 uint8 bits,
+    ``parties`` being the parties that ``batch.columns`` lists; write
+    ``index[k]`` lands in round ``rounds[k]``.
+
+    A cell (party, round, row) holds ``2**(p-2)`` seeds of each of its
+    round's writes, so every step has a fixed shape. A round's held seeds
+    are gathered in (write, held, party, row) order, and they go in groups
+    of whole writes, about ``_BATCH_BYTES`` of expansions each: a group is
+    encrypted in one ECB call, XORed with its words and XOR-reduced over
+    the leading axis into the round's ``(parties * nu, width)``
+    accumulator. The PRG's feed-forward ``s ^ i`` is added once per cell,
+    as the XOR of the cell's seeds and, when the cell holds an odd number
+    of seeds (only at p = 2), the counters."""
     params = batch.params
     index = np.asarray(index, np.intp).reshape(-1)
     rounds = np.asarray(rounds, np.intp).reshape(-1)
@@ -355,30 +403,36 @@ def _evaluate_bits(batch: KeyBatch, index, rounds, nrounds: int) -> np.ndarray:
         0 <= min(index.min(), rounds.min()) and index.max() < len(batch) and rounds.max() < nrounds
     ):
         raise ValueError("each write needs an index in the batch and a round in [0, nrounds)")
-    parties, nu, spr, nbytes = params.parties, params.nu, params.seeds_per_row, params.row_bytes
-    cells, seeds, words = [], [], []
+    nu, spr, nbytes = params.nu, params.seeds_per_row, params.row_bytes
+    parties, held = batch.columns.shape[2:]
+    cells, rows = parties * nu, np.arange(nu)
+    # whole PRG blocks per expansion, so that rows reduce as uint64 lanes
+    blocks = -(-nbytes // SEED_BYTES)
+    lanes = blocks * SEED_BYTES // 8
+    seeds, words = batch.seeds.reshape(-1, SEED_BYTES), batch.words.reshape(-1, nbytes)
+    out = np.zeros((nrounds, cells, lanes), np.uint64)
+    per_write = held * cells
+    per_group = per_write * max(1, _BATCH_BYTES // (per_write * blocks * SEED_BYTES))
     for r in range(nrounds):
         writes = index[rounds == r]
-        party, row, which, column = np.nonzero(batch.held[writes].transpose(2, 1, 0, 3))
-        write = writes[which]
-        cells.append((party * nrounds + r) * nu + row)
-        seeds.append((write * nu + row) * spr + column)
-        words.append(write * spr + column)
-    cells, seeds, words = (np.concatenate(a) for a in (cells, seeds, words))
-    # whole PRG blocks per expansion, so that rows reduce as uint64 words
-    width = -(-nbytes // SEED_BYTES) * SEED_BYTES
-    out = np.zeros((parties * nrounds * nu, width // 8), np.uint64)
-    step = max(1, _BATCH_BYTES // width)
-    for start in range(0, cells.size, step):
-        part = slice(start, start + step)
-        expansions = _prg_rows(batch.seeds.reshape(-1, SEED_BYTES)[seeds[part]], width)
-        expansions[:, :nbytes] ^= batch.words.reshape(-1, nbytes)[words[part]]
-        cell = cells[part]
-        heads = np.flatnonzero(np.diff(cell, prepend=-1))
-        out[cell[heads]] ^= np.bitwise_xor.reduceat(expansions.view(np.uint64), heads, axis=0)
+        column = batch.columns[writes].transpose(0, 3, 2, 1)
+        writes = writes[:, None, None, None]
+        word_at = (writes * spr + column).reshape(-1)
+        # take gathers whole rows several times faster than indexing
+        held_seeds = np.take(seeds, ((writes * nu + rows) * spr + column).reshape(-1), axis=0)
+        for first in range(0, word_at.size, per_group):
+            group = slice(first, first + per_group)
+            _, encrypted = _counter_blocks(held_seeds[group], blocks)
+            encrypted[:, :nbytes] ^= np.take(words, word_at[group], axis=0)
+            out[r] ^= np.bitwise_xor.reduce(encrypted.view(np.uint64).reshape(-1, cells, lanes))
+        feed = np.bitwise_xor.reduce(held_seeds.view(np.uint64).reshape(-1, cells, 2))
+        feed = np.repeat(feed[:, None, :], blocks, axis=1)
+        if writes.size * held % 2:
+            feed[:, :, 0] ^= np.arange(blocks, dtype="<u8").view(np.uint64)
+        out[r] ^= feed.reshape(cells, lanes)
     # the rows' m * mu bits abut, pad bits dropped; the slots past 2**n fall away
-    rows = out.view(np.uint8).reshape(parties, nrounds, nu, width)
-    bits = np.unpackbits(rows, axis=3, count=params.row_bits).reshape(parties, nrounds, -1)
+    out = out.view(np.uint8).reshape(nrounds, parties, nu, -1).transpose(1, 0, 2, 3)
+    bits = np.unpackbits(out, axis=3, count=params.row_bits).reshape(parties, nrounds, -1)
     return bits[..., : params.domain_size * params.m]
 
 
@@ -389,15 +443,28 @@ def fss_evaluate_batch(batch: KeyBatch, index, rounds, nrounds: int) -> np.ndarr
     return unpack_fields(_evaluate_bits(batch, index, rounds, nrounds), batch.params.m)
 
 
+def _held_slots(seeds: np.ndarray, params: FssParams) -> np.ndarray:
+    """The nonzero slots of one key's seeds, ``(nu, 2**(p-1))`` bool;
+    raises ``ValueError`` at the first row that holds other than
+    ``2**(p-2)`` of them."""
+    held = seeds.reshape(params.nu, params.seeds_per_row, SEED_BYTES).any(axis=2)
+    counts = held.sum(axis=1)
+    bad = np.flatnonzero(counts != params.held_per_row)
+    if bad.size:
+        raise ValueError(f"row {bad[0]} holds {counts[bad[0]]} seeds, not {params.held_per_row}")
+    return held
+
+
 def fss_evaluate_share(key: FssKey) -> BitString:
     """Full-database expansion of one key, packed as a bitstring: the batch
-    evaluation of one write whose other parties hold no seed."""
+    evaluation of one write that lists only this key's party. Raises
+    ``ValueError`` on a key with a row that holds other than ``2**(p-2)``
+    seeds."""
     p = key.params
     seeds = np.frombuffer(key.seeds, np.uint8).reshape(1, p.nu, p.seeds_per_row, SEED_BYTES)
-    held = np.zeros((1, p.nu, p.parties, p.seeds_per_row), np.uint8)
-    held[0, :, key.party_index] = seeds[0].any(axis=2)
+    columns = np.nonzero(_held_slots(seeds, p))[1].reshape(1, p.nu, 1, p.held_per_row)
     words = np.frombuffer(key.words, np.uint8).reshape(1, p.seeds_per_row, p.row_bytes)
-    bits = _evaluate_bits(KeyBatch(p, seeds, held, words), [0], [0], 1)[key.party_index, 0]
+    bits = _evaluate_bits(KeyBatch(p, seeds, columns, words), [0], [0], 1)[0, 0]
     return BitString.from_bytes(np.packbits(bits).tobytes(), bits.size)
 
 
@@ -438,11 +505,15 @@ def fss_eval_naive(key: FssKey, x: int) -> int:
 #   correction words: 2^(parties-1) blocks of ceil(m*mu/8) bytes, bits packed
 #   MSB-first and zero-padded to the byte boundary; a reader zeroes the pad
 #   bits it is given
-# The correction words fit one PRG: version 2 is the fixed-key expansion of
-# the module docstring, and version 1 keys (per-seed AES-CTR) are rejected.
+# Every row holds exactly 2^(parties-2) nonzero seed slots, and a reader
+# rejects any other count. The correction words fit one PRG: versions 2 and
+# 3 use the fixed-key expansion of the module docstring, and version 1 keys
+# (per-seed AES-CTR) are rejected. Version 3 keys come from the regular
+# selection matrices; version 2 keys, which held 0 to 2^(parties-1) seeds
+# per row, are rejected too.
 # ---------------------------------------------------------------------------
 
-KEY_FORMAT_VERSION = 2
+KEY_FORMAT_VERSION = 3
 _HEADER = struct.Struct("<BBBBHHII")
 
 
@@ -484,4 +555,8 @@ def key_deserialize(data: bytes) -> FssKey:
     words_at = _HEADER.size + params.nu * params.seeds_per_row * SEED_BYTES
     words = np.frombuffer(data, np.uint8, offset=words_at).reshape(params.seeds_per_row, -1)
     seeds = bytes(data[_HEADER.size : words_at])
+    try:
+        _held_slots(np.frombuffer(seeds, np.uint8), params)
+    except ValueError as exc:
+        raise ParseError(f"invalid key: {exc}") from exc
     return FssKey(params, party_index, seeds, _zero_pad(words.copy(), params).tobytes())

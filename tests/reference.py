@@ -175,16 +175,22 @@ def keys_by_bytes(
 ) -> list[tuple[tuple[bytes, ...], bytes]]:
     """Each write's party seed bodies and wire words, from the keys stream
     in ``fss_gen_batch``'s order: one ``rng.bytes`` call for every seed,
-    the selection matrices, one ``rng.bytes`` call for every drawn word
-    (each row padded to a multiple of 4 bytes). A zero seed, which
-    ``fss_gen_batch`` redraws, has chance 2^-128, so none is expected."""
+    one ``rng.permutation`` call per row (write by write, row by row), one
+    ``rng.bytes`` call for every write's 16-byte word seed.
+
+    Entry ``v`` of a row's permutation is the column of selection vector
+    ``v``: party ``i < p - 1`` holds that column when bit ``i`` of ``v`` is
+    set, and the last party when it makes the column's weight even, or odd
+    in the written row. A write's free words are the :func:`_expand`
+    stream of its word seed, cut into ``row_bytes`` pieces. A zero seed,
+    which ``fss_gen_batch`` redraws, has chance 2^-128, so none is
+    expected."""
     count, nu, spr, parties = len(slots), params.nu, params.seeds_per_row, params.parties
     nbytes, pad = params.row_bytes, 8 * params.row_bytes - params.row_bits
     seeds = rng.bytes(16 * count * nu * spr)
     assert bytes(16) not in {seeds[i : i + 16] for i in range(0, len(seeds), 16)}
-    top = rng.integers(0, 2, size=(count, nu, parties - 1, spr), dtype=np.uint8)
-    padded = -(-nbytes // 4) * 4
-    drawn = rng.bytes(count * (spr - 1) * padded)
+    orders = [[rng.permutation(spr) for _ in range(nu)] for _ in range(count)]
+    word_seeds = rng.bytes(16 * count)
     keys = []
     for w, (slot, message) in enumerate(zip(slots, messages)):
         gamma, delta = divmod(int(slot), params.mu)
@@ -193,19 +199,25 @@ def keys_by_bytes(
             [seeds[at + 16 * (row * spr + j) : at + 16 * (row * spr + j + 1)] for j in range(spr)]
             for row in range(nu)
         ]
-        # the last party's row completes each column to even parity, odd in row gamma
-        last = (top[w].sum(axis=1) + (np.arange(nu) == gamma)[:, None]) % 2
-        held = np.concatenate((top[w], last[:, None]), axis=1)  # (nu, parties, spr)
+        holds = [set() for _ in range(parties)]
+        for row in range(nu):
+            for v, column in enumerate(orders[w][row]):
+                bits = [(v >> i) & 1 for i in range(parties - 1)]
+                bits.append((sum(bits) + (row == gamma)) % 2)
+                for i in range(parties):
+                    if bits[i]:
+                        holds[i].add((row, int(column)))
         party_seeds = tuple(
             b"".join(
-                rows[row][j] if held[row, i, j] else bytes(16)
+                rows[row][j] if (row, j) in holds[i] else bytes(16)
                 for row in range(nu)
                 for j in range(spr)
             )
             for i in range(parties)
         )
-        starts = [(w * (spr - 1) + j) * padded for j in range(spr - 1)]
-        words = [int.from_bytes(drawn[start : start + nbytes], "big") for start in starts]
+        stream = _expand(word_seeds[16 * w : 16 * (w + 1)], (spr - 1) * nbytes)
+        mask = (1 << (8 * nbytes)) - 1
+        words = [(stream >> (8 * nbytes * (spr - 2 - j))) & mask for j in range(spr - 1)]
         final = int(message) << (8 * nbytes - (delta + 1) * params.m)
         for word in words + [_expand(seed, nbytes) for seed in rows[gamma]]:
             final ^= word

@@ -737,12 +737,12 @@ def test_crypto_chunk_peaks_near_its_own_bytes():
     finally:
         tracemalloc.stop()
     keys = chunk.keys
-    size = keys.seeds.nbytes + keys.held.nbytes + keys.words.nbytes
+    size = keys.seeds.nbytes + keys.columns.nbytes + keys.words.nbytes
     size += chunk.indicator_shares.nbytes + chunk.blinding.nbytes
-    # 17.0 MiB of correction words, 38 KiB of seeds and selection matrices,
-    # and 512 share records of 1,056 bytes (0.5 MiB): the factored records
-    # are 64 words, not the 4,096 of a dense indicator
-    assert keys.words.nbytes == 17 * 2**20 and keys.seeds.nbytes + keys.held.nbytes == 38 * 2**10
+    # 17.0 MiB of correction words, 35 KiB of seeds and held columns, and
+    # 512 share records of 1,056 bytes (0.5 MiB): the factored records are
+    # 64 words, not the 4,096 of a dense indicator
+    assert keys.words.nbytes == 17 * 2**20 and keys.seeds.nbytes + keys.columns.nbytes == 35 * 2**10
     assert chunk.indicator_shares.nbytes == 512 * 1_056
     assert size > 17 * 2**20
     assert peak <= size + 4 * 2**20

@@ -18,7 +18,7 @@ from covercount import privwrite as pw
 from covercount.errors import ParseError
 from covercount.field import BitString
 
-from reference import it_gen, keys_by_bytes
+from reference import _expand, it_gen, keys_by_bytes
 
 
 class QueuedBytesRng:
@@ -251,19 +251,81 @@ def test_fss_row_xor_is_one_hot_only_at_written_row():
         assert combined.tolist() == expected
 
 
-def test_fss_unheld_row_evaluates_to_zero():
-    # with p=2 some rows assign no seeds at all to one party; such a row's
-    # evaluation is the zero string by construction
-    params = pw.FssParams(n=6, parties=2, m=1)
+def test_fss_every_party_holds_half_of_each_rows_seeds():
+    # every party holds 2**(p-2) seeds in every row, p = 2 included, and the
+    # wire views hold exactly the batch's columns
     rng = np.random.default_rng(3)
-    keys = pw.fss_gen(pw.PointFunction(0, 1), params, rng)
-    found = False
-    for key in keys:
-        for row in range(params.nu):
-            if all(s == b"\x00" * 16 for s in key.sigma[row]):
-                assert not evaluated_row(key, row).any()
-                found = True
-    assert found, "expected at least one seedless (party, row) pair at p=2"
+    for parties in (2, 3, 4, 5):
+        params = pw.FssParams(n=6, parties=parties, m=1)
+        batch = pw.fss_gen_batch([0, 63, 17], [1, 1, 0], params, rng)
+        assert batch.columns.shape == (3, params.nu, parties, params.held_per_row)
+        for w, keys in enumerate(batch):
+            for key in keys:
+                for row, seeds in enumerate(key.sigma):
+                    held = [j for j, seed in enumerate(seeds) if seed != b"\x00" * 16]
+                    assert held == sorted(batch.columns[w, row, key.party_index].tolist())
+                    assert len(held) == 2 ** (parties - 2)
+
+
+def selection_matrices(batch):
+    """Each row's selection matrix, ``(writes, nu, parties, 2**(p-1))`` 0/1,
+    rebuilt from the batch's held columns."""
+    count, nu, parties, held = batch.columns.shape
+    matrices = np.zeros((count, nu, parties, 2 * held), np.uint8)
+    for index in np.ndindex(count, nu, parties):
+        matrices[index][batch.columns[index]] = 1
+    return matrices
+
+
+@pytest.mark.parametrize("parties", [2, 3, 4, 5])
+def test_coalitions_see_every_pattern_once_in_every_row(parties):
+    # projected onto any p - 1 parties, every row's matrix, written or not,
+    # is a permutation of all (p-1)-bit vectors: the coalition cannot tell
+    # the written row, and lacks one seed of every row
+    params = pw.FssParams(n=8, parties=parties, m=1)
+    rng = np.random.default_rng(50 + parties)
+    slots = rng.integers(0, params.domain_size, 40)
+    batch = pw.fss_gen_batch(slots, [1] * 40, params, rng)
+    matrices = selection_matrices(batch)
+    weights = matrices.sum(axis=2) % 2
+    written = np.zeros((40, params.nu), bool)
+    written[np.arange(40), slots // params.mu] = True
+    assert np.array_equal(weights, np.broadcast_to(written[..., None], weights.shape))
+    every = list(range(2 ** (parties - 1)))
+    for absent in range(parties):
+        coalition = [i for i in range(parties) if i != absent]
+        patterns = np.einsum("wrpj,p->wrj", matrices[:, :, coalition], 1 << np.arange(parties - 1))
+        assert (np.sort(patterns, axis=2) == every).all(), absent
+
+
+def test_two_aggregators_recover_no_write():
+    # two of three aggregators, even told the written row, XOR the
+    # expansions of every seed either holds with all the correction words;
+    # at the uniform selection matrices of key format version 2 a pair held
+    # every seed of the written row for about (3/4)**4 of writes, and this
+    # recovered each such write's slot and message. All three parties
+    # recover every write the same way.
+    params = pw.FssParams(n=12, parties=3, m=17)
+    rng = np.random.default_rng(2015)
+    slots = rng.integers(0, params.domain_size, 2000)
+    messages = rng.integers(1, 1 << 17, 2000)
+    batch = pw.fss_gen_batch(slots, messages, params, rng)
+    gamma, delta = np.divmod(slots, params.mu)
+    matrices = selection_matrices(batch)[np.arange(2000), gamma]  # (writes, parties, spr)
+    seeds = batch.seeds[np.arange(2000), gamma]
+    folded = np.bitwise_xor.reduce(batch.words, axis=1)
+    expansions = pw._prg_rows(seeds, params.row_bytes).reshape(2000, 4, -1)
+
+    def recovered(coalition):
+        held = matrices[:, coalition].any(axis=1)
+        image = folded ^ np.bitwise_xor.reduce(expansions * held[..., None], axis=1)
+        bits = np.unpackbits(image, axis=1, count=params.row_bits).reshape(2000, params.mu, 17)
+        values = bits @ (1 << np.arange(16, -1, -1))
+        one_slot = (values != 0).sum(axis=1) == 1
+        return int((one_slot & (values[np.arange(2000), delta] == messages)).sum())
+
+    assert [recovered(pair) for pair in ((0, 1), (0, 2), (1, 2))] == [0, 0, 0]
+    assert recovered((0, 1, 2)) == 2000
 
 
 def test_fss_strict_subset_does_not_reconstruct():
@@ -327,24 +389,25 @@ def leading_slots(value, slots, params):
         (5, 5, 2, None),
         (3, 10, 17, 100),  # padded rows: nu * mu = 1,100 slots cover 1,024
         (3, 8, 5, 256),  # one wide row
-        (2, 6, 1, None),  # p = 2 leaves some parties rows without seeds
+        (2, 6, 1, None),  # p = 2: one seed per cell and write, so odd counts
+        (2, 8, 17, None),  # and rows of four PRG blocks, so odd cells keep their counters
     ],
 )
-@pytest.mark.parametrize("sub_batch_keys", [None, 3])
-def test_batch_groups_equal_xor_of_shares(parties, n, m, mu, sub_batch_keys, monkeypatch):
+@pytest.mark.parametrize("group_writes", [None, 3])
+def test_batch_groups_equal_xor_of_shares(parties, n, m, mu, group_writes, monkeypatch):
     params = pw.FssParams(n=n, parties=parties, m=m, mu=mu)
-    if sub_batch_keys:
-        # sub-batches of three keys' seed slots (whole 16-byte PRG blocks per
-        # expansion), so that in every geometry here some (party, group, row)
-        # cells straddle a sub-batch boundary
-        key_bytes = params.nu * params.seeds_per_row * -(-params.row_bytes // 16) * 16
-        monkeypatch.setattr(pw, "_BATCH_BYTES", sub_batch_keys * key_bytes)
+    if group_writes:
+        # evaluation groups of three writes' held expansions (whole 16-byte
+        # PRG blocks each), so that rounds 1 and 3 span two groups
+        write_bytes = params.held_per_row * parties * params.nu * -(-params.row_bytes // 16) * 16
+        monkeypatch.setattr(pw, "_BATCH_BYTES", group_writes * write_bytes)
     rng = np.random.default_rng(1000 * parties + n)
     slots = rng.integers(0, params.domain_size, 10)
     messages = rng.integers(0, 1 << m, 10)
     batch = pw.fss_gen_batch(slots, messages, params, rng)
     keys = list(batch)
-    # group 0 holds one write, group 2 none, the rest are interleaved
+    # group 0 holds one write, group 2 none, the rest are interleaved; the
+    # odd groups 0 and 3 leave p = 2's feed-forward counters uncancelled
     groups = [0, 1, 3, 1, 3, 3, 1, 4, 4, 1]
     out = pw.fss_evaluate_batch(batch, range(10), groups, 5)
     assert out.shape == (parties, 5, params.domain_size) and out.dtype == np.uint64
@@ -374,9 +437,41 @@ def test_batch_groups_equal_xor_of_shares(parties, n, m, mu, sub_batch_keys, mon
                 if groups[w] == g:
                     share ^= pw.fss_evaluate_share(keys[w][i])
             assert subset[i, g].tolist() == share.split_fields(m).tolist(), (i, g)
-    if parties == 2:
-        rows = [row for write in keys for key in write for row in key.sigma]
-        assert any(all(s == b"\x00" * 16 for s in row) for row in rows)
+    for order in ([5, 2, 7, 6, 0, 1], index[::-1]):
+        shuffled = pw.fss_evaluate_batch(batch, order, [groups[w] for w in order], 5)
+        assert np.array_equal(shuffled, subset)
+
+
+def test_batch_at_n16_evaluates_a_group_per_write():
+    # crypto-split's message width at n = 16: one write's held expansions
+    # exceed half of _BATCH_BYTES, so each group holds a single write
+    params = pw.FssParams(n=16, parties=3, m=17)
+    width = -(-params.row_bytes // 16) * 16
+    assert 2 * params.held_per_row * 3 * params.nu * width > pw._BATCH_BYTES
+    rng = np.random.default_rng(16)
+    slots, messages = [65535, 0, 40000], [0x1ABCD, 1, 0x15555]
+    batch = pw.fss_gen_batch(slots, messages, params, rng)
+    out = pw.fss_evaluate_batch(batch, [2, 0, 1], [1, 1, 0], 2)
+    weights = 1 << np.arange(16, -1, -1)
+    nbytes = params.row_bytes
+    for i in range(3):
+        for r, members in ((0, [1]), (1, [0, 2])):
+            rows = np.zeros((params.nu, nbytes), np.uint8)
+            for w in members:
+                key = batch[w][i]
+                words = np.frombuffer(key.words, np.uint8).reshape(-1, nbytes)
+                for row, seeds in enumerate(key.sigma):
+                    for j, seed in enumerate(seeds):
+                        if seed != b"\x00" * 16:
+                            expansion = _expand(seed, nbytes).to_bytes(nbytes, "big")
+                            rows[row] ^= np.frombuffer(expansion, np.uint8) ^ words[j]
+            bits = np.unpackbits(rows, axis=1, count=params.row_bits).reshape(-1)
+            expected = bits[: params.domain_size * 17].reshape(-1, 17) @ weights
+            assert np.array_equal(out[i, r], expected), (i, r)
+    total = np.bitwise_xor.reduce(out, axis=0)
+    assert np.flatnonzero(total[0]).tolist() == [0] and total[0, 0] == 1
+    assert np.flatnonzero(total[1]).tolist() == [40000, 65535]
+    assert total[1, 40000] == 0x15555 and total[1, 65535] == 0x1ABCD
 
 
 def test_batch_rejects_mixed_geometry_and_bad_groups():
@@ -439,9 +534,9 @@ def test_fss_gen_batch_keys_reconstruct_each_write(mu, parties):
 
 @pytest.mark.parametrize("mu,parties", BATCH_GEOMETRIES)
 def test_fss_gen_batch_draws_seeds_selections_then_words(mu, parties):
-    # the keys stream of a batch: every write's seeds in one draw, then the
-    # selection matrices, then each write's drawn words, each as one bytes
-    # call of its own would give them
+    # the keys stream of a batch: every write's seeds in one draw, then one
+    # permutation per row, then one word seed per write, whose block-by-block
+    # expansion gives the free words
     params = pw.FssParams(n=10, parties=parties, m=17, mu=mu)
     slots, messages = [3, 900, 450], [7, 0, 0x1FFFF]
     rng = np.random.default_rng(32)
@@ -449,18 +544,29 @@ def test_fss_gen_batch_draws_seeds_selections_then_words(mu, parties):
     reference = np.random.default_rng(32)
     nu, spr, nbytes = params.nu, params.seeds_per_row, params.row_bytes
     seeds = reference.bytes(len(slots) * nu * spr * 16)
-    reference.integers(0, 2, size=(len(slots), nu, parties - 1, spr), dtype=np.uint8)
+    orders = [[reference.permutation(spr) for _ in range(nu)] for _ in slots]
+    word_seeds = reference.bytes(16 * len(slots))
     pad = (0xFF << (8 * nbytes - params.row_bits)) & 0xFF  # the pad bits read 0
     for w, write_keys in enumerate(keys):
-        drawn = [reference.bytes(nbytes) for _ in range(spr - 1)]
-        drawn = b"".join(word[:-1] + bytes([word[-1] & pad]) for word in drawn)
-        assert write_keys[0].words[: len(drawn)] == drawn
+        stream = reference_prg(word_seeds[16 * w : 16 * (w + 1)], 8 * (spr - 1) * nbytes)
+        stream = stream.to_bytes((spr - 1) * nbytes, "big")
+        free = [stream[j * nbytes : (j + 1) * nbytes] for j in range(spr - 1)]
+        free = b"".join(word[:-1] + bytes([word[-1] & pad]) for word in free)
+        assert write_keys[0].words[: len(free)] == free
         assert all(k.words is write_keys[0].words for k in write_keys)
-        own = np.frombuffer(seeds, np.uint8).reshape(len(slots), nu * spr, 16)[w]
+        own = np.frombuffer(seeds, np.uint8).reshape(len(slots), nu, spr, 16)[w]
+        # party 0 holds the columns of the odd selection vectors
+        columns = [sorted(int(order[v]) for v in range(1, spr, 2)) for order in orders[w]]
+        assert batch_columns(write_keys[0]) == columns
         for key in write_keys:
-            held = np.frombuffer(key.seeds, np.uint8).reshape(nu * spr, 16)
-            assert np.all((held == own).all(axis=1) | (held == 0).all(axis=1))
+            held = np.frombuffer(key.seeds, np.uint8).reshape(nu, spr, 16)
+            assert np.all((held == own).all(axis=2) | (held == 0).all(axis=2))
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def batch_columns(key):
+    """The columns of each row's nonzero seed slots in one key."""
+    return [[j for j, seed in enumerate(row) if seed != b"\x00" * 16] for row in key.sigma]
 
 
 @pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 4099])
@@ -544,17 +650,15 @@ def test_partial_coalition_bits_look_unbiased():
     """Regression tripwire, not a security proof.
 
     XOR of p-1 shares at an ordinary row equals the absent party's row
-    expansion. Rows where the absent party holds no seeds expand to zero by
-    construction, so the tally conditions on rows where it holds at least one
-    seed; there each bit mixes a fresh PRG output and should be fair. Fixed
-    seed keeps the check deterministic.
+    expansion. The absent party holds 2**(p-2) seeds in every row, so every
+    ordinary row is tallied; there each bit mixes a fresh PRG output and
+    should be fair. Fixed seed keeps the check deterministic.
     """
     params = pw.FssParams(n=8, parties=3, m=1)
     rng = np.random.default_rng(20240817)
     total_bits = params.domain_size * params.m
     ones = np.zeros(total_bits)
     trials = np.zeros(total_bits)
-    zero_seed = b"\x00" * 16
     for _ in range(300):
         a = int(rng.integers(0, params.domain_size))
         b = 1
@@ -564,8 +668,6 @@ def test_partial_coalition_bits_look_unbiased():
         bits = coalition.split_fields(1)
         for row in range(params.nu):
             if row == gamma:
-                continue
-            if all(s == zero_seed for s in keys[0].sigma[row]):
                 continue
             start = row * params.mu
             width = min(params.mu, total_bits - start)
@@ -689,21 +791,52 @@ def test_deserialize_rejects_format_version_1():
     rng = np.random.default_rng(10)
     params = pw.FssParams(n=5, parties=3, m=3)
     blob = pw.key_serialize(pw.fss_gen(pw.PointFunction(9, 5), params, rng)[1])
-    assert blob[0] == pw.KEY_FORMAT_VERSION == 2
+    assert blob[0] == pw.KEY_FORMAT_VERSION == 3
     with pytest.raises(ParseError, match="version 1"):
         pw.key_deserialize(bytes([1]) + blob[1:])
 
 
+def test_deserialize_rejects_format_version_2():
+    # version 2 keys came from uniform selection matrices, which left a
+    # party 0 to 2**(p-1) seeds per row and let p - 1 parties hold a row
+    rng = np.random.default_rng(11)
+    params = pw.FssParams(n=5, parties=3, m=3)
+    blob = pw.key_serialize(pw.fss_gen(pw.PointFunction(9, 5), params, rng)[0])
+    with pytest.raises(ParseError, match="version 2"):
+        pw.key_deserialize(bytes([2]) + blob[1:])
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_keys_with_irregular_rows_are_rejected(parties):
+    # every row of a key holds exactly 2**(p-2) nonzero seed slots: a slot
+    # added or a held slot zeroed fails parsing and evaluation
+    rng = np.random.default_rng(12)
+    params = pw.FssParams(n=6, parties=parties, m=3)
+    key = pw.fss_gen(pw.PointFunction(40, 5), params, rng)[1]
+    row = 2 * params.seeds_per_row * pw.SEED_BYTES
+    slots = [key.seeds[row + j * 16 : row + (j + 1) * 16] for j in range(params.seeds_per_row)]
+    held = [j for j, seed in enumerate(slots) if seed != bytes(16)]
+    unheld = [j for j in range(params.seeds_per_row) if j not in held]
+    for j, seed in ((unheld[0], b"\x01" * 16), (held[0], bytes(16))):
+        at = row + j * 16
+        seeds = key.seeds[:at] + seed + key.seeds[at + 16 :]
+        bad = pw.FssKey(params, key.party_index, seeds, key.words)
+        with pytest.raises(ParseError, match="row 2 holds"):
+            pw.key_deserialize(pw.key_serialize(bad))
+        with pytest.raises(ValueError, match="row 2 holds"):
+            pw.fss_evaluate_share(bad)
+
+
 def test_seeded_keys_keep_their_bytes():
-    # format version 2 fixes these bytes; changing them needs a new version
+    # format version 3 fixes these bytes; changing them needs a new version
     rng = np.random.default_rng(2024)
     blob = b""
     for mu in (None, 1024, 100):
         params = pw.FssParams(n=10, parties=3, m=17, mu=mu)
         keys = pw.fss_gen(pw.PointFunction(a=700, b=0x1ABCD), params, rng)
         blob += b"".join(pw.key_serialize(k) for k in keys)
-    assert pw.KEY_FORMAT_VERSION == 2
+    assert pw.KEY_FORMAT_VERSION == 3
     assert len(blob) == 35820
     assert hashlib.sha256(blob).hexdigest() == (
-        "da9544a43e5a714d3c7f2c3842563059c8621c3d820af7c60edea173b0929086"
+        "d4a60d0395fc4f5dbafef569c032cc8b24ed2692745f5e154a484eae0e0d2fe3"
     )
