@@ -8,8 +8,8 @@ The package is organized as a pipeline:
   and grid discretization.
 - :mod:`covercount.privwrite` -- non-attributable database writes through
   seed-compressed point-function shares.
-- :mod:`covercount.verify` -- blinded-share verification that each write is a
-  unit vector.
+- :mod:`covercount.verify` -- the challenge check that each write's indicator,
+  shared as a row factor and a column factor, names at most one slot.
 - :mod:`covercount.harness` -- end-to-end epoch simulation.
 - :mod:`covercount.cli` -- the ``covercount`` command.
 

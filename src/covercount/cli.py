@@ -512,12 +512,8 @@ def _mu_sweep(n: int, parties: int) -> list[int]:
     """Row widths to benchmark: the balanced default plus narrower and wider
     splits, trading seed count against expansion length."""
     default = default_mu(n, parties)
-    candidates = [default, max(1, default // 2), default * 2, 1 << n]
-    out = []
-    for mu in candidates:
-        if 1 <= mu <= (1 << n) and mu not in out:
-            out.append(mu)
-    return out
+    candidates = (default, max(1, default // 2), default * 2, 1 << n)
+    return [mu for mu in dict.fromkeys(candidates) if mu <= 1 << n]
 
 
 def bench_fss_rows(
@@ -531,7 +527,8 @@ def bench_fss_rows(
                 params = FssParams(n=n, parties=p, m=m, mu=mu)
                 pf = PointFunction(
                     a=int(rng.integers(0, params.domain_size)),
-                    b=int(rng.integers(0, 1 << m)),
+                    # a uint64 draw, which covers m = 64
+                    b=int(rng.integers(0, 1 << m, dtype=np.uint64)),
                 )
                 gen_time, keys = _median_time(lambda: fss_gen(pf, params, rng), runs)
                 optimized, _ = _median_time(lambda: fss_evaluate_share(keys[0]), runs)
@@ -539,19 +536,10 @@ def bench_fss_rows(
                     lambda: [fss_eval_naive(keys[0], x) for x in range(params.domain_size)],
                     runs,
                 )
-                rows.append(
-                    (
-                        n,
-                        p,
-                        params.mu,
-                        params.nu,
-                        f"{gen_time:.9f}",
-                        f"{naive:.9f}",
-                        f"{optimized:.9f}",
-                        f"{naive / optimized:.3f}",
-                        key_size_bytes(params),
-                    )
-                )
+                rows.append((
+                    n, p, params.mu, params.nu, f"{gen_time:.9f}", f"{naive:.9f}",
+                    f"{optimized:.9f}", f"{naive / optimized:.3f}", key_size_bytes(params),
+                ))
     return rows
 
 

@@ -8,10 +8,11 @@ in a machine word, products fit in two, and reduction is cheap.
 
 ``BitString`` is the XOR-group carrier of released databases. Bits are packed
 most-significant-bit first within each byte and the bit length is carried
-explicitly, so values that are not byte multiples stay well defined. Only this
-module knows how a database packs its ``m``-bit slots, slot 0 first:
-``unpack_fields`` reads uint64 slot arrays off a 0/1 bit array (the FSS
-evaluator's, or ``split_fields``'s), and ``from_fields`` packs them back.
+explicitly, so values that are not byte multiples stay well defined. A
+database packs its ``m``-bit slots slot 0 first: ``unpack_fields`` reads
+uint64 slot arrays off a 0/1 bit array (the FSS evaluator's, or
+``split_fields``'s), and ``from_fields`` packs them back; ``privwrite``
+places and reads messages in the same layout inside a key's rows.
 
 Everything here is simulation-grade: no constant-time guarantees are made.
 """

@@ -35,6 +35,10 @@ party's wire body as bytes, is a view of one batch row. Since every cell
 every party's expansions of a batch's accepted writes per round into
 ``2**n`` uint64 slots, so the row layout never leaves this module.
 
+Messages have the pipeline's one form, a uint64 of ``m`` bits with
+1 <= m <= 64 (``FssParams`` enforces it): ``fss_gen_batch`` places a
+batch's messages in their last correction words in one array step.
+
 The PRG is the fixed-key construction of Guo, Katz, Wang and Yu (S&P 2020),
 the usual choice in DPF implementations. A 16-byte seed ``s`` expands to
 
@@ -160,11 +164,11 @@ def default_nu(n: int, mu: int) -> int:
 
 @dataclass(frozen=True)
 class FssParams:
-    """Geometry of a compressed write: ``2**n`` slots of ``m``-bit messages
-    split into rows of ``mu`` slots, shared among ``parties`` servers with
-    128-bit seeds. ``mu`` may be overridden to trade seed count against
-    expansion length; ``nu`` is always the fewest rows that cover the
-    database."""
+    """Geometry of a compressed write: ``2**n`` slots of ``m``-bit messages,
+    1 <= m <= 64, split into rows of ``mu`` slots, shared among ``parties``
+    servers with 128-bit seeds. ``mu`` may be overridden to trade seed count
+    against expansion length; ``nu`` is always the fewest rows that cover
+    the database."""
 
     n: int
     parties: int
@@ -177,8 +181,8 @@ class FssParams:
             raise ValueError("n must be at least 1")
         if self.parties < 2:
             raise ValueError("at least two parties are required")
-        if self.m < 1:
-            raise ValueError("message width must be at least 1 bit")
+        if not 1 <= self.m <= 64:
+            raise ValueError(f"message width must be 1 to 64 bits, got {self.m}")
         mu = self.mu if self.mu is not None else default_mu(self.n, self.parties)
         if mu < 1:
             raise ValueError("mu must be positive")
@@ -321,7 +325,10 @@ def _stream_bytes(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def fss_gen_batch(slots, messages, params: FssParams, rng: np.random.Generator) -> KeyBatch:
     """Split each write, ``messages[w]`` at ``slots[w]``, into ``parties``
-    compressed keys; returns them as one ``KeyBatch``.
+    compressed keys; returns them as one ``KeyBatch``. ``messages`` is an
+    integer array below ``2**m``, like the epoch's uint64 table; numpy reads
+    a list mixing ints from ``2**63`` up with smaller ones as floats, which
+    raise ``ValueError`` as any non-integer does, so pass those as uint64.
 
     The written slot is addressed as ``(gamma, delta) = divmod(a, mu)``: high
     part selects the row, low part the position within it. Correction words
@@ -337,17 +344,17 @@ def fss_gen_batch(slots, messages, params: FssParams, rng: np.random.Generator) 
     of its word seed, cut into ``row_bytes`` pieces; no party receives the
     word seed, so a zero one is kept. The free words are expanded, the
     written rows expanded and the last words built in sub-batches of about
-    ``_BATCH_BYTES``.
+    ``_BATCH_BYTES``; the messages are then placed for the whole batch.
     """
     slots = np.asarray(slots, np.int64).reshape(-1)
-    messages = [int(b) for b in messages]
-    if len(messages) != slots.size:
-        raise ValueError("every write needs one slot and one message")
-    if slots.size and not 0 <= slots.min() <= slots.max() < params.domain_size:
-        raise ValueError("write slot out of range")
-    if any(not 0 <= b < (1 << params.m) for b in messages):
-        raise ValueError("message does not fit in m bits")
+    messages = np.asarray(messages).reshape(-1)
     count, spr, nbytes, m = slots.size, params.seeds_per_row, params.row_bytes, params.m
+    if messages.size != count:
+        raise ValueError("every write needs one slot and one message")
+    if count and not 0 <= slots.min() <= slots.max() < params.domain_size:
+        raise ValueError("write slot out of range")
+    if count and (messages.dtype.kind not in "iu" or messages.min() < 0 or int(messages.max()) >> m):
+        raise ValueError(f"messages must be integers in [0, 2**{m}), as an integer array")
     gamma, delta = np.divmod(slots, params.mu)
 
     seeds = _stream_bytes(rng, SEED_BYTES * count * params.nu * spr)
@@ -367,17 +374,20 @@ def fss_gen_batch(slots, messages, params: FssParams, rng: np.random.Generator) 
         part = np.arange(first, min(first + step, count))
         free = words[first : first + step, :-1]
         free[...] = _prg_rows(word_seeds[part], (spr - 1) * nbytes).reshape(free.shape)
-        # the last word: the written row's expansions, the row image (message
-        # b at bits [delta * m, (delta + 1) * m)) and the free words
+        # the last word: the written row's expansions and the free words
         expansions = _prg_rows(seeds[part, gamma[part]], nbytes).reshape(part.size, spr, nbytes)
         last = words[first : first + step, -1]
         np.bitwise_xor.reduce(expansions, axis=1, out=last)
         last ^= np.bitwise_xor.reduce(free, axis=1)
-        starts = (delta[part] * m).tolist()
-        for word, start, b in zip(last, starts, messages[first : first + step]):
-            start_byte, stop = start // 8, -(-(start + m) // 8)
-            image = (b << (8 * stop - start - m)).to_bytes(stop - start_byte, "big")
-            word[start_byte:stop] ^= np.frombuffer(image, np.uint8)
+    # and the row image: message b at bits [delta * m, (delta + 1) * m),
+    # MSB first, in the 9 bytes from the one that holds its first bit; those
+    # past the word's end hold no message bits, so they XOR zeros into its last
+    start, writes = delta[:, None] * m, np.arange(count)[:, None]
+    bits = np.unpackbits(messages.astype(">u8")[:, None].view(np.uint8), axis=1)
+    window = np.zeros((count, 72), np.uint8)
+    window[writes, start % 8 + np.arange(m)] = bits[:, 64 - m :]
+    at = np.minimum(start // 8 + np.arange(9), nbytes - 1)
+    np.bitwise_xor.at(words[:, -1], (writes, at), np.packbits(window, axis=1))
     return KeyBatch(params, seeds, columns, _zero_pad(words, params))
 
 

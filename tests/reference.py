@@ -184,7 +184,8 @@ def keys_by_bytes(
     in the written row. A write's free words are the :func:`_expand`
     stream of its word seed, cut into ``row_bytes`` pieces. A zero seed,
     which ``fss_gen_batch`` redraws, has chance 2^-128, so none is
-    expected."""
+    expected here; ``test_zero_seeds_are_redrawn_from_the_next_bytes_of_the_stream``
+    forces some."""
     count, nu, spr, parties = len(slots), params.nu, params.seeds_per_row, params.parties
     nbytes, pad = params.row_bytes, 8 * params.row_bytes - params.row_bits
     seeds = rng.bytes(16 * count * nu * spr)

@@ -654,6 +654,20 @@ def test_bench_fss_structure_and_key_sizes(tmp_path):
             )
 
 
+def test_bench_fss_takes_64_bit_messages_and_no_wider(tmp_path, capsys):
+    # 64 bits is the widest message an epoch allows, so the widest a key takes
+    out = tmp_path / "bench"
+    argv = ["bench-fss", "--n", "4", "--p", "2", "--runs", "1", "--message-bits"]
+    assert cli.main([*argv, "64", "--out-dir", str(out)]) == 0
+    rows = read_rows(out / "bench_fss.csv")
+    assert [int(r["mu"]) for r in rows] == [6, 3, 12, 16]  # default, half, double, one row
+    for r in rows:
+        assert int(r["key_bytes"]) == key_size_bytes(FssParams(n=4, parties=2, m=64, mu=int(r["mu"])))
+    capsys.readouterr()
+    assert cli.main([*argv, "65"]) == 2
+    assert "message width must be 1 to 64 bits, got 65" in capsys.readouterr().err
+
+
 def test_bench_verify_structure(tmp_path):
     out = tmp_path / "bench"
     code = cli.main(

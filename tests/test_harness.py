@@ -505,6 +505,30 @@ def test_ids_wider_than_32_bits_count_in_both_modes():
         assert set(counts) == {1, 2**35}
 
 
+def test_64_bit_messages_agree_across_modes():
+    # 48-bit IDs with 16 checksum bits fill a uint64 slot, the widest message
+    # a key carries; the top ID sets the message's top bit
+    config = binary_config(
+        mech=mech.TwoRoundMultiParams(pi_s=0.3, pi_v=0.1),
+        id_bits=48,
+        n=8,
+        domain=(1, 2**40 + 3, 2**48 - 1),
+    )
+    assert config.message_bits == config.fss.m == 64
+    assert int(config.messages[2]) >> 63
+    pop = h.generate_population(
+        {"total": 60, "groups": {"1": 20, str(2**40 + 3): 20, str(2**48 - 1): 20}},
+        np.random.default_rng(3),
+    )
+    free = h.run_epoch(pop, config, crypto=False)
+    full = h.run_epoch(pop, config, crypto=True)
+    assert full.databases == free.databases
+    assert full.counts == free.counts
+    assert full.to_json_bytes() == free.to_json_bytes()
+    for counts in free.counts:
+        assert set(counts) == set(config.domain)
+
+
 def test_slot_choices_are_uniform():
     config = binary_config(n=6, master_seed=41)
     claims = np.ones((2, 5000, 1), dtype=bool)
@@ -854,6 +878,71 @@ def test_weighted_two_slot_forgery_is_rejected_in_a_full_epoch(monkeypatch):
     result = h.run_epoch(pop, config, crypto=True)
     assert len(forgers) == 2  # one forged write in each of the two chunks
     assert result.diagnostics.rejected_owner_ids == tuple(forgers)
+
+
+def stuffed_epoch(monkeypatch):
+    """The shipped small crypto config at population seed 0 and master seed
+    7, honest and with the first chunk's first Yes write stuffed: the Yes
+    message at 20 more slots of its row, (delta + 1 + 37 k) mod mu for
+    k < 20, XORed into correction word 0, which every party shares. The
+    write's indicator factors stay honest. Returns both results, the
+    stuffed write's owner and round, the stuffed slots and the Yes message."""
+    experiment = cli.load_config(str(CONFIGS / "epoch_crypto_small.json"), [])
+    config = replace(experiment.epoch, master_seed=7)
+    pop = h.generate_population(experiment.population, np.random.default_rng(0))
+    honest = h.run_epoch(pop, config, crypto=True)
+    generate, stuffed = h.fss_gen_batch, []
+    yes = int(config.messages[0])
+
+    def stuff(slots, messages, params, rng):
+        batch = generate(slots, messages, params, rng)
+        if not stuffed:
+            write = int(np.flatnonzero(messages == yes)[0])
+            delta = int(slots[write]) % params.mu
+            targets = [(delta + 1 + 37 * k) % params.mu for k in range(20)]
+            image = BitString(0, params.row_bits)
+            for slot in targets:
+                image ^= unit_write(slot, yes, params.mu, params.m)
+            batch.words[write, 0] ^= np.frombuffer(image.to_bytes(), np.uint8)
+            stuffed.append((write, targets))
+        return batch
+
+    monkeypatch.setattr(h, "fss_gen_batch", stuff)
+    result = h.run_epoch(pop, config, crypto=True)
+    (write, targets), = stuffed
+    claims = config.mech.claims(pop, config.value_ids, derived_stream(7, 0))
+    plan = h.plan_writes(claims, config, derived_stream(7, 1))
+    return honest, result, int(plan.owner[write]), int(plan.round_index[write]), targets, yes
+
+
+def test_a_stuffed_row_image_adds_yes_counts(monkeypatch):
+    # ROADMAP item 3(a)'s shared-correction-words kind: the owner is accepted
+    # with no drops, and each stuffed slot adds a count if it was empty and
+    # removes one if it held a Yes
+    honest, stuffed, _, round_index, targets, yes = stuffed_epoch(monkeypatch)
+    assert honest.diagnostics.rejected_owner_ids == stuffed.diagnostics.rejected_owner_ids == ()
+    assert stuffed.diagnostics.collision_drops == honest.diagnostics.collision_drops == (0, 0)
+    before = honest.databases[round_index].split_fields(honest.message_bits)[targets]
+    assert set(before.tolist()) <= {0, yes}
+    added = int((before == 0).sum()) - int((before == yes).sum())
+    assert added == 18  # 19 empty slots and 1 Yes
+    expected = list(honest.counts)
+    expected[round_index] = {1: honest.counts[round_index][1] + added}
+    assert list(stuffed.counts) == expected
+    assert (round_index, honest.counts[0][1], stuffed.counts[0][1]) == (0, 39, 57)
+    assert honest.estimates[1] == pytest.approx(44.44, abs=0.01)
+    assert stuffed.estimates[1] == pytest.approx(84.44, abs=0.01)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 14: the challenge check reads the indicator factors, not "
+    "the key, so a key whose shared correction word stuffs its row passes",
+)
+def test_a_stuffed_row_image_is_rejected(monkeypatch):
+    _, stuffed, owner, _, _, _ = stuffed_epoch(monkeypatch)
+    assert stuffed.diagnostics.rejected_owner_ids == (owner,)
 
 
 def test_aggregator_view_does_not_locate_writes():

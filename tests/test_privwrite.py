@@ -629,6 +629,89 @@ def test_fss_gen_batch_validates_every_write():
         pw.fss_gen_batch([0, 1], [1], params, rng)
 
 
+@pytest.mark.parametrize("mu", [None, 3, 1])  # mu = 1: one 8-byte word per row
+def test_fss_gen_batch_places_the_widest_message(mu):
+    # a message is one uint64, so 64 bits is the widest; every bit of 2**64 - 1
+    # lands, in the first, a middle and the last slot of a row
+    params = pw.FssParams(n=4, parties=3, m=64, mu=mu)
+    slots = [0, 1, 2, 15, 7]
+    widest = (1 << 64) - 1
+    for messages in ([widest] * 5, np.array([widest, 1, widest, widest, 1 << 63], np.uint64)):
+        keys = pw.fss_gen_batch(slots, messages, params, np.random.default_rng(35))
+        for write_keys, slot, message in zip(keys, slots, messages):
+            assert full_reconstruction(write_keys) == pw.unit_write(slot, int(message), 16, 64)
+
+
+@pytest.mark.parametrize(
+    "m,message",
+    [(2, -1), (2, 4), (17, 1 << 17), (64, 1 << 64), (64, 1 << 70), (2, 1.7), (64, 1.0)],
+)
+def test_fss_gen_batch_rejects_a_message_outside_m_bits(m, message):
+    # a message is a non-negative integer below 2**m: a float is not
+    # truncated, and a Python int too wide for uint64 is not wrapped
+    params = pw.FssParams(n=4, parties=2, m=m)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="message"):
+        pw.fss_gen_batch([0, 3], [1, message], params, rng)
+    with pytest.raises(ValueError, match="message"):
+        pw.fss_gen(pw.PointFunction(3, message), params, rng)
+
+
+def test_message_width_is_one_to_64_bits():
+    assert pw.FssParams(n=4, parties=2, m=64, mu=4).row_bits == 64 * 4
+    with pytest.raises(ValueError, match="1 to 64 bits"):
+        pw.FssParams(n=4, parties=2, m=65)
+    # a key header that claims 65-bit messages does not parse
+    params = pw.FssParams(n=4, parties=2, m=64)
+    blob = bytearray(pw.key_serialize(pw.fss_gen(pw.PointFunction(3, 1), params, np.random.default_rng(0))[0]))
+    assert struct.unpack_from("<H", blob, 4) == (64,)
+    blob[4:6] = (65).to_bytes(2, "little")
+    with pytest.raises(ParseError, match="1 to 64 bits"):
+        pw.key_deserialize(bytes(blob))
+
+
+class ZeroedWordsRng:
+    """A Generator whose ``integers`` draws come back with their first words
+    zeroed: ``zeroed[k]`` words of the k-th draw, none after the listed ones."""
+
+    def __init__(self, rng, zeroed):
+        self._rng, self._zeroed = rng, list(zeroed)
+
+    def integers(self, *args, **kwargs):
+        words = self._rng.integers(*args, **kwargs)
+        if self._zeroed:
+            words[: self._zeroed.pop(0)] = 0
+        return words
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_zero_seeds_are_redrawn_from_the_next_bytes_of_the_stream(parties):
+    # the keys stream is the seeds, then the zero-seed redraws in seed order,
+    # again until none is zero, then the column permutations and word seeds.
+    # The first two seeds are drawn zero, and the first of their redraws
+    # again; the third seed's first 8 bytes are zero, but the seed is not
+    params = pw.FssParams(n=6, parties=parties, m=5)
+    slots, messages = [9, 0, 63], [0x1F, 3, 1]
+    rng = ZeroedWordsRng(np.random.default_rng(36), [10, 4])
+    batch = pw.fss_gen_batch(slots, messages, params, rng)
+
+    reference = np.random.default_rng(36)
+    seeds = bytearray(reference.bytes(16 * len(slots) * params.nu * params.seeds_per_row))
+    first, second = reference.bytes(32), reference.bytes(16)
+    seeds[:48] = second + first[16:] + bytes(8) + seeds[40:48]
+    for _ in range(len(slots) * params.nu):
+        reference.permutation(params.seeds_per_row)
+    reference.bytes(16 * len(slots))
+    assert batch.seeds.tobytes() == bytes(seeds)
+    assert batch.seeds.reshape(-1, 16).any(axis=1).all()
+    assert rng.bit_generator.state == reference.bit_generator.state
+    for write_keys, slot, message in zip(batch, slots, messages):
+        assert full_reconstruction(write_keys) == pw.unit_write(slot, message, 64, 5)
+
+
 def test_it_and_fss_reconstruct_identical_databases():
     rng = np.random.default_rng(77)
     n, m, parties = 6, 5, 3
